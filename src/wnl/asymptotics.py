@@ -30,7 +30,7 @@ from .errors import DomainError, QuadratureBudgetError
 from .phase import (
     PhaseFunction,
     _invert_increasing_slope,
-    partition_terms,
+    _partition,
     require_valid,
 )
 from .spectrum import compute_spectrum, partition_sums, scaled_norm
@@ -51,6 +51,23 @@ def _geometric_breakpoints(a: float, b: float, levels: int) -> np.ndarray:
     return np.concatenate(([a], left, right, [b]))
 
 
+def _refine_until_stable(
+    total: Callable[[int], float], tol: float, scale: float, failure: str
+) -> float:
+    """scale * total(levels) once two successive levels agree to tol/2.
+
+    Levels run 10, 12, ..., 48; if none settles, QuadratureBudgetError
+    carries the failure message and the last scaled total.
+    """
+    prev = None
+    for levels in range(10, 49, 2):
+        value = total(levels)
+        if prev is not None and abs(value - prev) <= 0.5 * tol:
+            return scale * value
+        prev = value
+    raise QuadratureBudgetError(failure, estimate=scale * prev)
+
+
 def asymptotic_limit(phase: PhaseFunction, tol: float = 1e-10) -> float:
     """L(h) by quadrature of sqrt(|h''|) over [0, pi].
 
@@ -67,18 +84,12 @@ def asymptotic_limit(phase: PhaseFunction, tol: float = 1e-10) -> float:
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.sqrt(np.abs(phase.d2(t)))
 
-    prev = None
-    for levels in range(10, 49, 2):
-        total = float(
-            integrate_panels(integrand, _geometric_breakpoints(0.0, math.pi, levels), 32).real
-        )
-        if prev is not None and abs(total - prev) <= 0.5 * tol:
-            return _LIMIT_PREFACTOR * total
-        prev = total
-    raise QuadratureBudgetError(
-        f"limit integral did not stabilize to {tol:g} for {phase.label!r}",
-        estimate=_LIMIT_PREFACTOR * prev,
-    )
+    def total(levels: int) -> float:
+        bp = _geometric_breakpoints(0.0, math.pi, levels)
+        return float(integrate_panels(integrand, bp, 32).real)
+
+    failure = f"limit integral did not stabilize to {tol:g} for {phase.label!r}"
+    return _refine_until_stable(total, tol, _LIMIT_PREFACTOR, failure)
 
 
 def full_circle_reference(phase: PhaseFunction, tol: float = 1e-10) -> float:
@@ -118,20 +129,15 @@ def full_circle_reference(phase: PhaseFunction, tol: float = 1e-10) -> float:
             edges.append(kink)
     edges.append(two_pi)
 
-    prev = None
-    for levels in range(10, 49, 2):
-        total = 0.0
+    def total(levels: int) -> float:
+        value = 0.0
         for lo, hi in zip(edges, edges[1:]):
-            total += float(
-                integrate_panels(integrand, _geometric_breakpoints(lo, hi, levels), 32).real
-            )
-        if prev is not None and abs(total - prev) <= 0.5 * tol:
-            return 0.5 * _LIMIT_PREFACTOR * total
-        prev = total
-    raise QuadratureBudgetError(
-        f"full-circle reference did not stabilize to {tol:g} for {phase.label!r}",
-        estimate=0.5 * _LIMIT_PREFACTOR * prev,
-    )
+            bp = _geometric_breakpoints(lo, hi, levels)
+            value += float(integrate_panels(integrand, bp, 32).real)
+        return value
+
+    failure = f"full-circle reference did not stabilize to {tol:g} for {phase.label!r}"
+    return _refine_until_stable(total, tol, 0.5 * _LIMIT_PREFACTOR, failure)
 
 
 def asymptotic_limit_slope_route(phase: PhaseFunction, tol: float = 1e-8) -> float:
@@ -149,19 +155,14 @@ def asymptotic_limit_slope_route(phase: PhaseFunction, tol: float = 1e-8) -> flo
         t = _invert_increasing_slope(norm, u)
         return 1.0 / np.sqrt(norm.d2(t))
 
-    prev = None
-    for levels in range(10, 49, 2):
+    def total(levels: int) -> float:
         bp = _geometric_breakpoints(alpha, beta, levels)
         bp[0] = alpha + (beta - alpha) * 2.0 ** (-levels - 20)  # stay off the edge
         bp[-1] = beta - (beta - alpha) * 2.0 ** (-levels - 20)
-        total = float(integrate_panels(integrand, bp, 32).real)
-        if prev is not None and abs(total - prev) <= 0.5 * tol:
-            return _LIMIT_PREFACTOR * total
-        prev = total
-    raise QuadratureBudgetError(
-        f"slope-route limit integral did not stabilize for {phase.label!r}",
-        estimate=_LIMIT_PREFACTOR * prev,
-    )
+        return float(integrate_panels(integrand, bp, 32).real)
+
+    failure = f"slope-route limit integral did not stabilize for {phase.label!r}"
+    return _refine_until_stable(total, tol, _LIMIT_PREFACTOR, failure)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +204,7 @@ class ConvergenceReport:
     def errors(self) -> list[float]:
         return [abs(r.scaled_norm - self.limit) for r in self.rows]
 
-    def to_csv(self, path: str | Path) -> None:
+    def csv_text(self) -> str:
         lines = [
             f"# phase_label={self.phase_label} limit={self.limit!r}",
             "param,scaled_norm,abs_err,external_sum,periphery_sum,central_sum",
@@ -213,10 +214,11 @@ class ConvergenceReport:
                 f"{r.param!r},{r.scaled_norm!r},{e!r},{r.external_sum!r},"
                 f"{r.periphery_sum!r},{r.central_sum!r}"
             )
-        Path(path).write_text("\n".join(lines) + "\n")
+        return "\n".join(lines) + "\n"
 
-    def to_json(self, path: str | Path) -> None:
-        payload = {
+    def payload(self) -> dict:
+        """The report as a JSON-ready dict, with the same columns as the CSV."""
+        return {
             "phase_label": self.phase_label,
             "limit": self.limit,
             "rows": [
@@ -231,7 +233,12 @@ class ConvergenceReport:
                 for r, e in zip(self.rows, self.errors())
             ],
         }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+    def to_csv(self, path: str | Path) -> None:
+        Path(path).write_text(self.csv_text())
+
+    def to_json(self, path: str | Path) -> None:
+        Path(path).write_text(json.dumps(self.payload(), indent=2, sort_keys=True) + "\n")
 
 
 def default_thread_count() -> int:
@@ -280,7 +287,7 @@ def convergence_study(
 
     def one(n: float) -> StudyRow:
         spec = compute_spectrum(norm, n, grid_pow=grid_pow)
-        part = partition_terms(phase, n)
+        part = _partition(norm, n)
         sums = partition_sums(spec, part)
         return StudyRow(
             param=n,
@@ -386,7 +393,7 @@ def final_step_report(
         raise DomainError(f"n must be at least 2, got {n!r}")
     if not (0.0 < eps < math.pi / 2.0):
         raise DomainError(f"eps must lie in (0, pi/2), got {eps!r}")
-    part = partition_terms(phase, float(n), grid_size=grid_size)
+    part = _partition(norm, float(n), grid_size)
     alpha_n, beta_n = part.alpha_n, part.beta_n
     u_lo = float(norm.d1(np.asarray(eps)))
     u_hi = float(norm.d1(np.asarray(math.pi - eps)))

@@ -22,7 +22,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -62,8 +62,6 @@ class RunConfig:
     epsilon: float = 0.1
     out: Path | None = None
     fmt: str = "csv"
-    seed: int = 0
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not (_TOL_FLOOR <= self.quad_tol <= _TOL_CEIL):
@@ -211,23 +209,7 @@ def cmd_converge(cfg: RunConfig) -> int:
     report = convergence_study(
         phase, list(cfg.param_list), grid_pow=cfg.grid_pow, limit_tol=cfg.quad_tol
     )
-    if cfg.out is not None and cfg.fmt == "json":
-        report.to_json(cfg.out)
-        print(f"wrote {cfg.out}")
-    elif cfg.out is not None:
-        report.to_csv(cfg.out)
-        print(f"wrote {cfg.out}")
-    else:
-        text_rows = [
-            f"# phase_label={report.phase_label} limit={report.limit!r}",
-            "param,scaled_norm,abs_err,external_sum,periphery_sum,central_sum",
-        ]
-        for r, e in zip(report.rows, report.errors()):
-            text_rows.append(
-                f"{r.param!r},{r.scaled_norm!r},{e!r},{r.external_sum!r},"
-                f"{r.periphery_sum!r},{r.central_sum!r}"
-            )
-        print("\n".join(text_rows))
+    _emit(cfg, report.csv_text(), report.payload())
     print(f"limit L = {report.limit!r}")
     print(f"final error |S - L| = {report.errors()[-1]!r} at param {report.rows[-1].param!r}")
     largest = cfg.param_list[-1]
@@ -262,34 +244,7 @@ def cmd_stationary_compare(cfg: RunConfig) -> int:
         )
         return 0
     fitted = fitted_calibration(phase, table)
-    payload = {
-        "x": table.x,
-        "label": table.label,
-        "calib_c": table.calib_c,
-        "fitted_c": fitted,
-        "rows": [
-            {
-                "nu": r.nu,
-                "exact": r.exact.real,
-                "approx": r.approx,
-                "abs_err": r.abs_err,
-                "remainder_bound": r.remainder_bound,
-            }
-            for r in table.rows
-        ],
-    }
-    max_im = max(abs(r.exact.imag) for r in table.rows)
-    lines = [
-        f"# x={table.x!r} label={table.label} calib_c={table.calib_c!r} "
-        f"max_im={max_im!r}",
-        "nu,exact,approx,abs_err,remainder_bound",
-    ]
-    for r in table.rows:
-        lines.append(
-            f"{r.nu},{r.exact.real!r},{r.approx!r},{r.abs_err!r},"
-            f"{r.remainder_bound!r}"
-        )
-    _emit(cfg, "\n".join(lines) + "\n", payload)
+    _emit(cfg, table.csv_text(), {**table.payload(), "fitted_c": fitted})
     print(
         f"{len(table.rows)} central indices; max abs err {table.max_abs_err()!r}, "
         f"max rel err {table.max_rel_err()!r}"
@@ -421,13 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
             dest="fmt",
             choices=("csv", "json"),
             default="csv",
-            help="output format for --out",
-        )
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=0,
-            help="recorded for reproducibility; current commands are deterministic",
+            help="output format, for --out or stdout",
         )
     return parser
 
@@ -443,7 +392,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             epsilon=args.epsilon,
             out=args.out,
             fmt=args.fmt,
-            seed=args.seed,
         )
         return _COMMANDS[args.command](cfg)
     except WnlError as exc:

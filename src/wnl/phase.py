@@ -180,46 +180,16 @@ def build_blaschke(alphas: Sequence[float]) -> PhaseFunction:
     convention here takes h = -(sum of factor arguments), which makes
     h'' > 0 on (0, pi); a product of J factors then has winding -J.
     Since Re(1 - alpha e^{it}) > 0, the atan never crosses a branch cut
-    and h is smooth.
+    and h is smooth.  The formulas are those of
+    :func:`build_blaschke_general` at argument zero.
     """
     a = np.asarray(alphas, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise DomainError("need a non-empty 1-d sequence of zero moduli")
     if np.any((a <= 0.0) | (a >= 1.0)):
         raise DomainError(f"zero moduli must lie in (0, 1), got {alphas!r}")
-
-    def h(t: Array) -> Array:
-        t = np.asarray(t, dtype=float)[..., None]
-        phi = np.arctan2(a * np.sin(t), 1.0 - a * np.cos(t))
-        return -np.sum(t + 2.0 * phi, axis=-1)
-
-    def d1(t: Array) -> Array:
-        t = np.asarray(t, dtype=float)[..., None]
-        den = 1.0 + a * a - 2.0 * a * np.cos(t)
-        return -np.sum((1.0 - a * a) / den, axis=-1)
-
-    def d2(t: Array) -> Array:
-        t = np.asarray(t, dtype=float)[..., None]
-        den = 1.0 + a * a - 2.0 * a * np.cos(t)
-        return np.sum(2.0 * a * (1.0 - a * a) * np.sin(t) / den**2, axis=-1)
-
-    def d3(t: Array) -> Array:
-        t = np.asarray(t, dtype=float)[..., None]
-        den = 1.0 + a * a - 2.0 * a * np.cos(t)
-        num = -3.0 * a + np.cos(t) + a * a * np.cos(t) + a * np.cos(2.0 * t)
-        return np.sum(2.0 * a * (1.0 - a * a) * num / den**3, axis=-1)
-
     levels = ",".join(f"{v:g}" for v in a)
-    return PhaseFunction(
-        h=h,
-        d1=d1,
-        d2=d2,
-        d3=d3,
-        winding_k=-int(a.size),
-        odd=True,
-        sign=1,
-        label=f"blaschke[{levels}]",
-    )
+    return _blaschke_phase(a, odd=True, label=f"blaschke[{levels}]")
 
 
 def build_blaschke_general(zeros: Sequence[complex]) -> PhaseFunction:
@@ -235,44 +205,53 @@ def build_blaschke_general(zeros: Sequence[complex]) -> PhaseFunction:
         raise DomainError("need a non-empty 1-d sequence of zeros")
     if np.any(np.abs(z) >= 1.0) or np.any(np.abs(z) <= 0.0):
         raise DomainError("zeros must satisfy 0 < |a| < 1")
-    r = np.abs(z)
-    theta = np.angle(z)
+    levels = ",".join(f"{v:g}" for v in z)
+    return _blaschke_phase(
+        z, odd=bool(np.allclose(np.angle(z), 0.0)), label=f"blaschke*[{levels}]"
+    )
+
+
+def _blaschke_phase(zeros: np.ndarray, odd: bool, label: str) -> PhaseFunction:
+    """The Blaschke phase for checked zeros: sums of shifted Poisson kernels."""
+    r = np.abs(zeros)
+    theta = np.angle(zeros)
+    # without a rotation, sin and cos run once per t instead of once per zero
+    rotated = bool(np.any(theta))
 
     def h(t: Array) -> Array:
         t = np.asarray(t, dtype=float)[..., None]
-        u = t - theta
+        u = t - theta if rotated else t
         phi = np.arctan2(r * np.sin(u), 1.0 - r * np.cos(u))
         return -np.sum(t + 2.0 * phi, axis=-1)
 
     def d1(t: Array) -> Array:
         t = np.asarray(t, dtype=float)[..., None]
-        u = t - theta
+        u = t - theta if rotated else t
         den = 1.0 + r * r - 2.0 * r * np.cos(u)
         return -np.sum((1.0 - r * r) / den, axis=-1)
 
     def d2(t: Array) -> Array:
         t = np.asarray(t, dtype=float)[..., None]
-        u = t - theta
+        u = t - theta if rotated else t
         den = 1.0 + r * r - 2.0 * r * np.cos(u)
         return np.sum(2.0 * r * (1.0 - r * r) * np.sin(u) / den**2, axis=-1)
 
     def d3(t: Array) -> Array:
         t = np.asarray(t, dtype=float)[..., None]
-        u = t - theta
+        u = t - theta if rotated else t
         den = 1.0 + r * r - 2.0 * r * np.cos(u)
         num = -3.0 * r + np.cos(u) + r * r * np.cos(u) + r * np.cos(2.0 * u)
         return np.sum(2.0 * r * (1.0 - r * r) * num / den**3, axis=-1)
 
-    levels = ",".join(f"{v:g}" for v in z)
     return PhaseFunction(
         h=h,
         d1=d1,
         d2=d2,
         d3=d3,
-        winding_k=-int(z.size),
-        odd=bool(np.allclose(theta, 0.0)),
+        winding_k=-int(np.size(zeros)),
+        odd=odd,
         sign=1,
-        label=f"blaschke*[{levels}]",
+        label=label,
     )
 
 
@@ -608,12 +587,16 @@ class TermPartition:
     periphery is split at the midpoint so the cover stays disjoint.
 
     n is usually an integer but any real scale >= 2 is accepted; the
-    seams are derived from real arithmetic either way.
+    seams are derived from real arithmetic either way.  omega is the
+    modulus of continuity of g'' at delta (at no less than four grid
+    spacings), the curvature variation that the stationary-phase
+    remainder budget charges against.
     """
 
     n: float
     phi: float
     delta: float
+    omega: float
     alpha: float
     beta: float
     alpha_n: float
@@ -723,11 +706,17 @@ def partition_terms(
     Works on the normalized phase; validation must pass.  delta is
     clamped to pi/8 so the slope probes at 2*delta stay inside (0, pi/2).
     """
+    return _partition(require_valid(phase), n, grid_size)
+
+
+def _partition(norm: PhaseFunction, n: float, grid_size: int = 16384) -> TermPartition:
+    """:func:`partition_terms` for a phase already normalized and validated."""
     if not (n >= 2):
         raise DomainError(f"n must be at least 2, got {n!r}")
-    norm = require_valid(phase)
     phi = choose_phi(norm, n, grid_size=grid_size)
     delta = min(phi / math.sqrt(n), math.pi / 8.0)
+    spacing = math.pi / (grid_size - 1)
+    omega = modulus_of_continuity(norm, max(delta, 4.0 * spacing), grid_size=grid_size)
     alpha = float(norm.d1(np.asarray(0.0)))
     beta = float(norm.d1(np.asarray(np.pi)))
     alpha_n = max(float(norm.d1(np.asarray(2.0 * delta))), alpha + 1.0 / n)
@@ -736,6 +725,7 @@ def partition_terms(
         n=n,
         phi=phi,
         delta=delta,
+        omega=omega,
         alpha=alpha,
         beta=beta,
         alpha_n=alpha_n,

@@ -11,9 +11,10 @@ two saddle contributions combine into
 and the error of that formula is controlled by a two-term budget: a
 C / (x g''(t*) delta) piece from the non-stationary remainder and an
 x omega(delta) delta^3 piece from freezing g'' across the stationary
-neighborhood of half-width delta.  The Fresnel helpers quantify the
-model integral's own tail, computed on a rotated contour where the
-integrand decays instead of oscillating.
+neighborhood of half-width delta.  Both delta and omega(delta) are read
+from the index partition at scale x, which computes them once.  The
+Fresnel helpers quantify the model integral's own tail, computed on a
+rotated contour where the integrand decays instead of oscillating.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from .phase import (
     PhaseFunction,
     TermPartition,
     _invert_increasing_slope,
-    _omega_from_samples,
-    partition_terms,
+    _partition,
     require_valid,
 )
 from .spectrum import compute_spectrum
@@ -62,12 +62,7 @@ def approximate_central_range(
     in x).  The list can be empty at small x.
     """
     norm = require_valid(phase)
-    part = partition_terms(phase, x, grid_size=grid_size)
-    rng = part.central_range()
-    if len(rng) == 0:
-        return []
-    nus = np.arange(rng.start, rng.stop)
-    return _approximate_at(norm, x, nus, part.delta, calib_c, grid_size)
+    return _approximate_central(norm, _partition(norm, x, grid_size), calib_c)
 
 
 def approximate_central(
@@ -76,7 +71,6 @@ def approximate_central(
     nu: int,
     part: TermPartition,
     calib_c: float = 8.0,
-    grid_size: int = 16384,
 ) -> StationaryApproximation:
     """Stationary approximation of the coefficient at one central index.
 
@@ -98,25 +92,30 @@ def approximate_central(
         raise DomainError(
             f"nu = {nu} is {part.classify(nu)}, not central, at n = {n!r}"
         )
-    return _approximate_at(norm, n, np.asarray([nu]), part.delta, calib_c, grid_size)[0]
+    return _approximate_at(norm, part, np.asarray([nu]), calib_c)[0]
+
+
+def _approximate_central(
+    norm: PhaseFunction, part: TermPartition, calib_c: float
+) -> list[StationaryApproximation]:
+    rng = part.central_range()
+    if len(rng) == 0:
+        return []
+    return _approximate_at(norm, part, np.arange(rng.start, rng.stop), calib_c)
 
 
 def _approximate_at(
     norm: PhaseFunction,
-    x: float,
+    part: TermPartition,
     nus: np.ndarray,
-    delta: float,
     calib_c: float,
-    grid_size: int,
 ) -> list[StationaryApproximation]:
+    x, delta = part.n, part.delta
     t_star = _invert_increasing_slope(norm, nus / x)
     g2 = norm.d2(t_star)
     rho = x * norm.h(t_star) - nus * t_star
     approx = _SQRT_2_OVER_PI / np.sqrt(x * g2) * np.cos(rho + math.pi / 4.0)
-    spacing = math.pi / (grid_size - 1)
-    samples = norm.d2(np.linspace(0.0, math.pi, grid_size))
-    omega = _omega_from_samples(samples, spacing, max(delta, 4.0 * spacing))
-    bounds = calib_c / (x * g2 * delta) + x * omega * delta**3
+    bounds = calib_c / (x * g2 * delta) + x * part.omega * delta**3
     return [
         StationaryApproximation(
             nu=int(n),
@@ -155,11 +154,17 @@ class ComparisonRow:
 
 @dataclass(frozen=True)
 class ComparisonTable:
-    """Central-window stationary approximations against FFT coefficients."""
+    """Central-window stationary approximations against FFT coefficients.
+
+    delta and omega are those of the partition the rows were built
+    from, so the remainder budget can be re-derived from the table.
+    """
 
     x: float
     label: str
     calib_c: float
+    delta: float
+    omega: float
     rows: tuple[ComparisonRow, ...]
 
     def max_abs_err(self) -> float:
@@ -172,7 +177,7 @@ class ComparisonTable:
         """How many rows have |approx - exact| above their remainder bound."""
         return sum(1 for r in self.rows if r.abs_err > r.remainder_bound)
 
-    def to_csv(self, path: str | Path) -> None:
+    def csv_text(self) -> str:
         """Five data columns; exact is the real part of the coefficient.
 
         For odd phases the coefficients are real to rounding anyway;
@@ -190,7 +195,28 @@ class ComparisonTable:
                 f"{r.nu},{r.exact.real!r},{r.approx!r},{r.abs_err!r},"
                 f"{r.remainder_bound!r}"
             )
-        Path(path).write_text("\n".join(lines) + "\n")
+        return "\n".join(lines) + "\n"
+
+    def payload(self) -> dict:
+        """The table as a JSON-ready dict, with the same columns as the CSV."""
+        return {
+            "x": self.x,
+            "label": self.label,
+            "calib_c": self.calib_c,
+            "rows": [
+                {
+                    "nu": r.nu,
+                    "exact": r.exact.real,
+                    "approx": r.approx,
+                    "abs_err": r.abs_err,
+                    "remainder_bound": r.remainder_bound,
+                }
+                for r in self.rows
+            ],
+        }
+
+    def to_csv(self, path: str | Path) -> None:
+        Path(path).write_text(self.csv_text())
 
 
 def stationary_comparison(
@@ -205,7 +231,8 @@ def stationary_comparison(
     same x, so the two columns share nothing but the phase itself.
     """
     norm = require_valid(phase)
-    approxes = approximate_central_range(phase, x)
+    part = _partition(norm, x)
+    approxes = _approximate_central(norm, part, calib_c)
     spec = compute_spectrum(norm, x, grid_pow=grid_pow)
     rows = tuple(
         ComparisonRow(
@@ -218,25 +245,31 @@ def stationary_comparison(
         )
         for ap in approxes
     )
-    return ComparisonTable(x=x, label=norm.label, calib_c=calib_c, rows=rows)
+    return ComparisonTable(
+        x=x,
+        label=norm.label,
+        calib_c=calib_c,
+        delta=part.delta,
+        omega=part.omega,
+        rows=rows,
+    )
 
 
-def fitted_calibration(
-    phase: PhaseFunction, table: ComparisonTable, grid_size: int = 16384
-) -> float:
+def fitted_calibration(phase: PhaseFunction, table: ComparisonTable) -> float:
     """Smallest C >= 0 making every remainder bound dominate its actual error.
 
     Inverts the two-term budget rowwise: the C piece must cover whatever
     the frozen-curvature piece x omega(delta) delta^3 does not.  Returns
-    0 when the second term alone already dominates everywhere.
+    0 when the second term alone already dominates everywhere.  The
+    table must have been built for this phase.
     """
     norm = require_valid(phase)
-    x = table.x
-    delta = partition_terms(phase, x, grid_size=grid_size).delta
-    spacing = math.pi / (grid_size - 1)
-    samples = norm.d2(np.linspace(0.0, math.pi, grid_size))
-    omega = _omega_from_samples(samples, spacing, max(delta, 4.0 * spacing))
-    frozen_piece = x * omega * delta**3
+    if table.label != norm.label:
+        raise MisalignedError(
+            f"table is for {table.label!r} but the phase normalizes to {norm.label!r}"
+        )
+    x, delta = table.x, table.delta
+    frozen_piece = x * table.omega * delta**3
     c = 0.0
     for r in table.rows:
         g2 = float(norm.d2(np.asarray(r.t_star)))

@@ -94,6 +94,15 @@ def test_converge_json(tmp_path):
     assert len(payload["rows"]) == 2
 
 
+def test_converge_json_on_stdout_matches_file(tmp_path, capsys):
+    args = ["converge", "--phase", "sine", "--params", "50,100", "--format", "json"]
+    assert main(args) == 0
+    printed, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+    out = tmp_path / "study.json"
+    assert main(args + ["--out", str(out)]) == 0
+    assert printed == json.loads(out.read_text())
+
+
 def test_converge_abs_routes_to_log_growth(tmp_path, capsys):
     out = tmp_path / "abs.csv"
     code = main(["converge", "--phase", "abs", "--params", "64,256", "--out", str(out)])

@@ -68,6 +68,15 @@ def test_sine_values():
     assert phase.winding_k == 0
 
 
+def test_blaschke_real_zeros_match_general_builder():
+    real, general = build_blaschke([0.3, 0.7]), build_blaschke_general([0.3, 0.7])
+    t = np.linspace(-7.0, 7.0, 2001)
+    for name in ("h", "d1", "d2", "d3"):
+        assert np.array_equal(getattr(real, name)(t), getattr(general, name)(t))
+    assert real.odd and general.odd
+    assert real.label == "blaschke[0.3,0.7]"
+
+
 def test_blaschke_winding_matches_zero_count():
     assert build_blaschke([0.5]).winding_k == -1
     assert build_blaschke([0.3, 0.7]).winding_k == -2
@@ -199,6 +208,14 @@ def test_partition_seams_ordered():
     assert part.delta == pytest.approx(
         min(part.phi / math.sqrt(1000.0), math.pi / 8.0)
     )
+
+
+def test_partition_carries_omega_at_delta():
+    phase = build_blaschke([0.3, 0.7])
+    part = partition_terms(phase, 1000.0)
+    assert part.omega == modulus_of_continuity(phase, part.delta, grid_size=16384)
+    fine = partition_terms(phase, 1000.0, grid_size=1 << 16)
+    assert fine.omega == modulus_of_continuity(phase, fine.delta, grid_size=1 << 16)
 
 
 def test_partition_accepts_real_scale():

@@ -99,6 +99,25 @@ def test_fitted_calibration_dominates():
     assert refit.bound_violations() == 0
 
 
+def test_calib_c_reaches_the_bounds():
+    """At C = 0 only the frozen-curvature piece x omega delta^3 is left."""
+    phase = build_sine()
+    table = stationary_comparison(phase, 150.0, calib_c=0.0)
+    default = stationary_comparison(phase, 150.0)
+    assert (table.delta, table.omega) == (default.delta, default.omega)
+    frozen_piece = 150.0 * table.omega * table.delta**3
+    assert len(table.rows) > 0
+    for r, d in zip(table.rows, default.rows):
+        assert r.remainder_bound == frozen_piece
+        assert r.remainder_bound < d.remainder_bound
+
+
+def test_fitted_calibration_rejects_other_phase():
+    table = stationary_comparison(build_sine(), 150.0)
+    with pytest.raises(MisalignedError):
+        fitted_calibration(build_blaschke([0.5]), table)
+
+
 def test_comparison_csv(tmp_path):
     table = stationary_comparison(build_sine(), 60.0)
     out = tmp_path / "table.csv"
