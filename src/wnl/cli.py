@@ -234,17 +234,11 @@ def cmd_stationary_compare(cfg: RunConfig) -> int:
         )
     n = cfg.param_list[0]
     table = stationary_comparison(phase, n, grid_pow=cfg.grid_pow)
-    if not table.rows:
-        print(f"central window holds no integer index at param {n!r}; empty table")
-        _emit(
-            cfg,
-            f"# x={n!r} label={table.label} empty=true\n"
-            "nu,exact,approx,abs_err,remainder_bound\n",
-            {"x": n, "label": table.label, "rows": []},
-        )
-        return 0
     fitted = fitted_calibration(phase, table)
     _emit(cfg, table.csv_text(), {**table.payload(), "fitted_c": fitted})
+    if not table.rows:
+        print(f"central window holds no integer index at param {n!r}; empty table")
+        return 0
     print(
         f"{len(table.rows)} central indices; max abs err {table.max_abs_err()!r}, "
         f"max rel err {table.max_rel_err()!r}"

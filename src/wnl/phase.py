@@ -479,8 +479,25 @@ def modulus_of_continuity(
             f"delta {delta:.3e} is below 4 grid spacings ({4 * spacing:.3e}); "
             "raise grid_size"
         )
-    samples = phase.d2(np.linspace(0.0, np.pi, grid_size))
-    return _omega_from_samples(samples, spacing, delta)
+    return _Curvature(phase, grid_size).omega(delta)
+
+
+class _Curvature:
+    """h'' sampled once on ``grid_size`` points of [0, pi], and omega read from it.
+
+    Each integer window width is scanned at most once: ``widths`` keeps
+    the scans for as long as this object lives, which is one
+    :func:`choose_phi` call or one partition.
+    """
+
+    def __init__(self, phase: PhaseFunction, grid_size: int) -> None:
+        self.label = phase.label
+        self.spacing = np.pi / (grid_size - 1)
+        self.samples = phase.d2(np.linspace(0.0, np.pi, grid_size))
+        self.widths: dict[int, float] = {}
+
+    def omega(self, delta: float) -> float:
+        return _omega_from_samples(self.samples, self.spacing, delta, self.widths)
 
 
 def _window_extrema(f: np.ndarray, length: int, maximum: bool) -> np.ndarray:
@@ -509,14 +526,24 @@ def _sliding_range_max(f: np.ndarray, width: int) -> float:
     return float(np.max(hi - lo))
 
 
-def _omega_from_samples(samples: np.ndarray, spacing: float, delta: float) -> float:
+def _omega_from_samples(
+    samples: np.ndarray, spacing: float, delta: float, widths: dict[int, float]
+) -> float:
+    """Sliding range at the two integer widths around delta / spacing,
+    linearly interpolated; ``widths`` memoizes the scan of each width."""
+
+    def range_max(width: int) -> float:
+        if width not in widths:
+            widths[width] = _sliding_range_max(samples, width)
+        return widths[width]
+
     w = delta / spacing
     w0 = int(math.floor(w))
     frac = w - w0
-    lo = _sliding_range_max(samples, max(w0, 1))
+    lo = range_max(max(w0, 1))
     if frac == 0.0 or w0 + 1 >= samples.size:
         return lo
-    hi = _sliding_range_max(samples, w0 + 1)
+    hi = range_max(w0 + 1)
     return lo + frac * (hi - lo)
 
 
@@ -530,6 +557,8 @@ def choose_phi(phase: PhaseFunction, n: float, grid_size: int = 16384) -> float:
     clamp: if omega never lifts the product to 1 the upper end is
     returned with a warning (h'' constant, e.g. a linear phase), and if
     the product already exceeds 1 at Phi = 1 the lower end is returned.
+    h'' is sampled once and each integer window width is scanned once,
+    so the 80 bisection steps cost about 20 scans rather than 160.
     """
     if not (n >= 2):
         raise DomainError(f"n must be at least 2, got {n!r}")
@@ -540,10 +569,11 @@ def choose_phi(phase: PhaseFunction, n: float, grid_size: int = 16384) -> float:
         raise DomainError(
             f"n = {n} needs delta resolution below {4 * spacing:.3e}; raise grid_size"
         )
-    samples = phase.d2(np.linspace(0.0, np.pi, grid_size))
+    # _partition passes its own profile, to read omega(delta) from the same scans
+    curvature = phase if isinstance(phase, _Curvature) else _Curvature(phase, grid_size)
 
     def product(p: float) -> float:
-        return _omega_from_samples(samples, spacing, p / sqrt_n) * p**4
+        return curvature.omega(p / sqrt_n) * p**4
 
     if product(upper) <= 1.0:
         warnings.warn(
@@ -710,13 +740,17 @@ def partition_terms(
 
 
 def _partition(norm: PhaseFunction, n: float, grid_size: int = 16384) -> TermPartition:
-    """:func:`partition_terms` for a phase already normalized and validated."""
+    """:func:`partition_terms` for a phase already normalized and validated.
+
+    h'' is sampled once: the bisection for Phi and omega(delta) read the
+    same curvature profile and share its window scans.
+    """
     if not (n >= 2):
         raise DomainError(f"n must be at least 2, got {n!r}")
-    phi = choose_phi(norm, n, grid_size=grid_size)
+    curvature = _Curvature(norm, grid_size)
+    phi = choose_phi(curvature, n, grid_size=grid_size)
     delta = min(phi / math.sqrt(n), math.pi / 8.0)
-    spacing = math.pi / (grid_size - 1)
-    omega = modulus_of_continuity(norm, max(delta, 4.0 * spacing), grid_size=grid_size)
+    omega = curvature.omega(max(delta, 4.0 * curvature.spacing))
     alpha = float(norm.d1(np.asarray(0.0)))
     beta = float(norm.d1(np.asarray(np.pi)))
     alpha_n = max(float(norm.d1(np.asarray(2.0 * delta))), alpha + 1.0 / n)

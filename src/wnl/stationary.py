@@ -270,11 +270,9 @@ def fitted_calibration(phase: PhaseFunction, table: ComparisonTable) -> float:
         )
     x, delta = table.x, table.delta
     frozen_piece = x * table.omega * delta**3
-    c = 0.0
-    for r in table.rows:
-        g2 = float(norm.d2(np.asarray(r.t_star)))
-        c = max(c, (r.abs_err - frozen_piece) * (x * g2 * delta))
-    return c
+    abs_err = np.array([r.abs_err for r in table.rows])
+    g2 = norm.d2(np.array([r.t_star for r in table.rows]))
+    return float(np.max((abs_err - frozen_piece) * (x * g2 * delta), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

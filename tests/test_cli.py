@@ -6,6 +6,7 @@ import pytest
 
 from wnl.cli import RunConfig, build_parser, main, parse_phase
 from wnl.errors import DomainError
+from wnl.stationary import fitted_calibration, stationary_comparison
 
 
 class TestParsePhase:
@@ -128,6 +129,26 @@ def test_stationary_compare(tmp_path, capsys):
     assert lines[1] == "nu,exact,approx,abs_err,remainder_bound"
     assert len(lines) > 100
     assert "fitted minimal C" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    ("spec", "x", "empty"), [("sine", 150.0, False), ("blaschke:0.9", 2.0, True)]
+)
+def test_stationary_compare_writes_library_table(tmp_path, capsys, spec, x, empty):
+    """The CLI files are the library's csv_text and payload, empty table or not."""
+    phase = parse_phase(spec)
+    table = stationary_comparison(phase, x)
+    assert (not table.rows) == empty
+    out = tmp_path / "table.csv"
+    argv = ["stationary-compare", "--phase", spec, "--params", repr(x)]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == table.csv_text().encode()
+    js = tmp_path / "table.json"
+    assert main(argv + ["--format", "json", "--out", str(js)]) == 0
+    payload = {**table.payload(), "fitted_c": fitted_calibration(phase, table)}
+    assert json.loads(js.read_text()) == payload
+    said = capsys.readouterr().out
+    assert ("central window holds no integer index" in said) == empty
 
 
 def test_stationary_compare_needs_single_param(capsys):

@@ -1,5 +1,6 @@
 """Phase builders, validation, slope inversion, and the index partition."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ from wnl.errors import DomainError, WnlError
 from wnl.phase import (
     PhaseFunction,
     TermPartition,
+    _omega_from_samples,
+    _partition,
     build_blaschke,
     build_blaschke_general,
     build_from_callable,
@@ -184,6 +187,47 @@ def test_modulus_rejects_unresolvable_delta():
 def test_choose_phi_frozen_value():
     phi = choose_phi(build_sine(), 1e6, grid_size=1 << 16)
     assert phi == pytest.approx(PHI_SINE_1E6, abs=1e-6)
+
+
+def _plain_choose_phi(phase, n, grid_size=16384):
+    """The 80-step bisection with every omega scanned afresh."""
+    spacing = np.pi / (grid_size - 1)
+    samples = phase.d2(np.linspace(0.0, np.pi, grid_size))
+
+    def product(p):
+        return _omega_from_samples(samples, spacing, p / math.sqrt(n), {}) * p**4
+
+    upper = n**0.25
+    if product(upper) <= 1.0:
+        return upper
+    if product(1.0) >= 1.0:
+        return 1.0
+    lo, hi = 1.0, upper
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if product(mid) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("phase", [build_sine(), build_blaschke([0.3, 0.7])])
+@pytest.mark.parametrize("n", [2.0, 1000.0, 1e6])
+def test_choose_phi_memo_is_bit_identical(phase, n):
+    assert choose_phi(phase, n) == _plain_choose_phi(phase, n)
+
+
+def test_partition_samples_curvature_once():
+    norm = require_valid(build_sine())
+    sizes = []
+
+    def d2(t):
+        sizes.append(np.size(t))
+        return norm.d2(t)
+
+    _partition(dataclasses.replace(norm, d2=d2), 1000.0, grid_size=4096)
+    assert sizes == [4096]
 
 
 def test_choose_phi_clamps_for_flat_curvature():

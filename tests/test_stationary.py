@@ -1,5 +1,6 @@
 """Stationary-phase approximations, the Fresnel model integral, first-derivative bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from wnl._quad import integrate_adaptive
 from wnl.errors import DomainError, MisalignedError
-from wnl.phase import build_blaschke, build_sine, legendre, partition_terms
+from wnl.phase import (
+    build_blaschke,
+    build_sine,
+    legendre,
+    partition_terms,
+    require_valid,
+)
 from wnl.spectrum import compute_spectrum
 from wnl.stationary import (
     approximate_central,
@@ -110,6 +117,25 @@ def test_calib_c_reaches_the_bounds():
     for r, d in zip(table.rows, default.rows):
         assert r.remainder_bound == frozen_piece
         assert r.remainder_bound < d.remainder_bound
+
+
+@pytest.mark.parametrize("phase", [build_sine(), build_blaschke([0.3, 0.7])])
+def test_fitted_calibration_matches_row_loop(phase):
+    """One array call of g'' gives the fitted C of the per-row scalar loop.
+
+    With omega set to 0 the frozen piece vanishes and every row bids for
+    the maximum, so the comparison reads g''(t*) on all rows.
+    """
+    norm = require_valid(phase)
+    table = dataclasses.replace(stationary_comparison(phase, 1000.0), omega=0.0)
+    x, delta = table.x, table.delta
+    frozen_piece = x * table.omega * delta**3
+    c = 0.0
+    for r in table.rows:
+        g2 = float(norm.d2(np.asarray(r.t_star)))
+        c = max(c, (r.abs_err - frozen_piece) * (x * g2 * delta))
+    assert c > 0.0
+    assert fitted_calibration(phase, table) == c
 
 
 def test_fitted_calibration_rejects_other_phase():
