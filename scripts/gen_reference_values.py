@@ -27,6 +27,18 @@ def _blaschke_d2(alphas):
     return d2
 
 
+def blaschke_slope_root(alphas, u):
+    """The t in (0, pi) where h'(t) = -sum (1 - r^2) / (1 + r^2 - 2 r cos t)
+    equals u; h' increases there, so the bracket [0, pi] holds one root."""
+    rs = [mp.mpf(a) for a in alphas]
+
+    def slope_gap(t):
+        slope = -mp.fsum((1 - r * r) / (1 + r * r - 2 * r * mp.cos(t)) for r in rs)
+        return slope - mp.mpf(u)
+
+    return mp.findroot(slope_gap, (mp.mpf(0), mp.pi), solver="anderson")
+
+
 def blaschke_limit(alphas):
     """(2/pi)^(3/2) integral of sqrt(h'') over a half period."""
     d2 = _blaschke_d2(alphas)
@@ -82,6 +94,18 @@ ROWS = [
     ("girard(0.5)", lambda: girard_closed_form("0.5"), "1.25133889276404441"),
     ("girard(0.8)", lambda: girard_closed_form("0.8"), "1.68225813256560138"),
     ("limit blaschke:0.3,0.7", lambda: blaschke_limit(["0.3", "0.7"]), "1.87867627073246121"),
+    ("psi blaschke:0.3,0.7(-7)", lambda: blaschke_slope_root(["0.3", "0.7"], "-7"),
+     "0.11276101886648128342"),
+    ("psi blaschke:0.3,0.7(-5)", lambda: blaschke_slope_root(["0.3", "0.7"], "-5"),
+     "0.31091441441548036914"),
+    ("psi blaschke:0.3,0.7(-3)", lambda: blaschke_slope_root(["0.3", "0.7"], "-3"),
+     "0.61236534914273593641"),
+    ("psi blaschke:0.3,0.7(-1.5)", lambda: blaschke_slope_root(["0.3", "0.7"], "-1.5"),
+     "1.2472900660893048554"),
+    ("psi blaschke:0.3,0.7(-1)", lambda: blaschke_slope_root(["0.3", "0.7"], "-1"),
+     "1.8439195639281074615"),
+    ("psi blaschke:0.3,0.7(-0.75)", lambda: blaschke_slope_root(["0.3", "0.7"], "-0.75"),
+     "2.6451763722487448829"),
     ("eq-int hyper side (0.5)", lambda: eq_int_hyper("0.5"), "2.46351243386823428"),
     ("sqrt(8/pi)", lambda: mp.sqrt(8 / mp.pi), "1.5957691216057308"),
     ("zeta(1/2)", lambda: mp.zeta(mp.mpf(1) / 2), "-1.4603545088095868129"),

@@ -359,7 +359,7 @@ class FinalStepReport:
     """The epsilon split of the central scaled sum.
 
     ``edge_left``/``edge_right`` are the sqrt-curvature sums over the
-    strips between the partition seams and the slopes at epsil, pi -
+    strips between the partition seams and the slopes at epsilon, pi -
     epsilon, weighted by 1 (a bound, since |cos| <= 1);  ``middle`` is
     the cosine-weighted sum over the remaining bulk, and
     ``limit_piece`` is the portion of L(h) over [epsilon, pi - epsilon]

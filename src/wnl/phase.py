@@ -388,11 +388,25 @@ def require_valid(phase: PhaseFunction) -> PhaseFunction:
 # ---------------------------------------------------------------------------
 
 
+_SLOPE_TABLE_SIZE = 1025  # uniform samples of g' that bracket and seed each target
+_SLOPE_MAX_STEPS = 64  # cap on the safeguarded Newton steps per target
+
+
 def _invert_increasing_slope(norm: PhaseFunction, targets: np.ndarray) -> np.ndarray:
     """Solve g'(t) = target on [0, pi] for a normalized phase (g'' > 0).
 
-    Vectorized bisection with a short Newton polish.  Targets must lie
-    in [g'(0), g'(pi)], up to a relative fuzz absorbed by clipping.
+    Safeguarded Newton, as in Numerical Recipes' ``rtsafe``.  g' is
+    tabulated once on a uniform grid of [0, pi] (made monotone by a
+    running maximum); the table gives each target a bracket and a
+    linearly interpolated seed.  Each step evaluates g' and g'' at the
+    current point, tightens the bracket by the sign of g'(t) - target,
+    and takes the Newton step, or the bracket midpoint when that step
+    leaves the bracket or g'' <= 0.  A target is done when its Newton
+    step falls below the rounding floor 2 spacing(t) + 8
+    spacing(max|g'|) / g''(t) (what rounding in g' alone can move t by)
+    or its bracket has collapsed; only unfinished targets are evaluated
+    again.  Each result depends on its own target only.  Targets must
+    lie in [g'(0), g'(pi)], up to a relative fuzz absorbed by clipping.
     """
     lo_val = float(norm.d1(np.asarray(0.0)))
     hi_val = float(norm.d1(np.asarray(np.pi)))
@@ -403,20 +417,40 @@ def _invert_increasing_slope(norm: PhaseFunction, targets: np.ndarray) -> np.nda
         )
     targets = np.clip(targets, lo_val, hi_val)
 
-    lo = np.zeros_like(targets)
-    hi = np.full_like(targets, np.pi)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = norm.d1(mid) < targets
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    t = 0.5 * (lo + hi)
-    for _ in range(2):  # Newton polish; g'' > 0 keeps it stable
+    grid = np.linspace(0.0, np.pi, _SLOPE_TABLE_SIZE)
+    table = np.maximum.accumulate(norm.d1(grid))
+    noise = 8.0 * np.spacing(np.max(np.abs(table)))
+    i = np.clip(np.searchsorted(table, targets), 1, _SLOPE_TABLE_SIZE - 1)
+    lo, hi = grid[i - 1], grid[i]
+    rise = table[i] - table[i - 1]
+    frac = np.divide(
+        targets - table[i - 1], rise, out=np.full_like(rise, 0.5), where=rise > 0.0
+    )
+    t = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
+
+    out = np.empty_like(targets)
+    todo = np.arange(targets.size)
+    u = targets
+    for _ in range(_SLOPE_MAX_STEPS):
+        f = norm.d1(t) - u
         df = norm.d2(t)
-        safe = df > 0.0
-        stepv = np.where(safe, (norm.d1(t) - targets) / np.where(safe, df, 1.0), 0.0)
-        t = np.clip(t - stepv, lo, hi)
-    return t
+        lo = np.where(f < 0.0, t, lo)
+        hi = np.where(f < 0.0, hi, t)
+        curved = df > 0.0
+        df = np.where(curved, df, 1.0)
+        step = f / df
+        newton = t - step
+        inside = curved & (lo <= newton) & (newton <= hi)
+        t_next = np.where(inside, newton, 0.5 * (lo + hi))
+        settled = inside & (np.abs(step) <= 2.0 * np.spacing(t) + noise / df)
+        done = settled | (hi - lo <= 2.0 * np.spacing(hi))
+        out[todo[done]] = t_next[done]
+        keep = ~done
+        todo, u, t, lo, hi = todo[keep], u[keep], t_next[keep], lo[keep], hi[keep]
+        if todo.size == 0:
+            break
+    out[todo] = t  # targets still open at the step cap keep their last iterate
+    return out
 
 
 def psi(phase: PhaseFunction, x: float | Array) -> float | Array:

@@ -31,6 +31,30 @@ L_HALF = 1.25133889276404441  # one zero at 0.5
 L_PAIR = 1.87867627073246121  # zeros at 0.3 and 0.7
 SQRT_8_OVER_PI = 1.5957691216057308  # limit value for constant curvature 1
 
+# final_step_report(phase, n, eps=0.2) pieces (edge_left, middle,
+# edge_right, limit_piece) from the 60-step bisection inverse; the
+# bracketed Newton inverse must reproduce them to rounding.
+FINAL_STEP_PIECES = {
+    "sine": (
+        6400,
+        (
+            0.03967937035221762,
+            1.1550094012150944,
+            0.03967937035221749,
+            1.15669853388257,
+        ),
+    ),
+    "blaschke[0.3,0.7]": (
+        4096,
+        (
+            0.3748409548937269,
+            1.6072961575704356,
+            0.021883618833834263,
+            1.6063923335197283,
+        ),
+    ),
+}
+
 
 @pytest.mark.parametrize(
     "phase,want",
@@ -216,6 +240,16 @@ def test_final_step_report_tracks_limit():
     assert 0.0 < report.limit_piece < L_SINE
     # middle tracks its limit piece to a few percent at this scale
     assert report.middle == pytest.approx(report.limit_piece, rel=0.08)
+
+
+@pytest.mark.parametrize(
+    "phase", [build_sine(), build_blaschke([0.3, 0.7])], ids=lambda p: p.label
+)
+def test_final_step_report_frozen_pieces(phase):
+    n, pieces = FINAL_STEP_PIECES[phase.label]
+    r = final_step_report(phase, n, eps=0.2)
+    got = (r.edge_left, r.middle, r.edge_right, r.limit_piece)
+    assert got == pytest.approx(pieces, rel=1e-12, abs=0.0)
 
 
 def test_final_step_report_eps_too_small():

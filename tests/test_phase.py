@@ -11,6 +11,7 @@ from wnl.errors import DomainError, WnlError
 from wnl.phase import (
     PhaseFunction,
     TermPartition,
+    _invert_increasing_slope,
     _omega_from_samples,
     _partition,
     build_blaschke,
@@ -31,6 +32,17 @@ from wnl.phase import (
 # Cutoff scale for the sine phase at n = 1e6, against the n^(1/10)
 # model it should track (same machinery, frozen output).
 PHI_SINE_1E6 = 3.98107380873
+
+# Roots of h'(t) = u for the Blaschke [0.3, 0.7] phase, at 40 digits from
+# the closed-form slope (scripts/gen_reference_values.py, "psi" rows).
+BLASCHKE_37_SLOPE_ROOTS = {
+    -7.0: 0.11276101886648128342,
+    -5.0: 0.31091441441548036914,
+    -3.0: 0.61236534914273593641,
+    -1.5: 1.2472900660893048554,
+    -1.0: 1.8439195639281074615,
+    -0.75: 2.6451763722487448829,
+}
 
 
 def _builders():
@@ -160,6 +172,113 @@ def test_legendre_sine_closed_form():
     for u in (-0.8, -0.1, 0.45):
         expect = u * math.acos(u) - math.sqrt(1.0 - u * u)
         assert legendre(phase, u) == pytest.approx(expect, abs=1e-11)
+
+
+def _bisect_slope(norm, targets):
+    """The former inverse: 60 bisection sweeps of [0, pi], then 2 Newton steps."""
+    lo_val = float(norm.d1(np.asarray(0.0)))
+    hi_val = float(norm.d1(np.asarray(np.pi)))
+    targets = np.clip(targets, lo_val, hi_val)
+    lo = np.zeros_like(targets)
+    hi = np.full_like(targets, np.pi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = norm.d1(mid) < targets
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    t = 0.5 * (lo + hi)
+    for _ in range(2):
+        df = norm.d2(t)
+        safe = df > 0.0
+        stepv = np.where(safe, (norm.d1(t) - targets) / np.where(safe, df, 1.0), 0.0)
+        t = np.clip(t - stepv, lo, hi)
+    return t
+
+
+def _slope_ends(norm):
+    return float(norm.d1(np.asarray(0.0))), float(norm.d1(np.asarray(np.pi)))
+
+
+_INVERSE_PHASES = [
+    build_sine(),
+    build_blaschke([0.3, 0.7]),
+    build_blaschke([0.5]),
+    build_blaschke([0.1, 0.2, 0.95]),
+    build_from_callable(np.sin),
+]
+
+
+@pytest.mark.parametrize("phase", _INVERSE_PHASES, ids=lambda p: p.label)
+def test_inverse_slope_matches_bisection(phase):
+    """Residual at most twice the bisection's; monotone; inside [0, pi]."""
+    norm = require_valid(phase)
+    lo_val, hi_val = _slope_ends(norm)
+    u = np.linspace(lo_val, hi_val, 50_002)[1:-1]
+    t = _invert_increasing_slope(norm, u)
+    ref = _bisect_slope(norm, u)
+    residual = np.max(np.abs(norm.d1(t) - u))
+    assert residual <= 2.0 * np.max(np.abs(norm.d1(ref) - u))
+    assert np.all(np.diff(t) >= 0.0)
+    assert 0.0 <= t[0] and t[-1] <= np.pi
+
+
+@pytest.mark.parametrize("phase", _INVERSE_PHASES, ids=lambda p: p.label)
+def test_inverse_slope_rejects_unattained_targets(phase):
+    norm = require_valid(phase)
+    lo_val, hi_val = _slope_ends(norm)
+    width = hi_val - lo_val
+    for bad in (lo_val - 1e-6 * width, hi_val + 1e-6 * width):
+        with pytest.raises(DomainError):
+            _invert_increasing_slope(norm, np.array([0.5 * (lo_val + hi_val), bad]))
+
+
+def test_inverse_slope_is_pure_per_target():
+    """Splitting or reversing the target array changes no bit of any root."""
+    norm = require_valid(build_blaschke([0.3, 0.7]))
+    lo_val, hi_val = _slope_ends(norm)
+    u = np.linspace(lo_val, hi_val, 2001)
+    whole = _invert_increasing_slope(norm, u)
+    pieces = [_invert_increasing_slope(norm, u[i : i + 7]) for i in range(0, u.size, 7)]
+    assert np.array_equal(whole, np.concatenate(pieces))
+    assert np.array_equal(whole, _invert_increasing_slope(norm, u[::-1])[::-1])
+
+
+def test_inverse_slope_matches_mpmath_roots():
+    norm = require_valid(build_blaschke([0.3, 0.7]))
+    u = np.array(list(BLASCHKE_37_SLOPE_ROOTS))
+    t = _invert_increasing_slope(norm, u)
+    expect = np.array(list(BLASCHKE_37_SLOPE_ROOTS.values()))
+    assert np.max(np.abs(t - expect)) <= 1e-14
+
+
+def test_inverse_slope_evaluation_count():
+    """At most 10 points of d1 and d2 per final-step target, plus the table.
+
+    The targets are every k/n over the central window of the Blaschke
+    [0.3, 0.7] partition at n = 65536, which the final-step strips cover.
+    A one-target call costs the table and the range check, so the points
+    beyond it are the per-target work.
+    """
+    norm = require_valid(build_blaschke([0.3, 0.7]))
+    n = 65536
+    part = _partition(norm, float(n))
+    ks = np.arange(math.ceil(part.alpha_n * n), math.floor(part.beta_n * n) + 1)
+    points = []
+
+    def counted(f):
+        def g(t):
+            points.append(np.size(t))
+            return f(t)
+
+        return g
+
+    counting = dataclasses.replace(norm, d1=counted(norm.d1), d2=counted(norm.d2))
+    _invert_increasing_slope(counting, ks[:1] / n)
+    fixed = sum(points)
+    points.clear()
+    t = _invert_increasing_slope(counting, ks / n)
+    assert np.array_equal(t, _invert_increasing_slope(norm, ks / n))
+    assert sum(points) - fixed <= 10 * (ks.size - 1)
 
 
 def test_modulus_bounds_for_sine():

@@ -106,6 +106,14 @@ def test_fitted_calibration_dominates():
     assert refit.bound_violations() == 0
 
 
+def test_fitted_calibration_frozen_for_sine():
+    """Frozen from the 60-step bisection inverse; t* now moves by rounding only."""
+    phase = build_sine()
+    table = stationary_comparison(phase, 1000.0)
+    assert fitted_calibration(phase, table) == 0.0
+    assert table.bound_violations() == 0
+
+
 def test_calib_c_reaches_the_bounds():
     """At C = 0 only the frozen-curvature piece x omega delta^3 is left."""
     phase = build_sine()
