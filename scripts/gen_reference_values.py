@@ -62,24 +62,11 @@ def eq_int_hyper(alpha):
     return front * mp.sqrt(alpha) / (1 + alpha) * mp.hyp2f1("1/2", "3/4", "3/2", z)
 
 
-def fresnel_full():
-    """Closed form (sqrt(pi)/2) e^{i pi/4}; direct quadrature to infinity
-    is not convergent numerically, but the finite segments below pin the
-    same integrand and the tail identity ties them to this value."""
-    return mp.sqrt(mp.pi) / 2 * mp.exp(1j * mp.pi / 4)
-
-
-def fresnel_tail(xcut):
-    head = mp.quad(lambda u: mp.exp(1j * u * u), [0, xcut])
-    return fresnel_full() - head
-
-
 ROWS = [
     ("gamma(1/4)", lambda: mp.gamma(mp.mpf(1) / 4), "3.6256099082219083119"),
     ("gamma(1/2)", lambda: mp.gamma(mp.mpf(1) / 2), "1.7724538509055160273"),
     ("gamma(1e-3)", lambda: mp.gamma(mp.mpf("0.001")), "999.42377248459546611"),
     ("gamma(50)", lambda: mp.gamma(50), "6.0828186403426756087e62"),
-    ("beta(3/4, 1/2)", lambda: mp.beta(mp.mpf(3) / 4, mp.mpf(1) / 2), "2.3962804694711844149"),
     ("16/gamma(1/4)^2", lambda: 16 / mp.gamma(mp.mpf(1) / 4) ** 2, "1.2171884777994833275"),
     ("J_0(2)", lambda: mp.besselj(0, 2), "0.22389077914123566805"),
     ("J_0(10.5)", lambda: mp.besselj(0, mp.mpf("10.5")), "-0.23664819446234712622"),
@@ -109,15 +96,6 @@ ROWS = [
     ("eq-int hyper side (0.5)", lambda: eq_int_hyper("0.5"), "2.46351243386823428"),
     ("sqrt(8/pi)", lambda: mp.sqrt(8 / mp.pi), "1.5957691216057308"),
     ("zeta(1/2)", lambda: mp.zeta(mp.mpf(1) / 2), "-1.4603545088095868129"),
-    ("fresnel full, Re = Im", lambda: mp.re(fresnel_full()), "0.6266570686577501256"),
-    ("fresnel tail(0.5)", lambda: fresnel_tail(mp.mpf("0.5")),
-     mp.mpc("0.12977303944295541086", "0.58517604438920264401")),
-    ("fresnel tail(2)", lambda: fresnel_tail(2),
-     mp.mpc("0.16519560622453375274", "-0.17811942068600598469")),
-    ("fresnel tail(10)", lambda: fresnel_tail(10),
-     mp.mpc("0.025531883844305777473", "0.042986168728126783446")),
-    ("fresnel segment [1,2]", lambda: mp.quad(lambda u: mp.exp(1j * u * u), [1, 2]),
-     mp.mpc("-0.44306277546705570861", "0.49450818762037500849")),
 ]
 
 
@@ -131,7 +109,7 @@ def main() -> int:
     drifted = 0
     for name, regen, frozen in ROWS:
         value = regen()
-        target = frozen if isinstance(frozen, mp.mpc) else mp.mpf(frozen)
+        target = mp.mpf(frozen)
         rel = abs(value - target) / max(abs(target), mp.mpf("1e-30"))
         # the frozen strings carry 17 to 20 significant digits, so the
         # regeneration must agree to well past double precision but not

@@ -23,17 +23,11 @@ from .asymptotics import (
     default_thread_count,
     final_step_report,
     full_circle_reference,
-    riemann_sum_bound_check,
     truncated_riemann,
 )
 from .equidist import (
-    COS_QUARTER_MEAN,
     WeylReport,
-    cos_quarter_weight,
-    count_test,
     fractional_array,
-    van_der_corput_bound,
-    weighted_mean_test,
     weyl_study,
     weyl_sum,
 )
@@ -68,7 +62,6 @@ from .specfun import (
     GirardValue,
     bessel_j,
     bessel_j_sequence,
-    beta_fn,
     corollary2_integral,
     gamma_fn,
     girard_value,
@@ -87,21 +80,13 @@ from .spectrum import (
 from .stationary import (
     ComparisonRow,
     ComparisonTable,
-    StationaryApproximation,
-    approximate_central,
-    approximate_central_range,
     fitted_calibration,
-    fresnel_full,
-    fresnel_tail,
-    lemma1_monotone_bound,
-    lemma1_var_bound,
     stationary_comparison,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "COS_QUARTER_MEAN",
     "CoefficientSpectrum",
     "ComparisonRow",
     "ComparisonTable",
@@ -116,19 +101,15 @@ __all__ = [
     "PeriodicityError",
     "PhaseFunction",
     "QuadratureBudgetError",
-    "StationaryApproximation",
     "StudyRow",
     "TermPartition",
     "ValidationReport",
     "WeylReport",
     "WnlError",
-    "approximate_central",
-    "approximate_central_range",
     "asymptotic_limit",
     "asymptotic_limit_slope_route",
     "bessel_j",
     "bessel_j_sequence",
-    "beta_fn",
     "build_blaschke",
     "build_blaschke_general",
     "build_from_callable",
@@ -141,34 +122,25 @@ __all__ = [
     "compute_spectrum",
     "convergence_study",
     "corollary2_integral",
-    "cos_quarter_weight",
-    "count_test",
     "default_thread_count",
     "final_step_report",
     "fitted_calibration",
     "fractional_array",
-    "fresnel_full",
-    "fresnel_tail",
     "full_circle_reference",
     "gamma_fn",
     "girard_value",
     "hyp2f1",
     "legendre",
-    "lemma1_monotone_bound",
-    "lemma1_var_bound",
     "lngamma_fn",
     "modulus_of_continuity",
     "partition_sums",
     "partition_terms",
     "psi",
     "require_valid",
-    "riemann_sum_bound_check",
     "scaled_norm",
     "stationary_comparison",
     "truncated_riemann",
     "validate",
-    "van_der_corput_bound",
-    "weighted_mean_test",
     "weyl_study",
     "weyl_sum",
 ]

@@ -7,10 +7,9 @@ The scaled coefficient norm of e^{i n h} converges to
 for admissible phases.  This module computes L two independent ways
 (t-parameterized and slope-parameterized), runs the empirical
 convergence study that the acceptance gate scores, and carries the
-small lemmas that close the argument: the truncated Riemann sum, the
-edge-piece bound for the sqrt-curvature sums, and the epsilon split of
-the central sum into edge strips, an equidistribution-weighted middle,
-and the limit integral it tracks.
+small lemmas that close the argument: the truncated Riemann sum and
+the epsilon split of the central sum into edge strips, an
+equidistribution-weighted middle, and the limit integral it tracks.
 """
 
 from __future__ import annotations
@@ -331,27 +330,6 @@ def truncated_riemann(
     if not np.all(np.isfinite(vals)):
         raise DomainError("integrand produced non-finite values on the grid")
     return float((b - a) / n * np.sum(vals))
-
-
-def riemann_sum_bound_check(phase: PhaseFunction, n: int, d: float) -> float:
-    """(1/n) sum of (h''(psi(k/n)))^(-1/2) over alpha n + 1 <= k <= n h'(d).
-
-    The edge-strip sum behind the periphery estimates; the claim under
-    test elsewhere is that it is bounded by a constant times d.
-    """
-    norm = require_valid(phase)
-    if not (0.0 < d <= math.pi / 2.0):
-        raise DomainError(f"d must lie in (0, pi/2], got {d!r}")
-    if n < 2:
-        raise DomainError(f"n must be at least 2, got {n!r}")
-    alpha = float(norm.d1(np.asarray(0.0)))
-    hi = float(norm.d1(np.asarray(d))) * n
-    lo = alpha * n + 1.0
-    ks = np.arange(math.ceil(lo), math.floor(hi) + 1)
-    if ks.size == 0:
-        return 0.0
-    t = _invert_increasing_slope(norm, ks / n)
-    return float(np.sum(1.0 / np.sqrt(norm.d2(t))) / n)
 
 
 @dataclass(frozen=True)

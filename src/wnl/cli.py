@@ -55,8 +55,8 @@ _TOL_CEIL = 1e-4
 class RunConfig:
     """One experiment's worth of settings, parsed from the command line."""
 
-    phase_spec: str
-    param_list: tuple[float, ...]
+    phase_spec: str = "sine"
+    param_list: tuple[float, ...] = ()
     quad_tol: float = 1e-10
     grid_pow: int | None = None
     epsilon: float = 0.1
@@ -323,12 +323,41 @@ def cmd_explore_blaschke(cfg: RunConfig) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+# A subcommand registers only the flags its cmd_* reads, so argparse rejects
+# the rest; a flag left out takes its default from RunConfig.
+_FLAGS = {
+    "--phase": dict(
+        dest="phase_spec",
+        metavar="PHASE",
+        required=True,
+        help="sine | abs | linear:k | blaschke:a1,a2,...",
+    ),
+    "--params": dict(help="comma-separated ladder of n or x values"),
+    "--tol": dict(dest="quad_tol", metavar="TOL", type=float, help="quadrature tolerance"),
+    "--grid-pow": dict(
+        type=int, help="fix the transform size at 2**grid_pow (default: auto)"
+    ),
+    "--epsilon": dict(
+        type=float, help="edge width for the final-step split printed by converge"
+    ),
+    "--out": dict(type=Path, help="output file path"),
+    "--format": dict(
+        dest="fmt", choices=("csv", "json"), help="output format, for --out or stdout"
+    ),
+}
+
 _COMMANDS = {
-    "validate": cmd_validate,
-    "converge": cmd_converge,
-    "stationary-compare": cmd_stationary_compare,
-    "bessel": cmd_bessel,
-    "explore-blaschke": cmd_explore_blaschke,
+    "validate": (cmd_validate, ("--phase",)),
+    "converge": (cmd_converge, tuple(_FLAGS)),
+    "stationary-compare": (
+        cmd_stationary_compare,
+        ("--phase", "--params", "--grid-pow", "--out", "--format"),
+    ),
+    "bessel": (cmd_bessel, ("--params", "--out", "--format")),
+    "explore-blaschke": (
+        cmd_explore_blaschke,
+        ("--phase", "--params", "--tol", "--grid-pow", "--out", "--format"),
+    ),
 }
 
 
@@ -338,56 +367,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Scaled Wiener-norm experiments for unimodular exponentials.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
-        p.add_argument(
-            "--phase",
-            required=(name != "bessel"),
-            default="sine",
-            help="sine | abs | linear:k | blaschke:a1,a2,...",
-        )
-        p.add_argument(
-            "--params",
-            default="",
-            help="comma-separated ladder of n or x values",
-        )
-        p.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
-        p.add_argument(
-            "--grid-pow",
-            type=int,
-            default=None,
-            help="fix the transform size at 2**grid_pow (default: auto)",
-        )
-        p.add_argument(
-            "--epsilon",
-            type=float,
-            default=0.1,
-            help="edge width for the final-step split printed by converge",
-        )
-        p.add_argument("--out", type=Path, default=None, help="output file path")
-        p.add_argument(
-            "--format",
-            dest="fmt",
-            choices=("csv", "json"),
-            default="csv",
-            help="output format, for --out or stdout",
-        )
+    for name, (fn, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=fn.__doc__, argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    given = vars(build_parser().parse_args(argv))
+    command = given.pop("command")
     try:
-        cfg = RunConfig(
-            phase_spec=args.phase,
-            param_list=_parse_params(args.params),
-            quad_tol=args.tol,
-            grid_pow=args.grid_pow,
-            epsilon=args.epsilon,
-            out=args.out,
-            fmt=args.fmt,
-        )
-        return _COMMANDS[args.command](cfg)
+        if "params" in given:
+            given["param_list"] = _parse_params(given.pop("params"))
+        return _COMMANDS[command][0](RunConfig(**given))
     except WnlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,9 +3,7 @@
 The cosine factors in the stationary expansion average out to 2/pi
 exactly when the normalized exponents rho_nu / pi equidistribute mod 1.
 This module holds the measurement side of that story: fractional-part
-arrays, Weyl sums with their decay fits, counting and weighted-mean
-tests against the uniform prediction, and the van der Corput-type bound
-that certifies the decay for curved varphi.
+arrays and Weyl sums with their decay fits along an n ladder.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, MisalignedError
+from .errors import DomainError
 
 _EDGE_FUZZ = 1e-9  # absorbs float noise at closed interval endpoints
 
@@ -55,94 +53,6 @@ def weyl_sum(svals: np.ndarray, j: int) -> float:
         warnings.warn("weyl_sum of an empty sample is 0 by convention", stacklevel=2)
         return 0.0
     return float(np.abs(np.mean(np.exp(2j * np.pi * int(j) * svals))))
-
-
-def _infer_n(kvals: np.ndarray, n: int | None) -> int:
-    if n is not None:
-        if n < 1:
-            raise DomainError(f"n must be positive, got {n!r}")
-        return int(n)
-    if kvals.size < 2:
-        raise DomainError("cannot infer n from fewer than 2 grid values; pass n")
-    spacing = float(np.median(np.diff(np.sort(kvals))))
-    if spacing <= 0.0:
-        raise DomainError("grid values are not distinct; pass n explicitly")
-    return max(1, round(1.0 / spacing))
-
-
-def count_test(
-    svals: np.ndarray,
-    kfracs: np.ndarray,
-    i: tuple[float, float],
-    jint: tuple[float, float],
-    n: int | None = None,
-) -> float:
-    """(1/n) * #{k : kfrac in jint and sval in i}, both intervals half-open.
-
-    Under equidistribution this tends to |i| * |jint|.  n defaults to
-    the reciprocal median spacing of kfracs (exact for uniform grids).
-    """
-    svals = np.asarray(svals, dtype=float)
-    kfracs = np.asarray(kfracs, dtype=float)
-    if svals.shape != kfracs.shape:
-        raise MisalignedError(
-            f"svals and kfracs must align, got shapes {svals.shape} and {kfracs.shape}"
-        )
-    n_eff = _infer_n(kfracs, n)
-    inside = (
-        (svals >= i[0]) & (svals < i[1]) & (kfracs >= jint[0]) & (kfracs < jint[1])
-    )
-    return float(np.sum(inside)) / n_eff
-
-
-def weighted_mean_test(
-    f: Callable[[np.ndarray], np.ndarray],
-    g: Callable[[np.ndarray], np.ndarray],
-    svals: np.ndarray,
-    kfracs: np.ndarray,
-    j0: tuple[float, float],
-    n: int | None = None,
-) -> float:
-    """(1/n) * sum of f(kfrac) g(sval) over the sample with kfrac in j0.
-
-    The window j0 is half-open, matching the counting convention.
-    Under equidistribution of svals this tends to the integral of f
-    over j0 times the mean of g on [0, 1).
-    """
-    svals = np.asarray(svals, dtype=float)
-    kfracs = np.asarray(kfracs, dtype=float)
-    if svals.shape != kfracs.shape:
-        raise MisalignedError(
-            f"svals and kfracs must align, got shapes {svals.shape} and {kfracs.shape}"
-        )
-    n_eff = _infer_n(kfracs, n)
-    keep = (kfracs >= j0[0]) & (kfracs < j0[1])
-    return (
-        float(np.sum(np.asarray(f(kfracs[keep])) * np.asarray(g(svals[keep])))) / n_eff
-    )
-
-
-def van_der_corput_bound(df_a: float, df_b: float, mu: float, big_a: float = 2.0) -> float:
-    """(|f'(b) - f'(a)| + 2) * (4 / sqrt(mu) + A).
-
-    Bound on |sum over [a, b] of e^{2 pi i f(k)}| for f with monotone f'
-    and f'' >= mu > 0; df_a and df_b are the endpoint slopes.  A is the
-    additive constant of the estimate; zero is a legal (if optimistic)
-    choice, and the calibrated default is 2.
-    """
-    if not (mu > 0.0):
-        raise DomainError(f"mu must be positive, got {mu!r}")
-    if not (big_a >= 0.0):
-        raise DomainError(f"A must be non-negative, got {big_a!r}")
-    return (abs(df_b - df_a) + 2.0) * (4.0 / math.sqrt(mu) + big_a)
-
-
-def cos_quarter_weight(x: np.ndarray) -> np.ndarray:
-    """|cos(pi (x + 1/4))|: the weight linking cosine sums to fractional parts."""
-    return np.abs(np.cos(np.pi * (np.asarray(x, dtype=float) + 0.25)))
-
-
-COS_QUARTER_MEAN = 2.0 / math.pi  # integral of cos_quarter_weight over [0, 1)
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,9 @@ _INTERIOR_MARGIN = 1e-9  # keep evaluation strictly inside (0, pi)
 
 @dataclass(frozen=True)
 class PhaseFunction:
-    """A phase h bundled with its first three derivatives.
+    """A phase h bundled with its first two derivatives.
 
-    All four callables must accept and return numpy arrays (scalars are
+    All three callables must accept and return numpy arrays (scalars are
     promoted).  ``sign`` is +1 when h'' > 0 on (0, pi) and -1 when
     h'' < 0; builders set it, ``validate`` checks it.
     """
@@ -45,7 +45,6 @@ class PhaseFunction:
     h: PhaseCallable
     d1: PhaseCallable
     d2: PhaseCallable
-    d3: PhaseCallable
     winding_k: int
     odd: bool
     sign: int
@@ -55,12 +54,11 @@ class PhaseFunction:
         """The phase sign*h, which has positive h'' on (0, pi)."""
         if self.sign == 1:
             return self
-        h, d1, d2, d3 = self.h, self.d1, self.d2, self.d3
+        h, d1, d2 = self.h, self.d1, self.d2
         return PhaseFunction(
             h=lambda t: -h(t),
             d1=lambda t: -d1(t),
             d2=lambda t: -d2(t),
-            d3=lambda t: -d3(t),
             winding_k=-self.winding_k,
             odd=self.odd,
             sign=1,
@@ -123,7 +121,6 @@ def build_sine() -> PhaseFunction:
         h=np.sin,
         d1=np.cos,
         d2=lambda t: -np.sin(t),
-        d3=lambda t: -np.cos(t),
         winding_k=0,
         odd=True,
         sign=-1,
@@ -140,7 +137,6 @@ def build_linear(k: int) -> PhaseFunction:
         h=lambda t: k * np.asarray(t, dtype=float),
         d1=lambda t: np.full_like(np.asarray(t, dtype=float), float(k)),
         d2=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        d3=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         winding_k=k,
         odd=True,
         sign=1,
@@ -164,7 +160,6 @@ def build_piecewise_abs() -> PhaseFunction:
         h=lambda t: np.abs(wrap(t)),
         d1=lambda t: np.sign(wrap(t)),
         d2=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        d3=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         winding_k=0,
         odd=False,
         sign=1,
@@ -188,7 +183,7 @@ def build_blaschke(alphas: Sequence[float]) -> PhaseFunction:
         raise DomainError("need a non-empty 1-d sequence of zero moduli")
     if np.any((a <= 0.0) | (a >= 1.0)):
         raise DomainError(f"zero moduli must lie in (0, 1), got {alphas!r}")
-    levels = ",".join(f"{v:g}" for v in a)
+    levels = ",".join(map(_digits, a))
     return _blaschke_phase(a, odd=True, label=f"blaschke[{levels}]")
 
 
@@ -205,10 +200,18 @@ def build_blaschke_general(zeros: Sequence[complex]) -> PhaseFunction:
         raise DomainError("need a non-empty 1-d sequence of zeros")
     if np.any(np.abs(z) >= 1.0) or np.any(np.abs(z) <= 0.0):
         raise DomainError("zeros must satisfy 0 < |a| < 1")
-    levels = ",".join(f"{v:g}" for v in z)
+    levels = ",".join(
+        f"{_digits(v.real)}{'' if np.signbit(v.imag) else '+'}{_digits(v.imag)}j" for v in z
+    )
     return _blaschke_phase(
         z, odd=bool(np.allclose(np.angle(z), 0.0)), label=f"blaschke*[{levels}]"
     )
+
+
+def _digits(v: float) -> str:
+    """The shortest digits that read back as v, spelled as f"{v:g}" spells
+    them whenever six significant digits suffice: 0.3, 0, -0, 1e-05."""
+    return repr(float(v)).removesuffix(".0")
 
 
 def _blaschke_phase(zeros: np.ndarray, odd: bool, label: str) -> PhaseFunction:
@@ -236,18 +239,10 @@ def _blaschke_phase(zeros: np.ndarray, odd: bool, label: str) -> PhaseFunction:
         den = 1.0 + r * r - 2.0 * r * np.cos(u)
         return np.sum(2.0 * r * (1.0 - r * r) * np.sin(u) / den**2, axis=-1)
 
-    def d3(t: Array) -> Array:
-        t = np.asarray(t, dtype=float)[..., None]
-        u = t - theta if rotated else t
-        den = 1.0 + r * r - 2.0 * r * np.cos(u)
-        num = -3.0 * r + np.cos(u) + r * r * np.cos(u) + r * np.cos(2.0 * u)
-        return np.sum(2.0 * r * (1.0 - r * r) * num / den**3, axis=-1)
-
     return PhaseFunction(
         h=h,
         d1=d1,
         d2=d2,
-        d3=d3,
         winding_k=-int(np.size(zeros)),
         odd=odd,
         sign=1,
@@ -264,7 +259,7 @@ def build_from_callable(
     """Wrap a plain callable, supplying derivatives by central differences.
 
     Good enough for exploration; the finite-difference noise floor
-    (~1e-10 on d1, far worse on d3) makes this unsuitable for tight
+    (~1e-10 on d1, far worse on d2) makes this unsuitable for tight
     tolerance work, so prefer an analytic builder when one exists.
     """
 
@@ -277,16 +272,11 @@ def build_from_callable(
     def d2(t: Array) -> Array:
         return (hv(t + step) - 2.0 * hv(t) + hv(t - step)) / step**2
 
-    def d3(t: Array) -> Array:
-        return (
-            hv(t + 2 * step) - 2.0 * hv(t + step) + 2.0 * hv(t - step) - hv(t - 2 * step)
-        ) / (2.0 * step**3)
-
     sign = 1 if float(d2(np.asarray([np.pi / 2.0]))[0]) >= 0.0 else -1
     probe = float(hv(np.asarray([0.31]))[0])
     odd = bool(abs(float(hv(np.asarray([-0.31]))[0]) + probe) < 1e-8 * max(1.0, abs(probe)))
     return PhaseFunction(
-        h=hv, d1=d1, d2=d2, d3=d3, winding_k=winding_k, odd=odd, sign=sign, label=label
+        h=hv, d1=d1, d2=d2, winding_k=winding_k, odd=odd, sign=sign, label=label
     )
 
 

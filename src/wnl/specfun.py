@@ -80,13 +80,6 @@ def gamma_fn(x: float) -> float:
     return math.exp(_lngamma_stirling(z)) / prod
 
 
-def beta_fn(a: float, b: float) -> float:
-    """Euler Beta(a, b) = Gamma(a) Gamma(b) / Gamma(a + b), a, b > 0."""
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"beta_fn needs positive arguments, got {a!r}, {b!r}")
-    return math.exp(lngamma_fn(a) + lngamma_fn(b) - lngamma_fn(a + b))
-
-
 # ---------------------------------------------------------------------------
 # Gauss hypergeometric function on [0, 1)
 # ---------------------------------------------------------------------------

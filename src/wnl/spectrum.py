@@ -71,11 +71,6 @@ class CoefficientSpectrum:
     def abs_sum(self) -> float:
         return float(np.sum(np.abs(self.coeffs)))
 
-    @property
-    def norm_uncertainty(self) -> float:
-        """Scaled-norm error certified by the tail bound (inf if none)."""
-        return self.tail_bound / math.sqrt(self.x)
-
     def to_csv(self, path: str | Path) -> None:
         """One row per coefficient; floats written as repr for byte stability."""
         lines = [

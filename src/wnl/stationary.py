@@ -12,9 +12,7 @@ and the error of that formula is controlled by a two-term budget: a
 C / (x g''(t*) delta) piece from the non-stationary remainder and an
 x omega(delta) delta^3 piece from freezing g'' across the stationary
 neighborhood of half-width delta.  Both delta and omega(delta) are read
-from the index partition at scale x, which computes them once.  The
-Fresnel helpers quantify the model integral's own tail, computed on a
-rotated contour where the integrand decays instead of oscillating.
+from the index partition at scale x, which computes them once.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._quad import integrate_panels
 from .errors import DomainError, MisalignedError
 from .phase import (
     PhaseFunction,
@@ -39,93 +36,20 @@ from .spectrum import compute_spectrum
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
-@dataclass(frozen=True)
-class StationaryApproximation:
-    """Saddle-point value and certified error budget for one index."""
-
-    nu: int
-    t_star: float
-    rho: float
-    approx: float
-    remainder_bound: float
-
-
-def approximate_central_range(
-    phase: PhaseFunction,
-    x: float,
-    calib_c: float = 8.0,
-    grid_size: int = 16384,
-) -> list[StationaryApproximation]:
-    """Stationary approximations for every index in the central window.
-
-    x may be any real >= 2 (the partition construction is continuous
-    in x).  The list can be empty at small x.
-    """
-    norm = require_valid(phase)
-    return _approximate_central(norm, _partition(norm, x, grid_size), calib_c)
-
-
-def approximate_central(
-    phase: PhaseFunction,
-    n: float,
-    nu: int,
-    part: TermPartition,
-    calib_c: float = 8.0,
-) -> StationaryApproximation:
-    """Stationary approximation of the coefficient at one central index.
-
-    The partition decides membership: an index outside its central
-    class raises DomainError, because the saddle point would sit too
-    close to an endpoint (or beyond it) for the expansion to mean
-    anything.  The partition must have been built for this phase at
-    this scale.
-    """
-    norm = require_valid(phase)
-    if part.label != norm.label:
-        raise MisalignedError(
-            f"partition is for {part.label!r} but the phase normalizes "
-            f"to {norm.label!r}"
-        )
-    if abs(part.n - n) > 1e-9:
-        raise MisalignedError(f"partition has n = {part.n!r} but n = {n!r} was given")
-    if part.classify(nu) != "central":
-        raise DomainError(
-            f"nu = {nu} is {part.classify(nu)}, not central, at n = {n!r}"
-        )
-    return _approximate_at(norm, part, np.asarray([nu]), calib_c)[0]
-
-
-def _approximate_central(
-    norm: PhaseFunction, part: TermPartition, calib_c: float
-) -> list[StationaryApproximation]:
-    rng = part.central_range()
-    if len(rng) == 0:
-        return []
-    return _approximate_at(norm, part, np.arange(rng.start, rng.stop), calib_c)
-
-
 def _approximate_at(
     norm: PhaseFunction,
     part: TermPartition,
     nus: np.ndarray,
     calib_c: float,
-) -> list[StationaryApproximation]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """t*, rho, the saddle-point value and its remainder bound at each index."""
     x, delta = part.n, part.delta
     t_star = _invert_increasing_slope(norm, nus / x)
     g2 = norm.d2(t_star)
     rho = x * norm.h(t_star) - nus * t_star
     approx = _SQRT_2_OVER_PI / np.sqrt(x * g2) * np.cos(rho + math.pi / 4.0)
     bounds = calib_c / (x * g2 * delta) + x * part.omega * delta**3
-    return [
-        StationaryApproximation(
-            nu=int(n),
-            t_star=float(t),
-            rho=float(r),
-            approx=float(a),
-            remainder_bound=float(b),
-        )
-        for n, t, r, a, b in zip(nus, t_star, rho, approx, bounds)
-    ]
+    return t_star, rho, approx, bounds
 
 
 # ---------------------------------------------------------------------------
@@ -232,19 +156,19 @@ def stationary_comparison(
     """
     norm = require_valid(phase)
     part = _partition(norm, x)
-    approxes = _approximate_central(norm, part, calib_c)
     spec = compute_spectrum(norm, x, grid_pow=grid_pow)
-    rows = tuple(
-        ComparisonRow(
-            nu=ap.nu,
-            t_star=ap.t_star,
-            rho=ap.rho,
-            approx=ap.approx,
-            exact=spec.coeff(ap.nu),
-            remainder_bound=ap.remainder_bound,
+    rng = part.central_range()
+    if len(rng) and not (spec.nu_min <= rng.start and rng[-1] <= spec.nu_max):
+        raise DomainError(
+            f"central indices [{rng.start}, {rng[-1]}] outside the computed "
+            f"window [{spec.nu_min}, {spec.nu_max}]"
         )
-        for ap in approxes
-    )
+    nus = np.arange(rng.start, rng.stop)
+    t_star, rho, approx, bounds = _approximate_at(norm, part, nus, calib_c)
+    first = rng.start - spec.nu_min
+    exact = spec.coeffs[first : first + nus.size]
+    columns = (nus, t_star, rho, approx, exact, bounds)
+    rows = tuple(map(ComparisonRow, *(c.tolist() for c in columns)))
     return ComparisonTable(
         x=x,
         label=norm.label,
@@ -273,95 +197,3 @@ def fitted_calibration(phase: PhaseFunction, table: ComparisonTable) -> float:
     abs_err = np.array([r.abs_err for r in table.rows])
     g2 = norm.d2(np.array([r.t_star for r in table.rows]))
     return float(np.max((abs_err - frozen_piece) * (x * g2 * delta), initial=0.0))
-
-
-# ---------------------------------------------------------------------------
-# Fresnel model integral
-# ---------------------------------------------------------------------------
-
-_TAIL_PANELS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 48.0)
-_ROTATE_CUT = 0.5
-
-
-def _fresnel_tail_impl(x: float) -> complex:
-    """Integral of e^{i u^2} over [x, inf) for x >= 0 (no domain gate).
-
-    On u^2 = x^2 + i s the integrand becomes e^{i x^2} e^{-s} against a
-    smooth kernel, so the oscillatory tail turns into a damped integral
-    over [0, 48] (truncation error ~ e^{-48}); below the rotation cut
-    the short remaining piece [x, 0.5] is handled by direct quadrature,
-    where the integrand has not yet begun to oscillate.
-    """
-    if x < _ROTATE_CUT:
-        finite = integrate_panels(
-            lambda u: np.exp(1j * u * u), (x, _ROTATE_CUT), order=32
-        )
-        return finite + _fresnel_tail_impl(_ROTATE_CUT)
-
-    def kernel(s: np.ndarray) -> np.ndarray:
-        return np.exp(-s) / (2.0 * np.sqrt(x * x + 1j * s))
-
-    rotated = integrate_panels(kernel, _TAIL_PANELS, order=32)
-    return 1j * complex(np.exp(1j * x * x)) * rotated
-
-
-def fresnel_tail(xcut: float) -> complex:
-    """Integral of e^{i u^2} over [xcut, inf) for strictly positive xcut.
-
-    The modulus never exceeds 1/xcut.  The full integral from zero is a
-    separate function, so a zero or negative cut here is a caller bug
-    and is rejected.
-    """
-    if not (xcut > 0.0) or not math.isfinite(xcut):
-        raise DomainError(f"xcut must be finite and positive, got {xcut!r}")
-    return _fresnel_tail_impl(xcut)
-
-
-def fresnel_full() -> complex:
-    """Integral of e^{i u^2} over [0, inf) = sqrt(pi)/2 * e^{i pi/4}."""
-    return _fresnel_tail_impl(0.0)
-
-
-# ---------------------------------------------------------------------------
-# First-derivative-test bounds
-# ---------------------------------------------------------------------------
-
-
-def lemma1_var_bound(
-    phase: PhaseFunction, x: float, nu: float, grid_size: int = 8192
-) -> float:
-    """Variation of 1/phi' for phi(t) = x h(t) - nu t over [-pi, pi].
-
-    This is the first-derivative-test bound on the coefficient integral
-    (the periodic boundary terms cancel).  Requires phi' to stay away
-    from zero; a sign change or near-zero sample raises DomainError.
-    The grid sum converges to the true variation from below and is
-    exact up to rounding when 1/phi' is piecewise monotone with turning
-    points on the grid.
-    """
-    t = np.linspace(-np.pi, np.pi, grid_size)
-    slope = x * phase.d1(t) - nu
-    smallest = float(np.min(np.abs(slope)))
-    scale = abs(x) * float(np.max(np.abs(phase.d1(t)))) + abs(nu) + 1.0
-    if smallest < 1e-12 * scale or (np.any(slope > 0.0) and np.any(slope < 0.0)):
-        raise DomainError(
-            f"phi' vanishes on [-pi, pi] (min |phi'| = {smallest:.3e}); "
-            "the variation bound needs a stationary-point-free phase"
-        )
-    recip = 1.0 / slope
-    return float(np.sum(np.abs(np.diff(recip))))
-
-
-def lemma1_monotone_bound(phimin_a: float, phimin_b: float) -> float:
-    """2 / min(|phi'(a)|, |phi'(b)|) for monotone phi' on [a, b].
-
-    The two arguments are the endpoint slopes; monotonicity means the
-    smaller magnitude is attained at an endpoint, which is all the
-    first-derivative test needs.  Symmetric in its arguments.  A zero
-    slope admits no bound and raises DomainError.
-    """
-    if phimin_a == 0.0 or phimin_b == 0.0:
-        raise DomainError(
-            f"endpoint slopes must be nonzero, got ({phimin_a!r}, {phimin_b!r})"
-        )
-    return 2.0 / min(abs(phimin_a), abs(phimin_b))

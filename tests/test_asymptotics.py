@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from wnl.asymptotics import (
     asymptotic_limit,
@@ -14,7 +13,6 @@ from wnl.asymptotics import (
     default_thread_count,
     final_step_report,
     full_circle_reference,
-    riemann_sum_bound_check,
     truncated_riemann,
 )
 from wnl.errors import DomainError, WnlError
@@ -215,22 +213,6 @@ def test_truncated_riemann_guards():
     with np.errstate(invalid="ignore", divide="ignore"):
         with pytest.raises(DomainError):
             truncated_riemann(lambda u: 1.0 / np.sqrt(u - 0.5), 0.0, 1.0, 10)
-
-
-@given(d=st.floats(0.05, 1.2))
-@settings(max_examples=25, deadline=None)
-def test_riemann_edge_sum_scales_linearly(d):
-    """The edge-strip sum is O(d) uniformly in n; the constant here is
-    crude but the linear scaling is the claim that matters."""
-    val = riemann_sum_bound_check(build_sine(), 4000, d)
-    assert val <= 3.0 * d
-
-
-def test_riemann_edge_sum_guards():
-    with pytest.raises(DomainError):
-        riemann_sum_bound_check(build_sine(), 4000, 0.0)
-    with pytest.raises(DomainError):
-        riemann_sum_bound_check(build_sine(), 4000, 2.0)
 
 
 def test_final_step_report_tracks_limit():

@@ -6,6 +6,7 @@ import pytest
 
 from wnl.cli import RunConfig, build_parser, main, parse_phase
 from wnl.errors import DomainError
+from wnl.specfun import girard_value
 from wnl.stationary import fitted_calibration, stationary_comparison
 
 
@@ -55,6 +56,25 @@ def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit) as info:
         build_parser().parse_args(["frobnicate"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bessel", "--params", "100", "--phase", "blaschke:0.5"],
+        ["validate", "--phase", "sine", "--grid-pow", "3"],
+        ["validate", "--phase", "sine", "--epsilon", "9"],
+        ["stationary-compare", "--phase", "sine", "--params", "150", "--tol", "1e-8"],
+        ["stationary-compare", "--phase", "sine", "--params", "150", "--epsilon", "0.2"],
+        ["explore-blaschke", "--phase", "blaschke:0.5", "--params", "20", "--epsilon", "0.2"],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]}",
+)
+def test_subcommands_reject_flags_they_never_read(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_validate_exit_codes(capsys):
@@ -173,6 +193,16 @@ def test_explore_blaschke_real_zero(tmp_path, capsys):
     text = out.read_text()
     assert "exploratory" not in text
     assert "girard closed form" in capsys.readouterr().out
+
+
+def test_explore_blaschke_girard_reads_the_exact_zero(capsys):
+    """The closed form is evaluated at the zero given, not at a rounded label."""
+    assert main(["explore-blaschke", "--phase", "blaschke:0.123456789", "--params", "20"]) == 0
+    line = next(
+        l for l in capsys.readouterr().out.splitlines() if l.startswith("girard closed form")
+    )
+    want = girard_value(0.123456789).value
+    assert line == f"girard closed form at alpha=0.123456789: {want!r}"
 
 
 def test_explore_blaschke_complex_zero(tmp_path):

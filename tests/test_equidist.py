@@ -1,23 +1,16 @@
 """Fractional parts, exponential sums, and the decay studies built on them."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wnl.equidist import (
-    COS_QUARTER_MEAN,
     WeylReport,
-    cos_quarter_weight,
-    count_test,
     fractional_array,
-    van_der_corput_bound,
-    weighted_mean_test,
     weyl_study,
     weyl_sum,
 )
-from wnl.errors import DomainError, MisalignedError
+from wnl.errors import DomainError
 
 
 def test_fractional_array_small_case():
@@ -70,90 +63,6 @@ def test_weyl_sum_guards_and_empty():
         weyl_sum(np.array([0.1]), 0)
     with pytest.warns(UserWarning, match="empty"):
         assert weyl_sum(np.array([]), 1) == 0.0
-
-
-def test_count_test_matches_direct_count():
-    rng = np.random.default_rng(11)
-    n = 500
-    kfracs = np.arange(n + 1) / n
-    svals = rng.random(n + 1)
-    got = count_test(svals, kfracs, (0.2, 0.6), (0.1, 0.9), n=n)
-    want = np.sum((svals >= 0.2) & (svals < 0.6) & (kfracs >= 0.1) & (kfracs < 0.9)) / n
-    assert got == pytest.approx(want)
-
-
-def test_count_test_infers_n():
-    n = 400
-    kfracs = np.arange(n + 1) / n
-    svals = fractional_array(lambda u: u * u * 0.7321, n)
-    explicit = count_test(svals, kfracs, (0.0, 0.5), (0.0, 1.0), n=n)
-    inferred = count_test(svals, kfracs, (0.0, 0.5), (0.0, 1.0))
-    assert explicit == inferred
-
-
-def test_count_test_tends_to_product_measure():
-    n = 200_000
-    kfracs = np.arange(n + 1) / n
-    svals = fractional_array(lambda u: u * u * 0.25, n)  # x^2/4 model curve
-    got = count_test(svals, kfracs, (0.25, 0.75), (0.2, 0.9), n=n)
-    assert got == pytest.approx(0.5 * 0.7, abs=5e-3)
-
-
-def test_count_test_shape_guard():
-    with pytest.raises(MisalignedError):
-        count_test(np.zeros(3), np.zeros(4), (0.0, 1.0), (0.0, 1.0), n=3)
-
-
-def test_weighted_mean_splits_into_product():
-    """With equidistributed svals the weighted mean factorizes."""
-    n = 200_000
-    kfracs = np.arange(n + 1) / n
-    svals = fractional_array(lambda u: u * u * 0.25, n)
-    f = lambda u: u
-    got = weighted_mean_test(f, cos_quarter_weight, svals, kfracs, (0.0, 1.0), n=n)
-    # integral of u over [0,1] times mean of the weight
-    assert got == pytest.approx(0.5 * COS_QUARTER_MEAN, abs=5e-3)
-
-
-def test_weighted_mean_window_is_half_open():
-    n = 10
-    kfracs = np.arange(n + 1) / n
-    svals = np.zeros(n + 1)
-    f = lambda u: np.ones_like(u)
-    g = lambda s: np.ones_like(s)
-    got = weighted_mean_test(f, g, svals, kfracs, (0.0, 1.0), n=n)
-    assert got == pytest.approx(1.0)  # k = 0..9 kept, k = 10 excluded
-
-
-def test_cos_quarter_mean_matches_fine_riemann_sum():
-    xs = (np.arange(2_000_000) + 0.5) / 2_000_000
-    assert float(np.mean(cos_quarter_weight(xs))) == pytest.approx(
-        COS_QUARTER_MEAN, abs=1e-9
-    )
-    assert COS_QUARTER_MEAN == pytest.approx(2.0 / math.pi)
-
-
-def test_van_der_corput_bound_values():
-    assert van_der_corput_bound(3.0, 3.0, 16.0, big_a=2.0) == pytest.approx(6.0)
-    assert van_der_corput_bound(3.0, 3.0, 16.0, big_a=0.0) == pytest.approx(2.0)
-    assert van_der_corput_bound(0.0, 4.0, 4.0, big_a=0.0) == pytest.approx(12.0)
-
-
-def test_van_der_corput_bound_guards():
-    with pytest.raises(DomainError):
-        van_der_corput_bound(1.0, 2.0, 0.0)
-    with pytest.raises(DomainError):
-        van_der_corput_bound(1.0, 2.0, 4.0, big_a=-1.0)
-
-
-def test_van_der_corput_dominates_parabola_sum():
-    """The bound must cover |sum e^{2 pi i k^2/(2n)}| on k = 0..n."""
-    for n in (512, 2048):
-        ks = np.arange(n + 1)
-        total = abs(np.sum(np.exp(2j * np.pi * ks * ks / (2.0 * n))))
-        # f(x) = x^2/(2n): f' runs 0 to 1, f'' = 1/n
-        bound = van_der_corput_bound(0.0, 1.0, 1.0 / n)
-        assert total <= bound
 
 
 # ---------------------------------------------------------------------------

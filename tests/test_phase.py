@@ -57,15 +57,13 @@ def _builders():
 
 @pytest.mark.parametrize("phase", _builders(), ids=lambda p: p.label)
 def test_derivatives_match_finite_differences(phase):
-    """d1, d2, d3 must be the actual derivatives of h."""
+    """d1 and d2 must be the actual derivatives of h."""
     t = np.linspace(0.3, 2.8, 17)
     step = 1e-5
     d1_fd = (phase.h(t + step) - phase.h(t - step)) / (2 * step)
     d2_fd = (phase.d1(t + step) - phase.d1(t - step)) / (2 * step)
-    d3_fd = (phase.d2(t + step) - phase.d2(t - step)) / (2 * step)
     assert np.max(np.abs(phase.d1(t) - d1_fd)) < 1e-8
     assert np.max(np.abs(phase.d2(t) - d2_fd)) < 1e-7
-    assert np.max(np.abs(phase.d3(t) - d3_fd)) < 1e-6
 
 
 @pytest.mark.parametrize("phase", _builders(), ids=lambda p: p.label)
@@ -86,7 +84,7 @@ def test_sine_values():
 def test_blaschke_real_zeros_match_general_builder():
     real, general = build_blaschke([0.3, 0.7]), build_blaschke_general([0.3, 0.7])
     t = np.linspace(-7.0, 7.0, 2001)
-    for name in ("h", "d1", "d2", "d3"):
+    for name in ("h", "d1", "d2"):
         assert np.array_equal(getattr(real, name)(t), getattr(general, name)(t))
     assert real.odd and general.odd
     assert real.label == "blaschke[0.3,0.7]"

@@ -15,7 +15,6 @@ from wnl.errors import DomainError, QuadratureBudgetError
 from wnl.specfun import (
     bessel_j,
     bessel_j_sequence,
-    beta_fn,
     corollary2_integral,
     gamma_fn,
     girard_value,
@@ -28,7 +27,6 @@ GAMMA_QUARTER = 3.6256099082219083119
 GAMMA_HALF = 1.7724538509055160273
 GAMMA_TINY = 999.42377248459546611  # Gamma(1e-3)
 GAMMA_50 = 6.0828186403426756087e62
-BETA_34_12 = 2.3962804694711844149  # B(3/4, 1/2) = 4 pi sqrt(2 pi) / Gamma(1/4)^2
 J0_2 = 0.22389077914123566805
 J0_10_5 = -0.23664819446234712622
 J5_10_5 = -0.26105250194504920749
@@ -73,12 +71,6 @@ class TestGamma:
             lngamma_fn(0.0)
         with pytest.raises(DomainError):
             gamma_fn(-2.5)
-
-    def test_beta(self):
-        assert beta_fn(0.75, 0.5) == pytest.approx(BETA_34_12, rel=1e-14)
-        assert beta_fn(0.75, 0.5) == pytest.approx(
-            4.0 * math.pi * math.sqrt(2.0 * math.pi) / GAMMA_QUARTER**2, rel=1e-14
-        )
 
 
 class TestHyp2f1:
