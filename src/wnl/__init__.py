@@ -28,6 +28,7 @@ from .asymptotics import (
 from .equidist import (
     WeylReport,
     fractional_array,
+    van_der_corput_bound,
     weyl_study,
     weyl_sum,
 )
@@ -81,6 +82,8 @@ from .stationary import (
     ComparisonRow,
     ComparisonTable,
     fitted_calibration,
+    lemma1_monotone_bound,
+    lemma1_var_bound,
     stationary_comparison,
 )
 
@@ -131,6 +134,8 @@ __all__ = [
     "girard_value",
     "hyp2f1",
     "legendre",
+    "lemma1_monotone_bound",
+    "lemma1_var_bound",
     "lngamma_fn",
     "modulus_of_continuity",
     "partition_sums",
@@ -141,6 +146,7 @@ __all__ = [
     "stationary_comparison",
     "truncated_riemann",
     "validate",
+    "van_der_corput_bound",
     "weyl_study",
     "weyl_sum",
 ]

@@ -3,7 +3,8 @@
 The cosine factors in the stationary expansion average out to 2/pi
 exactly when the normalized exponents rho_nu / pi equidistribute mod 1.
 This module holds the measurement side of that story: fractional-part
-arrays and Weyl sums with their decay fits along an n ladder.
+arrays and Weyl sums with their decay fits along an n ladder, and the
+van der Corput-type bound that certifies the decay for curved varphi.
 """
 
 from __future__ import annotations
@@ -53,6 +54,21 @@ def weyl_sum(svals: np.ndarray, j: int) -> float:
         warnings.warn("weyl_sum of an empty sample is 0 by convention", stacklevel=2)
         return 0.0
     return float(np.abs(np.mean(np.exp(2j * np.pi * int(j) * svals))))
+
+
+def van_der_corput_bound(df_a: float, df_b: float, mu: float, big_a: float = 2.0) -> float:
+    """(|f'(b) - f'(a)| + 2) * (4 / sqrt(mu) + A).
+
+    Bound on |sum over [a, b] of e^{2 pi i f(k)}| for f with monotone f'
+    and f'' >= mu > 0; df_a and df_b are the endpoint slopes.  A is the
+    additive constant of the estimate; zero is a legal (if optimistic)
+    choice, and the calibrated default is 2.
+    """
+    if not (mu > 0.0):
+        raise DomainError(f"mu must be positive, got {mu!r}")
+    if not (big_a >= 0.0):
+        raise DomainError(f"A must be non-negative, got {big_a!r}")
+    return (abs(df_b - df_a) + 2.0) * (4.0 / math.sqrt(mu) + big_a)
 
 
 @dataclass(frozen=True)

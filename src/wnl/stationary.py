@@ -13,6 +13,9 @@ C / (x g''(t*) delta) piece from the non-stationary remainder and an
 x omega(delta) delta^3 piece from freezing g'' across the stationary
 neighborhood of half-width delta.  Both delta and omega(delta) are read
 from the index partition at scale x, which computes them once.
+
+Away from the central window the coefficient integral has no
+stationary point; Lemma 1's first-derivative bounds cover that case.
 """
 
 from __future__ import annotations
@@ -197,3 +200,48 @@ def fitted_calibration(phase: PhaseFunction, table: ComparisonTable) -> float:
     abs_err = np.array([r.abs_err for r in table.rows])
     g2 = norm.d2(np.array([r.t_star for r in table.rows]))
     return float(np.max((abs_err - frozen_piece) * (x * g2 * delta), initial=0.0))
+
+
+# ---------------------------------------------------------------------------
+# First-derivative-test bounds
+# ---------------------------------------------------------------------------
+
+
+def lemma1_var_bound(
+    phase: PhaseFunction, x: float, nu: float, grid_size: int = 8192
+) -> float:
+    """Variation of 1/phi' for phi(t) = x h(t) - nu t over [-pi, pi].
+
+    This is the first-derivative-test bound on the coefficient integral
+    (the periodic boundary terms cancel).  Requires phi' to stay away
+    from zero; a sign change or near-zero sample raises DomainError.
+    The grid sum converges to the true variation from below and is
+    exact up to rounding when 1/phi' is piecewise monotone with turning
+    points on the grid.
+    """
+    t = np.linspace(-np.pi, np.pi, grid_size)
+    slope = x * phase.d1(t) - nu
+    smallest = float(np.min(np.abs(slope)))
+    scale = abs(x) * float(np.max(np.abs(phase.d1(t)))) + abs(nu) + 1.0
+    if smallest < 1e-12 * scale or (np.any(slope > 0.0) and np.any(slope < 0.0)):
+        raise DomainError(
+            f"phi' vanishes on [-pi, pi] (min |phi'| = {smallest:.3e}); "
+            "the variation bound needs a stationary-point-free phase"
+        )
+    recip = 1.0 / slope
+    return float(np.sum(np.abs(np.diff(recip))))
+
+
+def lemma1_monotone_bound(phimin_a: float, phimin_b: float) -> float:
+    """2 / min(|phi'(a)|, |phi'(b)|) for monotone phi' on [a, b].
+
+    The two arguments are the endpoint slopes; monotonicity means the
+    smaller magnitude is attained at an endpoint, which is all the
+    first-derivative test needs.  Symmetric in its arguments.  A zero
+    slope admits no bound and raises DomainError.
+    """
+    if phimin_a == 0.0 or phimin_b == 0.0:
+        raise DomainError(
+            f"endpoint slopes must be nonzero, got ({phimin_a!r}, {phimin_b!r})"
+        )
+    return 2.0 / min(abs(phimin_a), abs(phimin_b))

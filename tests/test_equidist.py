@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from wnl.equidist import (
     WeylReport,
     fractional_array,
+    van_der_corput_bound,
     weyl_study,
     weyl_sum,
 )
@@ -63,6 +64,29 @@ def test_weyl_sum_guards_and_empty():
         weyl_sum(np.array([0.1]), 0)
     with pytest.warns(UserWarning, match="empty"):
         assert weyl_sum(np.array([]), 1) == 0.0
+
+
+def test_van_der_corput_bound_values():
+    assert van_der_corput_bound(3.0, 3.0, 16.0, big_a=2.0) == pytest.approx(6.0)
+    assert van_der_corput_bound(3.0, 3.0, 16.0, big_a=0.0) == pytest.approx(2.0)
+    assert van_der_corput_bound(0.0, 4.0, 4.0, big_a=0.0) == pytest.approx(12.0)
+
+
+def test_van_der_corput_bound_guards():
+    with pytest.raises(DomainError):
+        van_der_corput_bound(1.0, 2.0, 0.0)
+    with pytest.raises(DomainError):
+        van_der_corput_bound(1.0, 2.0, 4.0, big_a=-1.0)
+
+
+def test_van_der_corput_dominates_parabola_sum():
+    """The bound must cover |sum e^{2 pi i k^2/(2n)}| on k = 0..n."""
+    for n in (512, 2048):
+        ks = np.arange(n + 1)
+        total = abs(np.sum(np.exp(2j * np.pi * ks * ks / (2.0 * n))))
+        # f(x) = x^2/(2n): f' runs 0 to 1, f'' = 1/n
+        bound = van_der_corput_bound(0.0, 1.0, 1.0 / n)
+        assert total <= bound
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,8 @@ PUBLIC = [
     "girard_value",
     "hyp2f1",
     "legendre",
+    "lemma1_monotone_bound",
+    "lemma1_var_bound",
     "lngamma_fn",
     "modulus_of_continuity",
     "partition_sums",
@@ -63,6 +65,7 @@ PUBLIC = [
     "stationary_comparison",
     "truncated_riemann",
     "validate",
+    "van_der_corput_bound",
     "weyl_study",
     "weyl_sum",
 ]

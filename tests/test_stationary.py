@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wnl import stationary
 from wnl.errors import DomainError, MisalignedError
@@ -16,7 +17,12 @@ from wnl.phase import (
     require_valid,
 )
 from wnl.spectrum import compute_spectrum
-from wnl.stationary import fitted_calibration, stationary_comparison
+from wnl.stationary import (
+    fitted_calibration,
+    lemma1_monotone_bound,
+    lemma1_var_bound,
+    stationary_comparison,
+)
 
 J0_400 = -0.038825181530783955714
 
@@ -150,3 +156,44 @@ def test_comparison_csv(tmp_path):
     first = lines[2].split(",")
     assert int(first[0]) == table.rows[0].nu
     assert float(first[1]) == table.rows[0].exact.real
+
+
+# ---------------------------------------------------------------------------
+# First-derivative-test bounds
+# ---------------------------------------------------------------------------
+
+
+def test_lemma1_monotone_bound_value():
+    assert lemma1_monotone_bound(0.5, -4.0) == pytest.approx(4.0)
+    assert lemma1_monotone_bound(-4.0, 0.5) == pytest.approx(4.0)
+    with pytest.raises(DomainError):
+        lemma1_monotone_bound(0.0, 1.0)
+
+
+def test_lemma1_var_bound_closed_form():
+    """For x h' - nu of one sign, the variation telescopes to endpoint values."""
+    phase = build_blaschke([0.5])
+    x, nu = 40.0, 20.0  # slope band of x h' is [-120, -40/3]; nu above it
+    got = lemma1_var_bound(phase, x, nu)
+    d1_0 = float(phase.d1(np.asarray(0.0)))
+    d1_pi = float(phase.d1(np.asarray(math.pi)))
+    expect = 2.0 * abs(1.0 / (x * d1_0 - nu) - 1.0 / (x * d1_pi - nu))
+    assert got == pytest.approx(expect, rel=1e-6)
+
+
+def test_lemma1_var_bound_rejects_stationary_phase():
+    with pytest.raises(DomainError):
+        lemma1_var_bound(build_sine(), 10.0, 0.0)
+
+
+@given(nu=st.floats(25.0, 200.0))
+@settings(max_examples=30)
+def test_lemma1_dominates_actual_coefficient(nu):
+    """(var bound) / 2 pi must dominate the actual |a_nu| outside the band."""
+    from wnl.spectrum import coefficient_quadrature
+
+    phase = build_blaschke([0.5])
+    x = 40.0
+    bound = lemma1_var_bound(phase, x, nu) / (2.0 * math.pi)
+    actual = abs(coefficient_quadrature(phase, x, int(nu), tol=1e-12))
+    assert actual <= bound + 1e-12
