@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Write every guarded output of the package into one directory.
+
+A change that must leave the written tables byte-identical is checked by
+running this script against each checkout and comparing the directories:
+
+    PYTHONPATH=<old>/src python3 scripts/guarded_outputs.py /tmp/old
+    PYTHONPATH=<new>/src python3 scripts/guarded_outputs.py /tmp/new
+    diff -r /tmp/old /tmp/new
+
+Each CLI run writes its CSV and JSON files and the stdout of the run
+(``<name>.<format>.stdout``). The script works inside OUTDIR with
+relative paths, so the ``wrote <path>`` lines match across checkouts.
+The library writers follow: coefficient spectra, Weyl-sum reports
+and a convergence report in JSON.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import os
+import warnings
+from pathlib import Path
+
+import wnl
+from wnl.cli import main as wnl_main
+
+# (output name, wnl arguments without --out and --format)
+CLI_RUNS = [
+    ("converge_sine", ["converge", "--phase", "sine", "--params", "100,400,1600,6400"]),
+    (
+        "converge_blaschke",
+        ["converge", "--phase", "blaschke:0.3,0.7", "--params", "128,512,2048,4096"],
+    ),
+    ("converge_abs", ["converge", "--phase", "abs", "--params", "64,256,1024"]),
+    ("stationary_sine", ["stationary-compare", "--phase", "sine", "--params", "1000"]),
+    (
+        "stationary_blaschke",
+        ["stationary-compare", "--phase", "blaschke:0.3,0.7", "--params", "1000"],
+    ),
+    ("stationary_empty", ["stationary-compare", "--phase", "blaschke:0.9", "--params", "2"]),
+    ("bessel", ["bessel", "--params", "10.5,100,400"]),
+    ("explore_real", ["explore-blaschke", "--phase", "blaschke:0.5", "--params", "100,200"]),
+    (
+        "explore_complex",
+        ["explore-blaschke", "--phase", "blaschke:0.4+0.3j", "--params", "100,200"],
+    ),
+]
+
+
+def run_cli(name: str, argv: list[str]) -> None:
+    for fmt in ("csv", "json"):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = wnl_main(argv + ["--format", fmt, "--out", f"{name}.{fmt}"])
+        if code != 0:
+            raise SystemExit(f"wnl {' '.join(argv)} exited with {code}")
+        Path(f"{name}.{fmt}.stdout").write_text(buf.getvalue())
+
+
+def write_library_tables() -> None:
+    wnl.compute_spectrum(wnl.build_sine(), 300.0).to_csv("spectrum_sine_300.csv")
+    wnl.compute_spectrum(wnl.build_blaschke([0.3, 0.7]), 256.0).to_csv(
+        "spectrum_blaschke_256.csv"
+    )
+    wnl.weyl_study(lambda u: 0.5 * u * u, 1, (0.0, 1.0), [1000, 10_000]).to_csv(
+        "weyl_quadratic.csv"
+    )
+    wnl.weyl_study(lambda u: 0.5 * u, 2, (0.0, 1.0), [100, 1000]).to_csv(
+        "weyl_rational.csv"
+    )
+    wnl.weyl_study(lambda u: 0.5 * u * u, 1, (0.0, 1.0), [1000]).to_csv("weyl_no_fit.csv")
+    wnl.convergence_study(wnl.build_sine(), [100, 400]).to_json("study_sine.json")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", type=Path)
+    args = parser.parse_args()
+    args.outdir.mkdir(parents=True, exist_ok=True)
+    os.chdir(args.outdir)
+    for name, argv in CLI_RUNS:
+        run_cli(name, argv)
+    write_library_tables()
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -14,7 +14,6 @@ equidistribution-weighted middle, and the limit integral it tracks.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -24,6 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _table
 from ._quad import integrate_panels
 from .errors import DomainError, QuadratureBudgetError
 from .phase import (
@@ -203,41 +203,30 @@ class ConvergenceReport:
     def errors(self) -> list[float]:
         return [abs(r.scaled_norm - self.limit) for r in self.rows]
 
-    def csv_text(self) -> str:
-        lines = [
-            f"# phase_label={self.phase_label} limit={self.limit!r}",
-            "param,scaled_norm,abs_err,external_sum,periphery_sum,central_sum",
+    _COLUMNS = (
+        "param", "scaled_norm", "abs_err", "external_sum", "periphery_sum", "central_sum"
+    )
+
+    def _rows(self) -> list[tuple]:
+        return [
+            (r.param, r.scaled_norm, e, r.external_sum, r.periphery_sum, r.central_sum)
+            for r, e in zip(self.rows, self.errors())
         ]
-        for r, e in zip(self.rows, self.errors()):
-            lines.append(
-                f"{r.param!r},{r.scaled_norm!r},{e!r},{r.external_sum!r},"
-                f"{r.periphery_sum!r},{r.central_sum!r}"
-            )
-        return "\n".join(lines) + "\n"
+
+    def csv_text(self) -> str:
+        header = f"phase_label={self.phase_label} limit={self.limit!r}"
+        return _table.csv_text(header, self._COLUMNS, self._rows())
 
     def payload(self) -> dict:
         """The report as a JSON-ready dict, with the same columns as the CSV."""
-        return {
-            "phase_label": self.phase_label,
-            "limit": self.limit,
-            "rows": [
-                {
-                    "param": r.param,
-                    "scaled_norm": r.scaled_norm,
-                    "abs_err": e,
-                    "external_sum": r.external_sum,
-                    "periphery_sum": r.periphery_sum,
-                    "central_sum": r.central_sum,
-                }
-                for r, e in zip(self.rows, self.errors())
-            ],
-        }
+        fields = {"phase_label": self.phase_label, "limit": self.limit}
+        return _table.payload(fields, self._COLUMNS, self._rows())
 
     def to_csv(self, path: str | Path) -> None:
         Path(path).write_text(self.csv_text())
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.payload(), indent=2, sort_keys=True) + "\n")
+        Path(path).write_text(_table.json_text(self.payload()))
 
 
 def default_thread_count() -> int:

@@ -11,14 +11,12 @@ Five subcommands cover the package's experiment surface:
 * ``explore-blaschke``: norm trajectories for Blaschke phases,
   including complex zeros where no convergence theorem applies.
 
-Output files are deterministic: floats are written with repr, whose
-shortest-round-trip form is locale-independent and stable.
+Every table goes through the one format of :mod:`wnl._table`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import warnings
@@ -28,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._table import csv_text, json_text, payload
 from .asymptotics import (
     convergence_study,
     final_step_report,
@@ -122,6 +121,8 @@ def parse_phase(spec_text: str, allow_complex: bool = False) -> PhaseFunction:
 
 def _parse_params(text: str) -> tuple[float, ...]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
+    if not parts:
+        raise DomainError("--params needs a non-empty comma-separated ladder")
     try:
         return tuple(float(p) for p in parts)
     except ValueError:
@@ -133,13 +134,10 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _emit(cfg: RunConfig, csv_text: str, json_payload: dict) -> None:
+def _emit(cfg: RunConfig, table_csv: str, table_payload: dict) -> None:
     """Write the table to --out, or to stdout when no path is given;
     --format picks csv or json either way."""
-    if cfg.fmt == "json":
-        text = json.dumps(json_payload, indent=2, sort_keys=True) + "\n"
-    else:
-        text = csv_text
+    text = json_text(table_payload) if cfg.fmt == "json" else table_csv
     if cfg.out is None:
         sys.stdout.write(text)
         return
@@ -178,23 +176,13 @@ def _converge_log_growth(cfg: RunConfig, phase: PhaseFunction) -> int:
         norm = spec.abs_sum()
         ratio = norm / math.log(p)
         rows.append((p, norm, ratio, abs(ratio - limit_per_log)))
-    lines = [
-        f"# phase_label={phase.label} limit_per_log={limit_per_log!r} "
-        "mode=log-growth (norms are Nyquist-truncated lower bounds)",
-        "param,norm,norm_over_log,abs_err",
-    ]
-    for p, norm, ratio, err in rows:
-        lines.append(f"{p!r},{norm!r},{ratio!r},{err!r}")
-    payload = {
-        "phase_label": phase.label,
-        "mode": "log-growth",
-        "limit_per_log": limit_per_log,
-        "rows": [
-            {"param": p, "norm": s, "norm_over_log": r, "abs_err": e}
-            for p, s, r, e in rows
-        ],
-    }
-    _emit(cfg, "\n".join(lines) + "\n", payload)
+    header = (
+        f"phase_label={phase.label} limit_per_log={limit_per_log!r} "
+        "mode=log-growth (norms are Nyquist-truncated lower bounds)"
+    )
+    fields = {"phase_label": phase.label, "mode": "log-growth", "limit_per_log": limit_per_log}
+    columns = ("param", "norm", "norm_over_log", "abs_err")
+    _emit(cfg, csv_text(header, columns, rows), payload(fields, columns, rows))
     print(f"norm/log n -> 2/pi = {limit_per_log!r}")
     print(f"final ratio {rows[-1][2]!r} (abs err {rows[-1][3]!r})")
     return 0
@@ -204,8 +192,6 @@ def cmd_converge(cfg: RunConfig) -> int:
     phase = parse_phase(cfg.phase_spec)
     if phase.label == "abs":
         return _converge_log_growth(cfg, phase)
-    if not cfg.param_list:
-        raise DomainError("converge needs a non-empty --params ladder")
     report = convergence_study(
         phase, list(cfg.param_list), grid_pow=cfg.grid_pow, limit_tol=cfg.quad_tol
     )
@@ -251,8 +237,6 @@ def cmd_stationary_compare(cfg: RunConfig) -> int:
 
 
 def cmd_bessel(cfg: RunConfig) -> int:
-    if not cfg.param_list:
-        raise DomainError("bessel needs a non-empty --params ladder of x values")
     limit = 16.0 / gamma_fn(0.25) ** 2
 
     def bessel_path_norm(x: float) -> float:
@@ -260,19 +244,15 @@ def cmd_bessel(cfg: RunConfig) -> int:
         seq = np.abs(bessel_j_sequence(nmax, x))
         return float((seq[0] + 2.0 * np.sum(seq[1:])) / math.sqrt(x))
 
-    rows = [(x, bessel_path_norm(x)) for x in cfg.param_list]
-    lines = [f"# limit={limit!r} source=specfun", "x,scaled_sum,abs_err"]
-    for x, s in rows:
-        lines.append(f"{x!r},{s!r},{abs(s - limit)!r}")
-    payload = {
-        "limit": limit,
-        "rows": [
-            {"x": x, "scaled_sum": s, "abs_err": abs(s - limit)} for x, s in rows
-        ],
-    }
-    _emit(cfg, "\n".join(lines) + "\n", payload)
+    rows = []
+    for x in cfg.param_list:
+        s = bessel_path_norm(x)
+        rows.append((x, s, abs(s - limit)))
+    columns = ("x", "scaled_sum", "abs_err")
+    header = f"limit={limit!r} source=specfun"
+    _emit(cfg, csv_text(header, columns, rows), payload({"limit": limit}, columns, rows))
     print(f"limit 16/Gamma(1/4)^2 = {limit!r}")
-    print(f"final scaled sum {rows[-1][1]!r} (err {abs(rows[-1][1] - limit)!r})")
+    print(f"final scaled sum {rows[-1][1]!r} (err {rows[-1][2]!r})")
     spectrum_path = scaled_norm(compute_spectrum(build_sine(), 100.0))
     bessel_path = bessel_path_norm(100.0)
     print(
@@ -286,30 +266,18 @@ def cmd_explore_blaschke(cfg: RunConfig) -> int:
     if not cfg.phase_spec.strip().lower().startswith("blaschke"):
         raise DomainError("explore-blaschke needs a blaschke:... phase spec")
     phase = parse_phase(cfg.phase_spec, allow_complex=True)
-    if not cfg.param_list:
-        raise DomainError("explore-blaschke needs a non-empty --params ladder")
     exploratory = not phase.odd
     reference = full_circle_reference(phase, tol=cfg.quad_tol)
     rows = []
     for p in cfg.param_list:
-        spec = compute_spectrum(phase, p, grid_pow=cfg.grid_pow)
-        rows.append((p, scaled_norm(spec)))
-    header = f"# phase_label={phase.label} reference={reference!r}"
+        s = scaled_norm(compute_spectrum(phase, p, grid_pow=cfg.grid_pow))
+        rows.append((p, s, abs(s - reference)))
+    header = f"phase_label={phase.label} reference={reference!r}"
     if exploratory:
         header += " exploratory: no theorem applies"
-    lines = [header, "param,scaled_norm,abs_gap_to_reference"]
-    for p, s in rows:
-        lines.append(f"{p!r},{s!r},{abs(s - reference)!r}")
-    payload = {
-        "phase_label": phase.label,
-        "reference": reference,
-        "exploratory": exploratory,
-        "rows": [
-            {"param": p, "scaled_norm": s, "abs_gap_to_reference": abs(s - reference)}
-            for p, s in rows
-        ],
-    }
-    _emit(cfg, "\n".join(lines) + "\n", payload)
+    fields = {"phase_label": phase.label, "reference": reference, "exploratory": exploratory}
+    columns = ("param", "scaled_norm", "abs_gap_to_reference")
+    _emit(cfg, csv_text(header, columns, rows), payload(fields, columns, rows))
     kind = "conjectured reference" if exploratory else "reference limit"
     print(f"{kind} (2/pi)^(3/2) integral of sqrt(|h''|) = {reference!r}")
     if phase.label.startswith("blaschke[") and "," not in phase.label:
@@ -332,7 +300,7 @@ _FLAGS = {
         required=True,
         help="sine | abs | linear:k | blaschke:a1,a2,...",
     ),
-    "--params": dict(help="comma-separated ladder of n or x values"),
+    "--params": dict(required=True, help="comma-separated ladder of n or x values"),
     "--tol": dict(dest="quad_tol", metavar="TOL", type=float, help="quadrature tolerance"),
     "--grid-pow": dict(
         type=int, help="fix the transform size at 2**grid_pow (default: auto)"

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _table
 from .errors import DomainError
 
 _EDGE_FUZZ = 1e-9  # absorbs float noise at closed interval endpoints
@@ -104,14 +105,9 @@ class WeylReport:
             decay = repr(self.fitted_decay)
         except DomainError:
             decay = "nan"
-        lines = [
-            f"# j={self.j} interval=[{self.interval[0]!r},{self.interval[1]!r}] "
-            f"fitted_decay={decay}",
-            "n,magnitude",
-        ]
-        for n, w in self.values:
-            lines.append(f"{n},{w!r}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        lo, hi = self.interval
+        header = f"j={self.j} interval=[{lo!r},{hi!r}] fitted_decay={decay}"
+        Path(path).write_text(_table.csv_text(header, ("n", "magnitude"), self.values))
 
 
 def weyl_study(

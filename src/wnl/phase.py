@@ -190,10 +190,12 @@ def build_blaschke(alphas: Sequence[float]) -> PhaseFunction:
 def build_blaschke_general(zeros: Sequence[complex]) -> PhaseFunction:
     """Blaschke phase for complex zeros a_j with 0 < |a_j| < 1.
 
-    Same convention as :func:`build_blaschke`; with zeros off the real
-    axis the phase loses its odd symmetry and h'' can change sign, both
-    of which ``validate`` will report.  Derivatives are sums of shifted
-    Poisson kernels.
+    Same convention as :func:`build_blaschke`.  Real zeros of either
+    sign keep the phase odd; a negative zero turns h'' negative on
+    (0, pi), so the sign is read from h''(pi/2) as for any phase.  With
+    zeros off the real axis the phase loses its odd symmetry and h'' can
+    change sign, both of which ``validate`` will report.  Derivatives
+    are sums of shifted Poisson kernels.
     """
     z = np.asarray(zeros, dtype=complex)
     if z.ndim != 1 or z.size == 0:
@@ -203,9 +205,7 @@ def build_blaschke_general(zeros: Sequence[complex]) -> PhaseFunction:
     levels = ",".join(
         f"{_digits(v.real)}{'' if np.signbit(v.imag) else '+'}{_digits(v.imag)}j" for v in z
     )
-    return _blaschke_phase(
-        z, odd=bool(np.allclose(np.angle(z), 0.0)), label=f"blaschke*[{levels}]"
-    )
+    return _blaschke_phase(z, odd=bool(np.all(z.imag == 0.0)), label=f"blaschke*[{levels}]")
 
 
 def _digits(v: float) -> str:
@@ -215,7 +215,10 @@ def _digits(v: float) -> str:
 
 
 def _blaschke_phase(zeros: np.ndarray, odd: bool, label: str) -> PhaseFunction:
-    """The Blaschke phase for checked zeros: sums of shifted Poisson kernels."""
+    """The Blaschke phase for checked zeros: sums of shifted Poisson kernels.
+
+    The sign is that of h''(pi/2), as for :func:`build_from_callable`.
+    """
     r = np.abs(zeros)
     theta = np.angle(zeros)
     # without a rotation, sin and cos run once per t instead of once per zero
@@ -245,7 +248,7 @@ def _blaschke_phase(zeros: np.ndarray, odd: bool, label: str) -> PhaseFunction:
         d2=d2,
         winding_k=-int(np.size(zeros)),
         odd=odd,
-        sign=1,
+        sign=1 if float(d2(np.pi / 2.0)) >= 0.0 else -1,
         label=label,
     )
 

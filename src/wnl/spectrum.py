@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _table
 from ._quad import integrate_adaptive
 from .errors import (
     DomainError,
@@ -72,17 +73,17 @@ class CoefficientSpectrum:
         return float(np.sum(np.abs(self.coeffs)))
 
     def to_csv(self, path: str | Path) -> None:
-        """One row per coefficient; floats written as repr for byte stability."""
-        lines = [
-            f"# x={self.x!r} grid_pow={self.grid_pow} "
+        """One row per coefficient: nu, its real and imaginary parts and |a_nu|."""
+        header = (
+            f"x={self.x!r} grid_pow={self.grid_pow} "
             f"parseval_defect={self.parseval_defect!r} tail_bound={self.tail_bound!r} "
-            f"label={self.label}",
-            "nu,re,im,abs",
+            f"label={self.label}"
+        )
+        rows = [
+            (nu, c.real, c.imag, abs(c))
+            for nu, c in zip(self.nu_values().tolist(), self.coeffs.tolist())
         ]
-        for nu, c in zip(self.nu_values(), self.coeffs):
-            c = complex(c)
-            lines.append(f"{int(nu)},{c.real!r},{c.imag!r},{abs(c)!r}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text(_table.csv_text(header, ("nu", "re", "im", "abs"), rows))
 
 
 def _monotone_pieces(phase: PhaseFunction, grid_size: int = 4096) -> int | None:

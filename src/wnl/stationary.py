@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _table
 from .errors import DomainError, MisalignedError
 from .phase import (
     PhaseFunction,
@@ -104,6 +105,13 @@ class ComparisonTable:
         """How many rows have |approx - exact| above their remainder bound."""
         return sum(1 for r in self.rows if r.abs_err > r.remainder_bound)
 
+    _COLUMNS = ("nu", "exact", "approx", "abs_err", "remainder_bound")
+
+    def _rows(self) -> list[tuple]:
+        return [
+            (r.nu, r.exact.real, r.approx, r.abs_err, r.remainder_bound) for r in self.rows
+        ]
+
     def csv_text(self) -> str:
         """Five data columns; exact is the real part of the coefficient.
 
@@ -112,35 +120,13 @@ class ComparisonTable:
         the file never hides one.
         """
         max_im = max((abs(r.exact.imag) for r in self.rows), default=0.0)
-        lines = [
-            f"# x={self.x!r} label={self.label} calib_c={self.calib_c!r} "
-            f"max_im={max_im!r}",
-            "nu,exact,approx,abs_err,remainder_bound",
-        ]
-        for r in self.rows:
-            lines.append(
-                f"{r.nu},{r.exact.real!r},{r.approx!r},{r.abs_err!r},"
-                f"{r.remainder_bound!r}"
-            )
-        return "\n".join(lines) + "\n"
+        header = f"x={self.x!r} label={self.label} calib_c={self.calib_c!r} max_im={max_im!r}"
+        return _table.csv_text(header, self._COLUMNS, self._rows())
 
     def payload(self) -> dict:
         """The table as a JSON-ready dict, with the same columns as the CSV."""
-        return {
-            "x": self.x,
-            "label": self.label,
-            "calib_c": self.calib_c,
-            "rows": [
-                {
-                    "nu": r.nu,
-                    "exact": r.exact.real,
-                    "approx": r.approx,
-                    "abs_err": r.abs_err,
-                    "remainder_bound": r.remainder_bound,
-                }
-                for r in self.rows
-            ],
-        }
+        fields = {"x": self.x, "label": self.label, "calib_c": self.calib_c}
+        return _table.payload(fields, self._COLUMNS, self._rows())
 
     def to_csv(self, path: str | Path) -> None:
         Path(path).write_text(self.csv_text())

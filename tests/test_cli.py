@@ -77,6 +77,30 @@ def test_subcommands_reject_flags_they_never_read(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params", [None, "", " , "], ids=["missing", "empty", "commas"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["converge", "--phase", "sine"],
+        ["converge", "--phase", "abs"],
+        ["stationary-compare", "--phase", "sine"],
+        ["bessel"],
+        ["explore-blaschke", "--phase", "blaschke:0.5"],
+    ],
+    ids=["converge", "converge-abs", "stationary-compare", "bessel", "explore-blaschke"],
+)
+def test_params_missing_or_empty_is_a_clean_error(argv, params, capsys):
+    """A missing --params is a usage error (2); an empty ladder is a DomainError (1)."""
+    if params is None:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+    else:
+        assert main(argv + ["--params", params]) == 1
+        assert capsys.readouterr().err.startswith("error: --params")
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_validate_exit_codes(capsys):
     assert main(["validate", "--phase", "sine"]) == 0
     assert main(["validate", "--phase", "linear:2"]) == 1
@@ -218,3 +242,30 @@ def test_explore_blaschke_complex_zero(tmp_path):
 
 def test_explore_blaschke_rejects_other_phases():
     assert main(["explore-blaschke", "--phase", "sine", "--params", "20"]) == 1
+
+
+_TABLE_RUNS = {
+    "converge-sine": ["converge", "--phase", "sine", "--params", "50,100"],
+    "converge-abs": ["converge", "--phase", "abs", "--params", "64,256"],
+    "stationary-compare": ["stationary-compare", "--phase", "sine", "--params", "150"],
+    "bessel": ["bessel", "--params", "10.5,100"],
+    "explore-blaschke": ["explore-blaschke", "--phase", "blaschke:0.5", "--params", "20,40"],
+}
+
+
+@pytest.mark.parametrize("name", list(_TABLE_RUNS))
+def test_csv_and_json_carry_the_same_table(name, tmp_path, capsys):
+    """The CSV columns are the keys of every JSON row, and each cell reads back exactly."""
+    argv = _TABLE_RUNS[name]
+    csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
+    assert main(argv + ["--out", str(csv_path)]) == 0
+    assert main(argv + ["--format", "json", "--out", str(json_path)]) == 0
+    header, column_line, *lines = csv_path.read_text().splitlines()
+    assert header.startswith("# ")
+    columns = column_line.split(",")
+    rows = json.loads(json_path.read_text())["rows"]
+    assert len(rows) == len(lines) > 0
+    for line, row in zip(lines, rows):
+        assert set(row) == set(columns)
+        cells = line.split(",")
+        assert [float(c) for c in cells] == [row[c] for c in columns]

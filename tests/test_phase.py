@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from wnl.asymptotics import asymptotic_limit
 from wnl.errors import DomainError, WnlError
 from wnl.phase import (
     PhaseFunction,
@@ -28,6 +29,7 @@ from wnl.phase import (
     require_valid,
     validate,
 )
+from wnl.spectrum import compute_spectrum, scaled_norm
 
 # Cutoff scale for the sine phase at n = 1e6, against the n^(1/10)
 # model it should track (same machinery, frozen output).
@@ -88,6 +90,18 @@ def test_blaschke_real_zeros_match_general_builder():
         assert np.array_equal(getattr(real, name)(t), getattr(general, name)(t))
     assert real.odd and general.odd
     assert real.label == "blaschke[0.3,0.7]"
+
+
+def test_blaschke_negative_real_zero_is_odd_and_normalizes():
+    """A negative real zero is the positive one rotated by pi: odd, with h'' < 0."""
+    neg, pos = build_blaschke_general([-0.5]), build_blaschke([0.5])
+    assert neg.odd and neg.sign == -1
+    assert validate(neg).passed
+    assert asymptotic_limit(neg) == pytest.approx(asymptotic_limit(pos), abs=1e-12)
+    s_neg = scaled_norm(compute_spectrum(neg, 400.0))
+    assert s_neg == pytest.approx(scaled_norm(compute_spectrum(pos, 400.0)), abs=1e-12)
+    complex_zero = build_blaschke_general([0.4 + 0.3j])
+    assert not complex_zero.odd and complex_zero.sign == 1
 
 
 def test_blaschke_winding_matches_zero_count():
