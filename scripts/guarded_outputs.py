@@ -9,8 +9,10 @@ running this script against each checkout and comparing the directories:
     diff -r /tmp/old /tmp/new
 
 Each CLI run writes its CSV and JSON files and the stdout of the run
-(``<name>.<format>.stdout``). The script works inside OUTDIR with
-relative paths, so the ``wrote <path>`` lines match across checkouts.
+(``<name>.<format>.stdout``). Each ``wnl validate`` run writes its stdout
+and exit status (``validate_<name>.stdout``). The script works inside
+OUTDIR with relative paths, so the ``wrote <path>`` lines match across
+checkouts.
 The library writers follow: coefficient spectra, Weyl-sum reports
 and a convergence report in JSON.
 """
@@ -49,6 +51,9 @@ CLI_RUNS = [
     ),
 ]
 
+# (output name, phase spec); abs fails validation and prints the doubling limits
+VALIDATE_RUNS = [("sine", "sine"), ("abs", "abs"), ("blaschke", "blaschke:0.3,0.7")]
+
 
 def run_cli(name: str, argv: list[str]) -> None:
     for fmt in ("csv", "json"):
@@ -59,6 +64,13 @@ def run_cli(name: str, argv: list[str]) -> None:
         if code != 0:
             raise SystemExit(f"wnl {' '.join(argv)} exited with {code}")
         Path(f"{name}.{fmt}.stdout").write_text(buf.getvalue())
+
+
+def run_validate(name: str, spec: str) -> None:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = wnl_main(["validate", "--phase", spec])
+    Path(f"validate_{name}.stdout").write_text(f"{buf.getvalue()}exit status {code}\n")
 
 
 def write_library_tables() -> None:
@@ -84,6 +96,8 @@ def main() -> int:
     os.chdir(args.outdir)
     for name, argv in CLI_RUNS:
         run_cli(name, argv)
+    for name, spec in VALIDATE_RUNS:
+        run_validate(name, spec)
     write_library_tables()
     return 0
 

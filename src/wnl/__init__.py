@@ -20,7 +20,6 @@ from .asymptotics import (
     asymptotic_limit,
     asymptotic_limit_slope_route,
     convergence_study,
-    default_thread_count,
     final_step_report,
     full_circle_reference,
     truncated_riemann,
@@ -125,7 +124,6 @@ __all__ = [
     "compute_spectrum",
     "convergence_study",
     "corollary2_integral",
-    "default_thread_count",
     "final_step_report",
     "fitted_calibration",
     "fractional_array",

@@ -15,8 +15,6 @@ equidistribution-weighted middle, and the limit integral it tracks.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -229,21 +227,10 @@ class ConvergenceReport:
         Path(path).write_text(_table.json_text(self.payload()))
 
 
-def default_thread_count() -> int:
-    """Worker cap for parameter sweeps, from WNL_THREADS (default 1)."""
-    raw = os.environ.get("WNL_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
-
-
 def convergence_study(
     phase: PhaseFunction,
     params: Sequence[float],
     grid_pow: int | None = None,
-    threads: int | None = None,
     limit_tol: float = 1e-10,
 ) -> ConvergenceReport:
     """Measure the scaled norm and partition sums at each scale in params.
@@ -252,9 +239,7 @@ def convergence_study(
     entries require winding zero, since e^{ixh} stops being periodic at
     non-integer x otherwise; integer ladders work for any winding.
 
-    Each scale is independent, so the sweep runs on a thread pool when
-    ``threads`` (or WNL_THREADS) allows; the FFT work drops the GIL.
-    Row order always follows params.
+    The scales are measured one after another, in the order of params.
     """
     params = [float(p) for p in params]
     if len(params) == 0:
@@ -287,12 +272,7 @@ def convergence_study(
             tail_bound=spec.tail_bound,
         )
 
-    workers = threads if threads is not None else default_thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(one, params))
-    else:
-        rows = tuple(one(n) for n in params)
+    rows = tuple(one(n) for n in params)
     return ConvergenceReport(phase_label=norm.label, limit=limit, rows=rows)
 
 

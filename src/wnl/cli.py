@@ -22,7 +22,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -124,9 +124,12 @@ def _parse_params(text: str) -> tuple[float, ...]:
     if not parts:
         raise DomainError("--params needs a non-empty comma-separated ladder")
     try:
-        return tuple(float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError:
         raise DomainError(f"unparseable --params {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"--params must be finite, got {text!r}")
+    return values
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -134,10 +137,12 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _emit(cfg: RunConfig, table_csv: str, table_payload: dict) -> None:
+def _emit(
+    cfg: RunConfig, table_csv: Callable[[], str], table_payload: Callable[[], dict]
+) -> None:
     """Write the table to --out, or to stdout when no path is given;
-    --format picks csv or json either way."""
-    text = json_text(table_payload) if cfg.fmt == "json" else table_csv
+    --format picks csv or json either way, and only that form is built."""
+    text = json_text(table_payload()) if cfg.fmt == "json" else table_csv()
     if cfg.out is None:
         sys.stdout.write(text)
         return
@@ -182,7 +187,7 @@ def _converge_log_growth(cfg: RunConfig, phase: PhaseFunction) -> int:
     )
     fields = {"phase_label": phase.label, "mode": "log-growth", "limit_per_log": limit_per_log}
     columns = ("param", "norm", "norm_over_log", "abs_err")
-    _emit(cfg, csv_text(header, columns, rows), payload(fields, columns, rows))
+    _emit(cfg, lambda: csv_text(header, columns, rows), lambda: payload(fields, columns, rows))
     print(f"norm/log n -> 2/pi = {limit_per_log!r}")
     print(f"final ratio {rows[-1][2]!r} (abs err {rows[-1][3]!r})")
     return 0
@@ -195,7 +200,7 @@ def cmd_converge(cfg: RunConfig) -> int:
     report = convergence_study(
         phase, list(cfg.param_list), grid_pow=cfg.grid_pow, limit_tol=cfg.quad_tol
     )
-    _emit(cfg, report.csv_text(), report.payload())
+    _emit(cfg, report.csv_text, report.payload)
     print(f"limit L = {report.limit!r}")
     print(f"final error |S - L| = {report.errors()[-1]!r} at param {report.rows[-1].param!r}")
     largest = cfg.param_list[-1]
@@ -221,7 +226,7 @@ def cmd_stationary_compare(cfg: RunConfig) -> int:
     n = cfg.param_list[0]
     table = stationary_comparison(phase, n, grid_pow=cfg.grid_pow)
     fitted = fitted_calibration(phase, table)
-    _emit(cfg, table.csv_text(), {**table.payload(), "fitted_c": fitted})
+    _emit(cfg, table.csv_text, lambda: {**table.payload(), "fitted_c": fitted})
     if not table.rows:
         print(f"central window holds no integer index at param {n!r}; empty table")
         return 0
@@ -250,7 +255,8 @@ def cmd_bessel(cfg: RunConfig) -> int:
         rows.append((x, s, abs(s - limit)))
     columns = ("x", "scaled_sum", "abs_err")
     header = f"limit={limit!r} source=specfun"
-    _emit(cfg, csv_text(header, columns, rows), payload({"limit": limit}, columns, rows))
+    fields = {"limit": limit}
+    _emit(cfg, lambda: csv_text(header, columns, rows), lambda: payload(fields, columns, rows))
     print(f"limit 16/Gamma(1/4)^2 = {limit!r}")
     print(f"final scaled sum {rows[-1][1]!r} (err {rows[-1][2]!r})")
     spectrum_path = scaled_norm(compute_spectrum(build_sine(), 100.0))
@@ -277,7 +283,7 @@ def cmd_explore_blaschke(cfg: RunConfig) -> int:
         header += " exploratory: no theorem applies"
     fields = {"phase_label": phase.label, "reference": reference, "exploratory": exploratory}
     columns = ("param", "scaled_norm", "abs_gap_to_reference")
-    _emit(cfg, csv_text(header, columns, rows), payload(fields, columns, rows))
+    _emit(cfg, lambda: csv_text(header, columns, rows), lambda: payload(fields, columns, rows))
     kind = "conjectured reference" if exploratory else "reference limit"
     print(f"{kind} (2/pi)^(3/2) integral of sqrt(|h''|) = {reference!r}")
     if phase.label.startswith("blaschke[") and "," not in phase.label:

@@ -31,6 +31,11 @@ Array = np.ndarray
 PhaseCallable = Callable[[Array], Array]
 
 _INTERIOR_MARGIN = 1e-9  # keep evaluation strictly inside (0, pi)
+_SLOPE_RANGE_GRID = 4097  # samples of h' in PhaseFunction.slope_range
+_FD_STEP = 1e-5  # central-difference step of build_from_callable
+_VALIDATE_GRID = 256  # samples per structural check in validate
+_DOUBLING_LIMIT = 64.0  # largest accepted |h''(2s)| / |h''(s)| near an endpoint
+_DOUBLING_CORNER = math.pi / 8.0  # the largest s of the dyadic ladder
 
 
 @dataclass(frozen=True)
@@ -65,13 +70,13 @@ class PhaseFunction:
             label=f"-({self.label})",
         )
 
-    def slope_range(self, grid_size: int = 4097) -> tuple[float, float]:
+    def slope_range(self) -> tuple[float, float]:
         """(min, max) of h' on [-pi, pi], sampled densely.
 
         An odd grid size keeps -pi, 0, pi on the grid, where monotone
         curvature puts the extremes.
         """
-        t = np.linspace(-np.pi, np.pi, grid_size)
+        t = np.linspace(-np.pi, np.pi, _SLOPE_RANGE_GRID)
         v = self.d1(t)
         return float(np.min(v)), float(np.max(v))
 
@@ -257,7 +262,6 @@ def build_from_callable(
     h: Callable[[Array], Array],
     winding_k: int = 0,
     label: str = "custom",
-    step: float = 1e-5,
 ) -> PhaseFunction:
     """Wrap a plain callable, supplying derivatives by central differences.
 
@@ -270,10 +274,10 @@ def build_from_callable(
         return np.asarray(h(np.asarray(t, dtype=float)), dtype=float)
 
     def d1(t: Array) -> Array:
-        return (hv(t + step) - hv(t - step)) / (2.0 * step)
+        return (hv(t + _FD_STEP) - hv(t - _FD_STEP)) / (2.0 * _FD_STEP)
 
     def d2(t: Array) -> Array:
-        return (hv(t + step) - 2.0 * hv(t) + hv(t - step)) / step**2
+        return (hv(t + _FD_STEP) - 2.0 * hv(t) + hv(t - _FD_STEP)) / _FD_STEP**2
 
     sign = 1 if float(d2(np.asarray([np.pi / 2.0]))[0]) >= 0.0 else -1
     probe = float(hv(np.asarray([0.31]))[0])
@@ -288,22 +292,17 @@ def build_from_callable(
 # ---------------------------------------------------------------------------
 
 
-def validate(
-    phase: PhaseFunction,
-    grid_size: int = 256,
-    doubling_limit: float = 64.0,
-    corner: float = math.pi / 8.0,
-) -> ValidationReport:
+def validate(phase: PhaseFunction) -> ValidationReport:
     """Structural checks: periodicity, symmetry, convexity, endpoint growth.
 
     Regularity near the endpoints is probed through the doubling ratio
-    |h''(2s)| / |h''(s)| on a dyadic ladder descending from the corner
-    scale; a ratio staying below ``doubling_limit`` certifies the
-    controlled growth the partition machinery relies on.  This is a
-    sampled proxy for the true supremum, as any finite check must be.
+    |h''(2s)| / |h''(s)| on a dyadic ladder descending from s = pi/8; a
+    ratio staying below 64 certifies the controlled growth the partition
+    machinery relies on.  This is a sampled proxy for the true supremum,
+    as any finite check must be.
     """
     msgs: list[str] = []
-    t = np.linspace(-np.pi + 1e-6, np.pi - 1e-6, grid_size)
+    t = np.linspace(-np.pi + 1e-6, np.pi - 1e-6, _VALIDATE_GRID)
 
     hv = phase.h(t)
     per = phase.h(t + 2.0 * np.pi) - hv - 2.0 * np.pi * phase.winding_k
@@ -323,7 +322,7 @@ def validate(
         symmetry_ok = True
         msgs.append("phase not declared odd; symmetry not required")
 
-    ti = np.linspace(_INTERIOR_MARGIN, np.pi - _INTERIOR_MARGIN, grid_size)[1:-1]
+    ti = np.linspace(_INTERIOR_MARGIN, np.pi - _INTERIOR_MARGIN, _VALIDATE_GRID)[1:-1]
     curv = phase.sign * phase.d2(ti)
     sign_ok = bool(np.all(curv > 0.0))
     if not sign_ok:
@@ -333,7 +332,7 @@ def validate(
         )
 
     def endpoint_ratio(at_zero: bool) -> float:
-        scales = corner / 2.0 ** np.arange(0, 24)
+        scales = _DOUBLING_CORNER / 2.0 ** np.arange(0, 24)
         pts = scales if at_zero else np.pi - scales
         vals = np.abs(phase.d2(pts))
         if np.any(vals < 1e-300):
@@ -343,13 +342,15 @@ def validate(
 
     ratio0 = endpoint_ratio(True)
     ratiopi = endpoint_ratio(False)
-    regularity_0_ok = ratio0 < doubling_limit
-    regularity_pi_ok = ratiopi < doubling_limit
+    regularity_0_ok = ratio0 < _DOUBLING_LIMIT
+    regularity_pi_ok = ratiopi < _DOUBLING_LIMIT
     if not regularity_0_ok:
-        msgs.append(f"doubling ratio of h'' near 0 is {ratio0:.3g} (limit {doubling_limit:g})")
+        msgs.append(
+            f"doubling ratio of h'' near 0 is {ratio0:.3g} (limit {_DOUBLING_LIMIT:g})"
+        )
     if not regularity_pi_ok:
         msgs.append(
-            f"doubling ratio of h'' near pi is {ratiopi:.3g} (limit {doubling_limit:g})"
+            f"doubling ratio of h'' near pi is {ratiopi:.3g} (limit {_DOUBLING_LIMIT:g})"
         )
 
     return ValidationReport(

@@ -34,10 +34,13 @@ from .errors import (
 from .phase import PhaseFunction, TermPartition
 
 _PARSEVAL_GATE = 1e-6  # a window missing this much square mass is rejected
+_QUAD_MAX_DOUBLINGS = 10  # panel doublings coefficient_quadrature may spend
 
 
 def check_periodicity(phase: PhaseFunction, x: float) -> None:
-    """e^{i x h} is 2*pi periodic iff x * winding_k is an integer."""
+    """e^{i x h} is 2*pi periodic iff x * winding_k is an integer; x must be finite."""
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x!r}")
     xk = x * phase.winding_k
     if abs(xk - round(xk)) > 1e-9 * max(1.0, abs(xk)):
         raise PeriodicityError(
@@ -212,7 +215,6 @@ def coefficient_quadrature(
     x: float,
     nu: int,
     tol: float = 1e-11,
-    max_doublings: int = 10,
 ) -> complex:
     """One coefficient (1/2pi) integral of e^{i(x h(t) - nu t)} dt, directly.
 
@@ -235,7 +237,7 @@ def coefficient_quadrature(
         panels0,
         tol=math.pi * tol,  # tolerance on the 2pi-normalized coefficient
         order=16,
-        max_doublings=max_doublings,
+        max_doublings=_QUAD_MAX_DOUBLINGS,
     )
     return value / (2.0 * math.pi)
 

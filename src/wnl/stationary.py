@@ -38,6 +38,7 @@ from .phase import (
 from .spectrum import compute_spectrum
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_VAR_BOUND_GRID = 8192  # samples of phi' in lemma1_var_bound
 
 
 def _approximate_at(
@@ -193,9 +194,7 @@ def fitted_calibration(phase: PhaseFunction, table: ComparisonTable) -> float:
 # ---------------------------------------------------------------------------
 
 
-def lemma1_var_bound(
-    phase: PhaseFunction, x: float, nu: float, grid_size: int = 8192
-) -> float:
+def lemma1_var_bound(phase: PhaseFunction, x: float, nu: float) -> float:
     """Variation of 1/phi' for phi(t) = x h(t) - nu t over [-pi, pi].
 
     This is the first-derivative-test bound on the coefficient integral
@@ -205,7 +204,7 @@ def lemma1_var_bound(
     exact up to rounding when 1/phi' is piecewise monotone with turning
     points on the grid.
     """
-    t = np.linspace(-np.pi, np.pi, grid_size)
+    t = np.linspace(-np.pi, np.pi, _VAR_BOUND_GRID)
     slope = x * phase.d1(t) - nu
     smallest = float(np.min(np.abs(slope)))
     scale = abs(x) * float(np.max(np.abs(phase.d1(t)))) + abs(nu) + 1.0

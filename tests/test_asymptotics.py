@@ -10,7 +10,6 @@ from wnl.asymptotics import (
     asymptotic_limit,
     asymptotic_limit_slope_route,
     convergence_study,
-    default_thread_count,
     final_step_report,
     full_circle_reference,
     truncated_riemann,
@@ -123,12 +122,6 @@ def test_study_errors_decrease():
         assert total == pytest.approx(row.scaled_norm * math.sqrt(row.param), rel=1e-12)
 
 
-def test_study_threading_invariance():
-    seq = convergence_study(build_sine(), [40.0, 80.0], threads=1)
-    par = convergence_study(build_sine(), [40.0, 80.0], threads=2)
-    assert seq.rows == par.rows
-
-
 def test_study_accepts_real_ladder_for_winding_zero():
     report = convergence_study(build_sine(), [50.5, 120.25])
     assert report.rows[0].param == 50.5
@@ -180,13 +173,6 @@ def test_report_csv_and_json(tmp_path):
         "periphery_sum",
         "central_sum",
     }
-
-
-def test_default_thread_count_env(monkeypatch):
-    monkeypatch.setenv("WNL_THREADS", "3")
-    assert default_thread_count() == 3
-    monkeypatch.setenv("WNL_THREADS", "1")
-    assert default_thread_count() == 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from wnl.cli import RunConfig, build_parser, main, parse_phase
 from wnl.errors import DomainError
 from wnl.specfun import girard_value
-from wnl.stationary import fitted_calibration, stationary_comparison
+from wnl.stationary import ComparisonTable, fitted_calibration, stationary_comparison
 
 
 class TestParsePhase:
@@ -99,6 +99,24 @@ def test_params_missing_or_empty_is_a_clean_error(argv, params, capsys):
         assert main(argv + ["--params", params]) == 1
         assert capsys.readouterr().err.startswith("error: --params")
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["converge", "--phase", "sine", "--params", "nan"],
+        ["converge", "--phase", "sine", "--params", "100,inf"],
+        ["converge", "--phase", "abs", "--params", "inf"],
+        ["bessel", "--params", "nan"],
+        ["explore-blaschke", "--phase", "blaschke:0.5", "--params", "nan"],
+    ],
+    ids=["converge-nan", "converge-inf", "converge-abs-inf", "bessel-nan", "explore-nan"],
+)
+def test_non_finite_params_are_a_clean_error(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --params must be finite")
+    assert err.count("\n") == 1
 
 
 def test_validate_exit_codes(capsys):
@@ -193,6 +211,18 @@ def test_stationary_compare_writes_library_table(tmp_path, capsys, spec, x, empt
     assert json.loads(js.read_text()) == payload
     said = capsys.readouterr().out
     assert ("central window holds no integer index" in said) == empty
+
+
+@pytest.mark.parametrize(("fmt", "unused"), [("csv", "payload"), ("json", "csv_text")])
+def test_stationary_compare_builds_one_format(fmt, unused, monkeypatch, tmp_path):
+    def refuse(self):
+        raise AssertionError(f"--format {fmt} built ComparisonTable.{unused}")
+
+    monkeypatch.setattr(ComparisonTable, unused, refuse)
+    out = tmp_path / f"table.{fmt}"
+    argv = ["stationary-compare", "--phase", "sine", "--params", "150"]
+    assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+    assert out.read_text().count("\n") > 100
 
 
 def test_stationary_compare_needs_single_param(capsys):

@@ -1,5 +1,6 @@
 """The package as a whole: its public names and its frozen reference constants."""
 
+import inspect
 import runpy
 import sys
 from pathlib import Path
@@ -44,7 +45,6 @@ PUBLIC = [
     "compute_spectrum",
     "convergence_study",
     "corollary2_integral",
-    "default_thread_count",
     "final_step_report",
     "fitted_calibration",
     "fractional_array",
@@ -75,6 +75,39 @@ def test_public_surface_is_pinned():
     """Every exported name resolves, and nothing is exported beyond the list."""
     assert sorted(wnl.__all__) == PUBLIC
     assert [name for name in PUBLIC if not hasattr(wnl, name)] == []
+
+
+# Each public function's parameters that have defaults; functions absent here have none.
+OPTIONS = {
+    "asymptotic_limit": ("tol",),
+    "asymptotic_limit_slope_route": ("tol",),
+    "build_from_callable": ("winding_k", "label"),
+    "choose_phi": ("grid_size",),
+    "coefficient_quadrature": ("tol",),
+    "compute_spectrum": ("grid_pow", "window"),
+    "convergence_study": ("grid_pow", "limit_tol"),
+    "corollary2_integral": ("n_nodes",),
+    "final_step_report": ("eps", "grid_size"),
+    "fractional_array": ("j0",),
+    "full_circle_reference": ("tol",),
+    "modulus_of_continuity": ("grid_size",),
+    "partition_terms": ("grid_size",),
+    "stationary_comparison": ("calib_c", "grid_pow"),
+    "van_der_corput_bound": ("big_a",),
+}
+
+
+def test_public_options_are_pinned():
+    """A new defaulted parameter on a public function is a deliberate change."""
+    found = {}
+    for name in wnl.__all__:
+        obj = getattr(wnl, name)
+        if inspect.isfunction(obj):
+            params = inspect.signature(obj).parameters.values()
+            defaults = tuple(p.name for p in params if p.default is not p.empty)
+            if defaults:
+                found[name] = defaults
+    assert found == OPTIONS
 
 
 def test_frozen_constants_match_their_regeneration(monkeypatch, capsys):

@@ -124,6 +124,17 @@ def test_x_must_be_positive():
         compute_spectrum(build_sine(), -3.0)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "route",
+    [compute_spectrum, lambda phase, x: coefficient_quadrature(phase, x, 0)],
+    ids=["fft", "quadrature"],
+)
+def test_non_finite_x_rejected(route, x):
+    with pytest.raises(DomainError, match="finite"):
+        route(build_sine(), x)
+
+
 def test_nonperiodic_x_rejected():
     with pytest.raises(PeriodicityError):
         compute_spectrum(build_blaschke([0.5]), 2.5)
