@@ -244,6 +244,8 @@ def convergence_study(
     params = [float(p) for p in params]
     if len(params) == 0:
         raise DomainError("params must be non-empty")
+    if not all(map(math.isfinite, params)):
+        raise DomainError(f"params must be finite, got {params!r}")
     if any(p < 2 for p in params):
         raise DomainError(f"all params must be >= 2, got {params!r}")
     if any(b <= a for a, b in zip(params, params[1:])):

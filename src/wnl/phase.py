@@ -34,6 +34,7 @@ _INTERIOR_MARGIN = 1e-9  # keep evaluation strictly inside (0, pi)
 _SLOPE_RANGE_GRID = 4097  # samples of h' in PhaseFunction.slope_range
 _FD_STEP = 1e-5  # central-difference step of build_from_callable
 _VALIDATE_GRID = 256  # samples per structural check in validate
+_SYMMETRY_TOL = 1e-8  # largest |h(-t) + h(t)| of a phase taken as odd
 _DOUBLING_LIMIT = 64.0  # largest accepted |h''(2s)| / |h''(s)| near an endpoint
 _DOUBLING_CORNER = math.pi / 8.0  # the largest s of the dyadic ladder
 
@@ -280,11 +281,16 @@ def build_from_callable(
         return (hv(t + _FD_STEP) - 2.0 * hv(t) + hv(t - _FD_STEP)) / _FD_STEP**2
 
     sign = 1 if float(d2(np.asarray([np.pi / 2.0]))[0]) >= 0.0 else -1
-    probe = float(hv(np.asarray([0.31]))[0])
-    odd = bool(abs(float(hv(np.asarray([-0.31]))[0]) + probe) < 1e-8 * max(1.0, abs(probe)))
+    odd = _symmetry_defect(hv) < _SYMMETRY_TOL
     return PhaseFunction(
         h=hv, d1=d1, d2=d2, winding_k=winding_k, odd=odd, sign=sign, label=label
     )
+
+
+def _symmetry_defect(h: PhaseCallable) -> float:
+    """max |h(-t) + h(t)| over the validation grid; zero to rounding iff h is odd."""
+    t = np.linspace(-np.pi + 1e-6, np.pi - 1e-6, _VALIDATE_GRID)
+    return float(np.max(np.abs(h(-t) + h(t))))
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +320,10 @@ def validate(phase: PhaseFunction) -> ValidationReport:
         )
 
     if phase.odd:
-        sym = phase.h(-t) + hv
-        symmetry_ok = bool(np.max(np.abs(sym)) < 1e-8)
+        sym = _symmetry_defect(phase.h)
+        symmetry_ok = sym < _SYMMETRY_TOL
         if not symmetry_ok:
-            msgs.append(f"declared odd but h(-t)+h(t) reaches {np.max(np.abs(sym)):.3e}")
+            msgs.append(f"declared odd but h(-t)+h(t) reaches {sym:.3e}")
     else:
         symmetry_ok = True
         msgs.append("phase not declared odd; symmetry not required")
@@ -575,6 +581,13 @@ def _omega_from_samples(
     return lo + frac * (hi - lo)
 
 
+def _check_scale(n: float) -> None:
+    if not (n >= 2):
+        raise DomainError(f"n must be at least 2, got {n!r}")
+    if not math.isfinite(n):
+        raise DomainError(f"n must be finite, got {n!r}")
+
+
 def choose_phi(phase: PhaseFunction, n: float, grid_size: int = 16384) -> float:
     """The cutoff scale Phi solving omega(Phi / sqrt(n)) * Phi^4 = 1.
 
@@ -588,8 +601,7 @@ def choose_phi(phase: PhaseFunction, n: float, grid_size: int = 16384) -> float:
     h'' is sampled once and each integer window width is scanned once,
     so the 80 bisection steps cost about 20 scans rather than 160.
     """
-    if not (n >= 2):
-        raise DomainError(f"n must be at least 2, got {n!r}")
+    _check_scale(n)
     spacing = np.pi / (grid_size - 1)
     sqrt_n = math.sqrt(n)
     upper = n**0.25
@@ -773,8 +785,7 @@ def _partition(norm: PhaseFunction, n: float, grid_size: int = 16384) -> TermPar
     h'' is sampled once: the bisection for Phi and omega(delta) read the
     same curvature profile and share its window scans.
     """
-    if not (n >= 2):
-        raise DomainError(f"n must be at least 2, got {n!r}")
+    _check_scale(n)
     curvature = _Curvature(norm, grid_size)
     phi = choose_phi(curvature, n, grid_size=grid_size)
     delta = min(phi / math.sqrt(n), math.pi / 8.0)

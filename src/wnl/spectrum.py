@@ -35,6 +35,7 @@ from .phase import PhaseFunction, TermPartition
 
 _PARSEVAL_GATE = 1e-6  # a window missing this much square mass is rejected
 _QUAD_MAX_DOUBLINGS = 10  # panel doublings coefficient_quadrature may spend
+_SAMPLE_BUDGET = 2**24  # largest FFT grid compute_spectrum will allocate
 
 
 def check_periodicity(phase: PhaseFunction, x: float) -> None:
@@ -144,15 +145,23 @@ def compute_spectrum(
     The automatic window is [x m1 - W, x m2 + W] with (m1, m2) the slope
     range of h and W = max(64, 4 sqrt(x)); outside it the coefficients
     of a curvature-definite phase are negligible, and the Parseval gate
-    verifies that rather than assuming it.  ``window="full"`` keeps all
-    N coefficients instead (the right mode for phases whose spectrum
+    verifies that rather than assuming it.  Its grid is the smallest
+    power of two, at least 2^8, with N >= 2 max(-lo, hi + 1) points, so
+    that no kept index wraps.  ``window="full"`` keeps all N
+    coefficients instead (the right mode for phases whose spectrum
     decays too slowly to window, at the price of an inf tail bound
-    unless curvature certifies one).
+    unless curvature certifies one); its grid has at least
+    8 * (x * max|h'| + 64) points, and a pinned ``grid_pow`` below the
+    8x oversampling floor raises GridResolutionError.
 
-    The grid is chosen as the smallest power of two with at least
-    8 * (x * max|h'| + 64) points unless ``grid_pow`` pins it; a window
-    that does not fit the grid raises GridResolutionError, as does a
-    Parseval defect above 1e-6.
+    For an odd phase e^{i x h(-t)} is the conjugate of e^{i x h(t)}, so
+    every coefficient is real: h is sampled on [0, pi] only, N/2 + 1
+    points, and one Hermitian FFT (``np.fft.hfft``) yields the N
+    coefficients.  Other phases take the full complex FFT.
+
+    A window that does not fit the grid raises GridResolutionError, as
+    does a Parseval defect above 1e-6.  A grid above 2^24 points raises
+    DomainError before any sample is allocated.
     """
     if x <= 0.0:
         raise DomainError(f"x must be positive, got {x!r}")
@@ -161,35 +170,44 @@ def compute_spectrum(
     check_periodicity(phase, x)
 
     m1, m2 = phase.slope_range()
-    scale = x * max(abs(m1), abs(m2)) + 64.0
-    if grid_pow is None:
-        grid_pow = max(8, math.ceil(math.log2(8.0 * scale)))
-    n_grid = 2**grid_pow
-    if n_grid < 8.0 * (x * max(abs(m1), abs(m2)) + 1.0):
-        raise GridResolutionError(
-            f"grid_pow={grid_pow} gives {n_grid} samples, below the 8x oversampling "
-            f"floor for x={x!r}; raise grid_pow"
-        )
-
-    t = 2.0 * np.pi * np.arange(n_grid) / n_grid
-    samples = np.exp(1j * x * phase.h(t))
-    fcoef = np.fft.fft(samples) / n_grid
-
+    peak = x * max(abs(m1), abs(m2))
     if window == "auto":
         w_pad = max(64.0, 4.0 * math.sqrt(x))
         lo = math.ceil(x * m1 - w_pad)
         hi = math.floor(x * m2 + w_pad)
-        if lo < -n_grid // 2 or hi >= n_grid // 2:
-            raise GridResolutionError(
-                f"window [{lo}, {hi}] does not fit a {n_grid}-point grid; "
-                "raise grid_pow"
-            )
+        need = 2 * max(-lo, hi + 1)  # no kept index wraps
     else:
+        need = 8.0 * (peak + 64.0)
+    if grid_pow is None:
+        grid_pow = max(8, math.ceil(math.log2(need)))
+    n_grid = 2**grid_pow
+    if n_grid > _SAMPLE_BUDGET:
+        raise DomainError(
+            f"x={x!r} needs a {n_grid}-point grid, above the budget of "
+            f"{_SAMPLE_BUDGET} samples"
+        )
+    if window == "full":
+        if n_grid < 8.0 * (peak + 1.0):
+            raise GridResolutionError(
+                f"grid_pow={grid_pow} gives {n_grid} samples, below the 8x oversampling "
+                f"floor for x={x!r}; raise grid_pow"
+            )
         lo = -(n_grid // 2)
         hi = n_grid // 2 - 1
+    elif n_grid < need:
+        raise GridResolutionError(
+            f"window [{lo}, {hi}] does not fit a {n_grid}-point grid; raise grid_pow"
+        )
+
+    if phase.odd:
+        t = 2.0 * np.pi * np.arange(n_grid // 2 + 1) / n_grid
+        fcoef = np.fft.hfft(np.exp(1j * x * phase.h(t)), n_grid) / n_grid
+    else:
+        t = 2.0 * np.pi * np.arange(n_grid) / n_grid
+        fcoef = np.fft.fft(np.exp(1j * x * phase.h(t))) / n_grid
 
     nu = np.arange(lo, hi + 1)
-    coeffs = fcoef[np.mod(nu, n_grid)]
+    coeffs = fcoef[np.mod(nu, n_grid)].astype(complex, copy=False)
     defect = abs(float(np.sum(np.abs(coeffs) ** 2)) - 1.0)
     if defect > _PARSEVAL_GATE:
         raise GridResolutionError(

@@ -116,9 +116,9 @@ class ComparisonTable:
     def csv_text(self) -> str:
         """Five data columns; exact is the real part of the coefficient.
 
-        For odd phases the coefficients are real to rounding anyway;
-        the header records the largest imaginary magnitude dropped so
-        the file never hides one.
+        For odd phases the spectrum comes from a Hermitian FFT, so
+        the coefficients are exactly real; the header records the
+        largest imaginary magnitude dropped so the file never hides one.
         """
         max_im = max((abs(r.exact.imag) for r in self.rows), default=0.0)
         header = f"x={self.x!r} label={self.label} calib_c={self.calib_c!r} max_im={max_im!r}"

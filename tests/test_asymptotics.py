@@ -22,6 +22,7 @@ from wnl.phase import (
     build_linear,
     build_sine,
 )
+from wnl.stationary import stationary_comparison
 
 L_SINE = 1.2171884777994833275  # 16 / Gamma(1/4)^2
 L_HALF = 1.25133889276404441  # one zero at 0.5
@@ -135,6 +136,23 @@ def test_study_accepts_real_ladder_for_winding_zero():
 def test_study_rejects_bad_ladders(params):
     with pytest.raises(DomainError):
         convergence_study(build_sine(), params)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_study_rejects_non_finite_scales(bad):
+    """Checked before the ladder tests, which a nan slips through."""
+    with pytest.raises(DomainError, match="finite"):
+        convergence_study(build_blaschke([0.5]), [bad])
+    with pytest.raises(DomainError, match="finite"):
+        convergence_study(build_sine(), [100.0, bad])
+
+
+@pytest.mark.parametrize(
+    "route", [final_step_report, stationary_comparison], ids=["final_step", "stationary"]
+)
+def test_infinite_scale_is_a_clean_error(route):
+    with pytest.raises(DomainError, match="n must be finite"):
+        route(build_sine(), math.inf)
 
 
 def test_study_rejects_real_ladder_for_nonzero_winding():

@@ -372,6 +372,13 @@ def test_choose_phi_rejects_tiny_n():
         choose_phi(build_sine(), 1.5)
 
 
+@pytest.mark.parametrize("route", [choose_phi, partition_terms])
+def test_infinite_n_is_not_a_resolution_error(route):
+    """An infinite scale is named as such, not as a grid too coarse for it."""
+    with pytest.raises(DomainError, match="n must be finite"):
+        route(build_sine(), math.inf)
+
+
 # ---------------------------------------------------------------------------
 # Index partition
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Coefficient spectra: FFT route, quadrature route, certificates, partitions."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from scipy.special import jv
 from wnl.errors import DomainError, MisalignedError, PeriodicityError
 from wnl.phase import (
     build_blaschke,
+    build_from_callable,
     build_piecewise_abs,
     build_sine,
     partition_terms,
@@ -53,6 +56,61 @@ def test_two_paths_agree():
 def test_odd_phase_coefficients_are_real(phase):
     spec = compute_spectrum(phase, 20.0)
     assert np.max(np.abs(spec.coeffs.imag)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "phase, xs",
+    [
+        (build_sine(), (10.5, 20.0, 1000.0, 8192.0)),
+        (build_blaschke([0.3, 0.7]), (20.0, 256.0, 4096.0)),
+    ],
+    ids=["sine", "blaschke[0.3,0.7]"],
+)
+def test_half_route_matches_full_route(phase, xs):
+    """Odd phases take the Hermitian FFT on half the samples; forcing the
+    full complex FFT must give the same coefficients, and its imaginary
+    parts stay at rounding level, so the reality check still sees an FFT."""
+    for x in xs:
+        half = compute_spectrum(phase, x)
+        full = compute_spectrum(dataclasses.replace(phase, odd=False), x)
+        assert (half.nu_min, half.nu_max, half.grid_pow) == (
+            full.nu_min,
+            full.nu_max,
+            full.grid_pow,
+        )
+        assert half.coeffs.dtype == complex
+        assert np.max(np.abs(half.coeffs - full.coeffs)) <= 1e-12
+        assert np.max(np.abs(full.coeffs.imag)) <= 1e-9
+
+
+def test_nearly_odd_callable_takes_the_full_route():
+    """sin t + 1e-5 (cos t - cos 0.31) is odd only at t = +-0.31; the full
+    FFT keeps its even part, which the half route would drop."""
+    phase = build_from_callable(lambda t: np.sin(t) + 1e-5 * (np.cos(t) - np.cos(0.31)))
+    assert not phase.odd
+    spec = compute_spectrum(phase, 50.0)
+    for nu in (-30, -10, 0, 10, 45):
+        assert abs(spec.coeff(nu) - coefficient_quadrature(phase, 50.0, nu)) < 1e-9
+
+
+def test_window_sized_grid():
+    """The auto grid is the smallest power of two holding the window."""
+    spec = compute_spectrum(build_sine(), 1000.0)
+    assert (spec.nu_min, spec.nu_max) == (-1126, 1126)
+    assert spec.grid_pow == 12
+    assert compute_spectrum(build_sine(), 5.0).grid_pow == 8
+
+
+@pytest.mark.parametrize("grid_pow", [None, 25], ids=["auto", "pinned"])
+def test_sample_budget_checked_before_allocation(grid_pow):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="budget"):
+            compute_spectrum(build_sine(), 1e12, grid_pow=grid_pow)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_parseval_defect_small():
