@@ -49,6 +49,16 @@ CLI_RUNS = [
         "explore_complex",
         ["explore-blaschke", "--phase", "blaschke:0.4+0.3j", "--params", "100,200"],
     ),
+    (
+        "explore_mixed",
+        [
+            "explore-blaschke",
+            "--phase",
+            "blaschke:0.4+0.3j,-0.6,0.2-0.5j",
+            "--params",
+            "100,200",
+        ],
+    ),
 ]
 
 # (output name, phase spec); abs fails validation and prints the doubling limits

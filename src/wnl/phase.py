@@ -18,6 +18,7 @@ either orientation and invert the raw slope.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -226,27 +227,30 @@ def _blaschke_phase(zeros: np.ndarray, odd: bool, label: str) -> PhaseFunction:
     The sign is that of h''(pi/2), as for :func:`build_from_callable`.
     """
     r = np.abs(zeros)
-    theta = np.angle(zeros)
-    # without a rotation, sin and cos run once per t instead of once per zero
-    rotated = bool(np.any(theta))
 
-    def h(t: Array) -> Array:
-        t = np.asarray(t, dtype=float)[..., None]
-        u = t - theta if rotated else t
-        phi = np.arctan2(r * np.sin(u), 1.0 - r * np.cos(u))
-        return -np.sum(t + 2.0 * phi, axis=-1)
+    def summed(term: Callable[..., Array]) -> PhaseCallable:
+        """t -> the sum over zeros a of term(t, |a|, |a| cos(t - arg a),
+        |a| sin(t - arg a)), accumulated one zero at a time in N-arrays."""
 
-    def d1(t: Array) -> Array:
-        t = np.asarray(t, dtype=float)[..., None]
-        u = t - theta if rotated else t
-        den = 1.0 + r * r - 2.0 * r * np.cos(u)
-        return -np.sum((1.0 - r * r) / den, axis=-1)
+        def f(t: Array) -> Array:
+            t = np.asarray(t, dtype=float)
+            c, s = np.cos(t), np.sin(t)
+            return functools.reduce(
+                np.add,
+                (
+                    term(t, m, a.real * c + a.imag * s, a.real * s - a.imag * c)
+                    for a, m in zip(zeros, r)
+                ),
+            )
 
-    def d2(t: Array) -> Array:
-        t = np.asarray(t, dtype=float)[..., None]
-        u = t - theta if rotated else t
-        den = 1.0 + r * r - 2.0 * r * np.cos(u)
-        return np.sum(2.0 * r * (1.0 - r * r) * np.sin(u) / den**2, axis=-1)
+        return f
+
+    def den(m: float, rc: Array) -> Array:
+        return 1.0 + m * m - 2.0 * rc
+
+    h = summed(lambda t, m, rc, rs: -(t + 2.0 * np.arctan2(rs, 1.0 - rc)))
+    d1 = summed(lambda t, m, rc, rs: -(1.0 - m * m) / den(m, rc))
+    d2 = summed(lambda t, m, rc, rs: 2.0 * (1.0 - m * m) * rs / den(m, rc) ** 2)
 
     return PhaseFunction(
         h=h,
@@ -581,13 +585,6 @@ def _omega_from_samples(
     return lo + frac * (hi - lo)
 
 
-def _check_scale(n: float) -> None:
-    if not (n >= 2):
-        raise DomainError(f"n must be at least 2, got {n!r}")
-    if not math.isfinite(n):
-        raise DomainError(f"n must be finite, got {n!r}")
-
-
 def choose_phi(phase: PhaseFunction, n: float, grid_size: int = 16384) -> float:
     """The cutoff scale Phi solving omega(Phi / sqrt(n)) * Phi^4 = 1.
 
@@ -601,25 +598,32 @@ def choose_phi(phase: PhaseFunction, n: float, grid_size: int = 16384) -> float:
     h'' is sampled once and each integer window width is scanned once,
     so the 80 bisection steps cost about 20 scans rather than 160.
     """
-    _check_scale(n)
-    spacing = np.pi / (grid_size - 1)
+    return _solve_phi(_Curvature(phase, grid_size), n)
+
+
+def _solve_phi(curvature: _Curvature, n: float) -> float:
+    """:func:`choose_phi` on a sampled curvature profile, which
+    :func:`_partition` shares with its own omega(delta)."""
+    if not (n >= 2):
+        raise DomainError(f"n must be at least 2, got {n!r}")
+    if not math.isfinite(n):
+        raise DomainError(f"n must be finite, got {n!r}")
     sqrt_n = math.sqrt(n)
     upper = n**0.25
-    if 1.0 / sqrt_n < 4.0 * spacing:
+    if 1.0 / sqrt_n < 4.0 * curvature.spacing:
         raise DomainError(
-            f"n = {n} needs delta resolution below {4 * spacing:.3e}; raise grid_size"
+            f"n = {n} needs delta resolution below {4 * curvature.spacing:.3e}; "
+            "raise grid_size"
         )
-    # _partition passes its own profile, to read omega(delta) from the same scans
-    curvature = phase if isinstance(phase, _Curvature) else _Curvature(phase, grid_size)
 
     def product(p: float) -> float:
         return curvature.omega(p / sqrt_n) * p**4
 
     if product(upper) <= 1.0:
         warnings.warn(
-            f"omega(h'') too small to reach the cutoff equation for {phase.label!r}; "
-            f"clamping Phi to n^(1/4) = {upper:.6g}",
-            stacklevel=2,
+            "omega(h'') too small to reach the cutoff equation for "
+            f"{curvature.label!r}; clamping Phi to n^(1/4) = {upper:.6g}",
+            stacklevel=3,
         )
         return upper
     if product(1.0) >= 1.0:
@@ -702,69 +706,36 @@ class TermPartition:
         return math.ceil(self.b1)
 
     @property
-    def _central_lo(self) -> int:
-        return max(math.ceil(self.a2), self.ext_left_max + 1)
+    def cuts(self) -> tuple[int, int, int, int]:
+        """(first, lo, hi, last): the classes are nu < first (external),
+        [first, lo) left periphery, [lo, hi) central, [hi, last) right
+        periphery and nu >= last (external).
 
-    @property
-    def _central_hi(self) -> int:
-        return min(math.floor(self.b2), self.ext_right_min - 1)
-
-    @property
-    def central_empty(self) -> bool:
-        return self._central_lo > self._central_hi
-
-    @property
-    def _split(self) -> int:
-        """Left/right boundary used only when the central window is empty."""
-        mid = math.floor(0.5 * (self.a2 + self.b2))
-        return min(max(mid, self.ext_left_max), self.ext_right_min - 1)
+        With no central integer, lo == hi sits at the midpoint split.
+        When the external seams cross (a narrow slope range at tiny n),
+        last is raised to first, so the cuts stay sorted and every index
+        is external.
+        """
+        first = self.ext_left_max + 1
+        last = max(self.ext_right_min, first)
+        lo = max(math.ceil(self.a2), first)
+        hi = min(math.floor(self.b2) + 1, last)
+        if lo >= hi:
+            lo = hi = min(max(math.floor(0.5 * (self.a2 + self.b2)) + 1, first), last)
+        return first, lo, hi, last
 
     def central_range(self) -> range:
-        if self.central_empty:
-            return range(0, 0)
-        return range(self._central_lo, self._central_hi + 1)
-
-    def periphery_left_range(self) -> range:
-        if self.central_empty:
-            return range(self.ext_left_max + 1, self._split + 1)
-        return range(self.ext_left_max + 1, self._central_lo)
-
-    def periphery_right_range(self) -> range:
-        if self.central_empty:
-            return range(self._split + 1, self.ext_right_min)
-        return range(self._central_hi + 1, self.ext_right_min)
-
-    def classify(self, nu: int) -> str:
-        """One of 'external', 'periphery_left', 'central', 'periphery_right'."""
-        nu = int(nu)
-        if nu <= self.ext_left_max or nu >= self.ext_right_min:
-            return "external"
-        if self.central_empty:
-            return "periphery_left" if nu <= self._split else "periphery_right"
-        if nu < self._central_lo:
-            return "periphery_left"
-        if nu > self._central_hi:
-            return "periphery_right"
-        return "central"
+        _, lo, hi, _ = self.cuts
+        return range(lo, hi)
 
     def masks(self, nu: np.ndarray) -> dict[str, np.ndarray]:
         """Boolean masks over an integer index array, one per class."""
-        nu = np.asarray(nu)
-        external = (nu <= self.ext_left_max) | (nu >= self.ext_right_min)
-        inside = ~external
-        if self.central_empty:
-            central = np.zeros_like(external)
-            pleft = inside & (nu <= self._split)
-            pright = inside & (nu > self._split)
-        else:
-            central = inside & (nu >= self._central_lo) & (nu <= self._central_hi)
-            pleft = inside & (nu < self._central_lo)
-            pright = inside & (nu > self._central_hi)
+        cls = np.searchsorted(self.cuts, np.asarray(nu), side="right")
         return {
-            "external": external,
-            "periphery_left": pleft,
-            "central": central,
-            "periphery_right": pright,
+            "external": (cls == 0) | (cls == 4),
+            "periphery_left": cls == 1,
+            "central": cls == 2,
+            "periphery_right": cls == 3,
         }
 
 
@@ -785,9 +756,8 @@ def _partition(norm: PhaseFunction, n: float, grid_size: int = 16384) -> TermPar
     h'' is sampled once: the bisection for Phi and omega(delta) read the
     same curvature profile and share its window scans.
     """
-    _check_scale(n)
     curvature = _Curvature(norm, grid_size)
-    phi = choose_phi(curvature, n, grid_size=grid_size)
+    phi = _solve_phi(curvature, n)
     delta = min(phi / math.sqrt(n), math.pi / 8.0)
     omega = curvature.omega(max(delta, 4.0 * curvature.spacing))
     alpha = float(norm.d1(np.asarray(0.0)))

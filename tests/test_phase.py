@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,7 @@ def _builders():
         build_blaschke([0.5]),
         build_blaschke([0.3, 0.7]),
         build_blaschke_general([0.4 + 0.3j]),
+        build_blaschke_general([0.4 + 0.3j, -0.6, 0.2 - 0.5j]),
         build_linear(3),
     ]
 
@@ -73,6 +75,22 @@ def test_winding(phase):
     t = np.array([-2.0, 0.1, 1.3])
     jump = phase.h(t + 2 * math.pi) - phase.h(t)
     assert np.allclose(jump, 2 * math.pi * phase.winding_k, atol=1e-10)
+
+
+@pytest.mark.parametrize("which", ["h", "d1", "d2"])
+@pytest.mark.parametrize("size", [1 << 14, 1 << 16])
+def test_many_zero_blaschke_memory_grows_with_n_only(which, size):
+    """64 zeros on N points: the evaluation holds a few N-arrays, never
+    an (N, J) block, so the peak stays under 16 float arrays of length N."""
+    f = getattr(build_blaschke(np.linspace(0.05, 0.95, 64)), which)
+    t = np.linspace(-np.pi, np.pi, size)
+    tracemalloc.start()
+    try:
+        f(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * size
 
 
 def test_sine_values():
@@ -423,18 +441,56 @@ def test_partition_masks_are_a_partition(n):
     assert np.all(counts == 1)
 
 
+_CLASS_ORDER = ["external", "periphery_left", "central", "periphery_right", "external"]
+
+
+def _assert_classes_in_order(part):
+    """Along consecutive nu the classes run external, periphery_left,
+    central, periphery_right, external, each a contiguous run (the
+    periphery and central runs may be empty), and the central run is
+    exactly central_range()."""
+    nu = np.arange(math.floor(part.a1) - 5, math.ceil(part.b1) + 6)
+    masks = part.masks(nu)
+    names = [next(k for k, m in masks.items() if m[i]) for i in range(nu.size)]
+    runs = [k for i, k in enumerate(names) if i == 0 or names[i - 1] != k]
+    assert names[0] == names[-1] == "external"
+    it = iter(_CLASS_ORDER)
+    assert all(k in it for k in runs), runs  # runs are a subsequence of the order
+    assert nu[masks["central"]].tolist() == list(part.central_range())
+    external = (nu <= part.a1) | (nu >= part.b1)
+    assert np.array_equal(masks["external"], external)
+    central = ~external & (part.a2 <= nu) & (nu <= part.b2)
+    assert np.array_equal(masks["central"], central)
+
+
 @given(n=st.integers(64, 4096))
 @settings(max_examples=30, deadline=None)
-def test_partition_classify_agrees_with_ranges(n):
-    part = partition_terms(build_blaschke([0.5]), float(n))
-    for nu in part.central_range():
-        assert part.classify(nu) == "central"
-    for nu in part.periphery_left_range():
-        assert part.classify(nu) == "periphery_left"
-    for nu in part.periphery_right_range():
-        assert part.classify(nu) == "periphery_right"
-    assert part.classify(part.ext_left_max) == "external"
-    assert part.classify(part.ext_right_min) == "external"
+@pytest.mark.parametrize(
+    "phase", [build_sine(), build_blaschke([0.5])], ids=lambda p: p.label
+)
+def test_partition_classes_come_in_order(phase, n):
+    part = partition_terms(phase, float(n))
+    assert len(part.central_range()) > 0
+    _assert_classes_in_order(part)
+
+
+@pytest.mark.filterwarnings("ignore:omega.*clamping Phi")
+@pytest.mark.parametrize(
+    "phase, left, right",
+    [(build_blaschke([0.9]), 35, 0), (build_blaschke_general([-0.05]), 0, 0)],
+    ids=["split-periphery", "crossed-seams"],
+)
+def test_partition_classes_come_in_order_with_empty_central_window(phase, left, right):
+    """At n = 2 the central window can hold no integer; the periphery is
+    then split at the midpoint of [a2, b2].  For a phase with a narrow
+    slope range the two external seams can even cross, in which case
+    every index is external."""
+    part = partition_terms(phase, 2.0)
+    assert len(part.central_range()) == 0
+    _assert_classes_in_order(part)
+    masks = part.masks(np.arange(-40, 41))
+    assert masks["periphery_left"].sum() == left
+    assert masks["periphery_right"].sum() == right
 
 
 def test_build_from_callable_detects_structure():
