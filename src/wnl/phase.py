@@ -523,66 +523,52 @@ def modulus_of_continuity(
 class _Curvature:
     """h'' sampled once on ``grid_size`` points of [0, pi], and omega read from it.
 
-    Each integer window width is scanned at most once: ``widths`` keeps
-    the scans for as long as this object lives, which is one
-    :func:`choose_phi` call or one partition.
+    Level k of ``peaks`` (``troughs``) holds the max (min) of h'' over
+    every run of 2^k consecutive samples, built once.  A window of any
+    length is two overlapping reads of one level, so each integer window
+    width costs one pass, and ``widths`` keeps that pass for as long as
+    this object lives, which is one :func:`choose_phi` call or one
+    partition.
     """
 
     def __init__(self, phase: PhaseFunction, grid_size: int) -> None:
         self.label = phase.label
         self.spacing = np.pi / (grid_size - 1)
-        self.samples = phase.d2(np.linspace(0.0, np.pi, grid_size))
+        samples = phase.d2(np.linspace(0.0, np.pi, grid_size))
+        self.size = samples.size
+        self.peaks, self.troughs = [samples], [samples]
+        run = 1
+        while 2 * run <= self.size:
+            hi, lo = self.peaks[-1], self.troughs[-1]
+            self.peaks.append(np.maximum(hi[:-run], hi[run:]))
+            self.troughs.append(np.minimum(lo[:-run], lo[run:]))
+            run *= 2
         self.widths: dict[int, float] = {}
 
+    def window_range(self, width: int) -> float:
+        """max over i of (max - min) of the samples i .. i + width."""
+        if width not in self.widths:
+            length = min(width, self.size - 1) + 1
+            level = length.bit_length() - 1
+            shift = length - (1 << level)
+            peaks, troughs = self.peaks[level], self.troughs[level]
+            stop = peaks.size - shift
+            top = np.maximum(peaks[:stop], peaks[shift:])
+            bottom = np.minimum(troughs[:stop], troughs[shift:])
+            self.widths[width] = float(np.max(top - bottom))
+        return self.widths[width]
+
     def omega(self, delta: float) -> float:
-        return _omega_from_samples(self.samples, self.spacing, delta, self.widths)
-
-
-def _window_extrema(f: np.ndarray, length: int, maximum: bool) -> np.ndarray:
-    """Rolling max (or min) over every length-``length`` window, in O(n).
-
-    Block prefix/suffix scans: any window of that exact length spans at
-    most two consecutive blocks, so its extreme is the suffix scan of
-    the first block joined with the prefix scan of the second.
-    """
-    ufunc = np.maximum if maximum else np.minimum
-    fill = -np.inf if maximum else np.inf
-    n = f.size
-    pad = (-n) % length
-    fp = np.concatenate([f, np.full(pad, fill)]) if pad else f
-    blocks = fp.reshape(-1, length)
-    pref = ufunc.accumulate(blocks, axis=1).ravel()
-    suff = ufunc.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    return ufunc(suff[: n - length + 1], pref[length - 1 : n])
-
-
-def _sliding_range_max(f: np.ndarray, width: int) -> float:
-    """max over i of (max - min) of f[i : i + width + 1]."""
-    length = min(width, f.size - 1) + 1
-    hi = _window_extrema(f, length, maximum=True)
-    lo = _window_extrema(f, length, maximum=False)
-    return float(np.max(hi - lo))
-
-
-def _omega_from_samples(
-    samples: np.ndarray, spacing: float, delta: float, widths: dict[int, float]
-) -> float:
-    """Sliding range at the two integer widths around delta / spacing,
-    linearly interpolated; ``widths`` memoizes the scan of each width."""
-
-    def range_max(width: int) -> float:
-        if width not in widths:
-            widths[width] = _sliding_range_max(samples, width)
-        return widths[width]
-
-    w = delta / spacing
-    w0 = int(math.floor(w))
-    frac = w - w0
-    lo = range_max(max(w0, 1))
-    if frac == 0.0 or w0 + 1 >= samples.size:
-        return lo
-    hi = range_max(w0 + 1)
-    return lo + frac * (hi - lo)
+        """The window range at the two integer widths around delta / spacing,
+        linearly interpolated."""
+        w = delta / self.spacing
+        w0 = int(math.floor(w))
+        frac = w - w0
+        lo = self.window_range(max(w0, 1))
+        if frac == 0.0 or w0 + 1 >= self.size:
+            return lo
+        hi = self.window_range(w0 + 1)
+        return lo + frac * (hi - lo)
 
 
 def choose_phi(phase: PhaseFunction, n: float, grid_size: int = 16384) -> float:
@@ -595,8 +581,9 @@ def choose_phi(phase: PhaseFunction, n: float, grid_size: int = 16384) -> float:
     clamp: if omega never lifts the product to 1 the upper end is
     returned with a warning (h'' constant, e.g. a linear phase), and if
     the product already exceeds 1 at Phi = 1 the lower end is returned.
-    h'' is sampled once and each integer window width is scanned once,
-    so the 80 bisection steps cost about 20 scans rather than 160.
+    h'' is sampled once into a doubling table of window extremes, and
+    each integer window width is read from it once, so the 80 bisection
+    steps cost about 20 passes rather than 160.
     """
     return _solve_phi(_Curvature(phase, grid_size), n)
 
@@ -754,7 +741,7 @@ def _partition(norm: PhaseFunction, n: float, grid_size: int = 16384) -> TermPar
     """:func:`partition_terms` for a phase already normalized and validated.
 
     h'' is sampled once: the bisection for Phi and omega(delta) read the
-    same curvature profile and share its window scans.
+    same curvature profile and share its window ranges.
     """
     curvature = _Curvature(norm, grid_size)
     phi = _solve_phi(curvature, n)

@@ -206,13 +206,16 @@ def compute_spectrum(
         t = 2.0 * np.pi * np.arange(n_grid) / n_grid
         fcoef = np.fft.fft(np.exp(1j * x * phase.h(t))) / n_grid
 
-    nu = np.arange(lo, hi + 1)
-    coeffs = fcoef[np.mod(nu, n_grid)].astype(complex, copy=False)
+    # the window is one contiguous run of fcoef, or two when it wraps past N
+    start = lo % n_grid
+    stop = start + hi - lo + 1
+    wrapped = fcoef[: max(stop - n_grid, 0)]
+    coeffs = np.concatenate([fcoef[start:stop], wrapped], dtype=complex)
     defect = abs(float(np.sum(np.abs(coeffs) ** 2)) - 1.0)
     if defect > _PARSEVAL_GATE:
         raise GridResolutionError(
             f"windowed Parseval defect {defect:.3e} exceeds {_PARSEVAL_GATE:g}; "
-            "the window is missing real coefficient mass (raise grid_pow, or use "
+            f"the window [{lo}, {hi}] is missing real coefficient mass (use "
             "window='full' for slowly decaying spectra)"
         )
     tail = _tail_bound(phase, x, m1, m2, lo, hi)
@@ -236,28 +239,34 @@ def coefficient_quadrature(
 ) -> complex:
     """One coefficient (1/2pi) integral of e^{i(x h(t) - nu t)} dt, directly.
 
-    Composite Gauss-Legendre over [-pi, pi] sized to a few radians of
-    phase travel per panel, then panel doubling until two refinements
-    agree to tol/2.  Completely independent of the FFT route.
+    Composite Gauss-Legendre sized to a few radians of phase travel per
+    panel, then panel doubling until two refinements agree to tol/2 on
+    the normalized coefficient.  An odd phase makes the coefficient real,
+    (1/pi) integral over [0, pi] of cos(x h(t) - nu t) dt, so only that
+    half is integrated; other phases integrate the complex exponential
+    over [-pi, pi].  Completely independent of the FFT route.
     """
     check_periodicity(phase, x)
     slope = max(abs(v) for v in phase.slope_range())
     travel = x * slope + abs(nu)
-    panels0 = max(4, math.ceil(1.5 * travel))
+    start = 0.0 if phase.odd else -math.pi
+    span = math.pi - start
+    panels0 = max(4, math.ceil(0.75 * travel * (span / math.pi)))  # same density
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return np.exp(1j * (x * phase.h(t) - nu * t))
+        arg = x * phase.h(t) - nu * t
+        return np.cos(arg) if phase.odd else np.exp(1j * arg)
 
     value, _ = integrate_adaptive(
         integrand,
-        -math.pi,
+        start,
         math.pi,
         panels0,
-        tol=math.pi * tol,  # tolerance on the 2pi-normalized coefficient
+        tol=0.5 * span * tol,  # tol/2 on the normalized coefficient
         order=16,
         max_doublings=_QUAD_MAX_DOUBLINGS,
     )
-    return value / (2.0 * math.pi)
+    return value / span
 
 
 def scaled_norm(spec: CoefficientSpectrum) -> float:

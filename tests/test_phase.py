@@ -13,8 +13,8 @@ from wnl.errors import DomainError, WnlError
 from wnl.phase import (
     PhaseFunction,
     TermPartition,
+    _Curvature,
     _invert_increasing_slope,
-    _omega_from_samples,
     _partition,
     build_blaschke,
     build_blaschke_general,
@@ -338,13 +338,62 @@ def test_choose_phi_frozen_value():
     assert phi == pytest.approx(PHI_SINE_1E6, abs=1e-6)
 
 
+def _window_extrema(f, length, maximum):
+    """Rolling max (or min) over every length-``length`` window, in O(n).
+
+    Block prefix/suffix scans: any window of that exact length spans at
+    most two consecutive blocks, so its extreme is the suffix scan of
+    the first block joined with the prefix scan of the second.
+    """
+    ufunc = np.maximum if maximum else np.minimum
+    fill = -np.inf if maximum else np.inf
+    n = f.size
+    pad = (-n) % length
+    fp = np.concatenate([f, np.full(pad, fill)]) if pad else f
+    blocks = fp.reshape(-1, length)
+    pref = ufunc.accumulate(blocks, axis=1).ravel()
+    suff = ufunc.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return ufunc(suff[: n - length + 1], pref[length - 1 : n])
+
+
+def _block_scan_range(f, width):
+    """max over i of (max - min) of f[i : i + width + 1], by block scans."""
+    length = min(width, f.size - 1) + 1
+    hi = _window_extrema(f, length, maximum=True)
+    lo = _window_extrema(f, length, maximum=False)
+    return float(np.max(hi - lo))
+
+
+def _block_scan_omega(samples, spacing, delta):
+    """omega(delta) interpolated between the block-scan ranges at the two
+    integer widths around delta / spacing."""
+    w = delta / spacing
+    w0 = int(math.floor(w))
+    frac = w - w0
+    lo = _block_scan_range(samples, max(w0, 1))
+    if frac == 0.0 or w0 + 1 >= samples.size:
+        return lo
+    hi = _block_scan_range(samples, w0 + 1)
+    return lo + frac * (hi - lo)
+
+
+@pytest.mark.parametrize("size", [256, 300])
+def test_doubling_table_range_matches_block_scan(size):
+    """Every window width, 2^k +- 1 and widths of n - 1 and above included."""
+    samples = np.random.default_rng(size).standard_normal(size)
+    profile = dataclasses.replace(build_sine(), d2=lambda t: samples)
+    curvature = _Curvature(profile, size)
+    for width in range(1, size + 6):
+        assert curvature.window_range(width) == _block_scan_range(samples, width)
+
+
 def _plain_choose_phi(phase, n, grid_size=16384):
     """The 80-step bisection with every omega scanned afresh."""
     spacing = np.pi / (grid_size - 1)
     samples = phase.d2(np.linspace(0.0, np.pi, grid_size))
 
     def product(p):
-        return _omega_from_samples(samples, spacing, p / math.sqrt(n), {}) * p**4
+        return _block_scan_omega(samples, spacing, p / math.sqrt(n)) * p**4
 
     upper = n**0.25
     if product(upper) <= 1.0:

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import jv
 
-from wnl.errors import DomainError, MisalignedError, PeriodicityError
+from wnl.errors import (
+    DomainError,
+    GridResolutionError,
+    MisalignedError,
+    PeriodicityError,
+)
 from wnl.phase import (
     build_blaschke,
     build_from_callable,
@@ -83,6 +88,37 @@ def test_half_route_matches_full_route(phase, xs):
         assert np.max(np.abs(full.coeffs.imag)) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "phase, xs",
+    [(build_sine(), (50.0, 1000.0)), (build_blaschke([0.3, 0.7]), (20.0, 256.0))],
+    ids=["sine", "blaschke[0.3,0.7]"],
+)
+def test_quadrature_half_route_matches_full_route(phase, xs):
+    """Odd phases integrate cos(x h - nu t) over [0, pi] only; forcing the
+    complex integral over [-pi, pi] must agree within the quadrature's
+    own tol, at indices on both band edges, inside and outside the band.
+    For sine both routes are also held against scipy's J_nu(x)."""
+    seen = []
+
+    def h(t):
+        seen.append(np.min(t))
+        return phase.h(t)
+
+    half_phase = dataclasses.replace(phase, h=h)
+    for x in xs:
+        m1, m2 = phase.slope_range()
+        lo, hi = round(x * m1), round(x * m2)
+        for nu in (lo - 30, lo, -7, (lo + hi) // 2, hi, hi + 30):
+            seen.clear()
+            half = coefficient_quadrature(half_phase, x, nu)
+            assert min(seen) >= 0.0  # the half route ran
+            full = coefficient_quadrature(dataclasses.replace(phase, odd=False), x, nu)
+            assert abs(half - full) <= 1e-11
+            if phase.label == "sine":
+                assert abs(half - jv(nu, x)) <= 1e-11
+                assert abs(full - jv(nu, x)) <= 1e-11
+
+
 def test_nearly_odd_callable_takes_the_full_route():
     """sin t + 1e-5 (cos t - cos 0.31) is odd only at t = +-0.31; the full
     FFT keeps its even part, which the half route would drop."""
@@ -116,6 +152,16 @@ def test_sample_budget_checked_before_allocation(grid_pow):
 def test_parseval_defect_small():
     spec = compute_spectrum(build_sine(), 20.0)
     assert spec.parseval_defect < 1e-12
+
+
+@pytest.mark.parametrize("grid_pow", [None, 20], ids=["auto", "pinned"])
+def test_parseval_failure_names_the_window(grid_pow):
+    """The auto window does not depend on grid_pow, so the remedy named is
+    the window, not a finer grid."""
+    match = r"window \[-255936, 63\].*window='full'"
+    with pytest.raises(GridResolutionError, match=match) as err:
+        compute_spectrum(build_blaschke([0.999]), 128.0, grid_pow=grid_pow)
+    assert "grid_pow" not in str(err.value)
 
 
 def test_tail_bound_finite_and_honest():
