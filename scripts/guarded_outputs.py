@@ -36,6 +36,11 @@ CLI_RUNS = [
         "converge_blaschke",
         ["converge", "--phase", "blaschke:0.3,0.7", "--params", "128,512,2048,4096"],
     ),
+    # one top scale: the final-step split over 445,952 central indices
+    (
+        "converge_blaschke_65536",
+        ["converge", "--phase", "blaschke:0.3,0.7", "--params", "65536"],
+    ),
     ("converge_abs", ["converge", "--phase", "abs", "--params", "64,256,1024"]),
     ("stationary_sine", ["stationary-compare", "--phase", "sine", "--params", "1000"]),
     (

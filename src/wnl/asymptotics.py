@@ -336,6 +336,13 @@ def final_step_report(
     edge strips keep the worst-case weight 1, the middle keeps its
     |cos(rho + pi/4)| factor, whose average 2/pi is exactly what links
     the middle to the limit integral over [eps, pi - eps].
+
+    The strips split the partition's central range at the integers
+    floor(n u_lo) and floor(n u_hi), with u_lo = g'(eps) and u_hi =
+    g'(pi - eps): index k is in the left strip when k/n <= u_lo, in the
+    middle when u_lo < k/n <= u_hi and in the right strip otherwise, so
+    each central index counts exactly once.  One inverse-slope call
+    covers the whole range.
     """
     norm = require_valid(phase)
     if n < 2:
@@ -353,22 +360,20 @@ def final_step_report(
             "or a larger n"
         )
 
+    central = part.central_range()
+    ks = np.arange(central.start, central.stop)
+    t = _invert_increasing_slope(norm, ks / n)
+    vals = 1.0 / np.sqrt(norm.d2(t))
+    cut_lo, cut_hi = np.searchsorted(
+        ks, (math.floor(u_lo * n), math.floor(u_hi * n)), side="right"
+    )
+    mid = slice(cut_lo, cut_hi)
+    rho = n * norm.h(t[mid]) - ks[mid] * t[mid]
+    vals[mid] *= np.abs(np.cos(rho + math.pi / 4.0))
     pref = math.sqrt(2.0 / math.pi)
-
-    def strip(lo: float, hi: float, cosine: bool) -> float:
-        ks = np.arange(math.ceil(lo * n), math.floor(hi * n) + 1)
-        if ks.size == 0:
-            return 0.0
-        t = _invert_increasing_slope(norm, ks / n)
-        vals = 1.0 / np.sqrt(norm.d2(t))
-        if cosine:
-            rho = n * norm.h(t) - ks * t
-            vals = vals * np.abs(np.cos(rho + math.pi / 4.0))
-        return float(pref * np.sum(vals) / n)
-
-    edge_left = strip(alpha_n, u_lo, cosine=False)
-    middle = strip(u_lo + 0.5 / n, u_hi, cosine=True)
-    edge_right = strip(u_hi + 0.5 / n, beta_n, cosine=False)
+    edge_left = float(pref * np.sum(vals[:cut_lo]) / n)
+    middle = float(pref * np.sum(vals[mid]) / n)
+    edge_right = float(pref * np.sum(vals[cut_hi:]) / n)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.sqrt(np.maximum(norm.d2(t), 0.0))

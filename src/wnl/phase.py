@@ -392,25 +392,32 @@ def require_valid(phase: PhaseFunction) -> PhaseFunction:
 # ---------------------------------------------------------------------------
 
 
-_SLOPE_TABLE_SIZE = 1025  # uniform samples of g' that bracket and seed each target
+_SLOPE_TABLE_SIZE = 16385  # uniform samples of g' and g'' that bracket and seed each target
 _SLOPE_MAX_STEPS = 64  # cap on the safeguarded Newton steps per target
+_SLOPE_BLOCK = 32768  # targets per vectorized pass: 256 KB temporaries beat N-sized ones
 
 
 def _invert_increasing_slope(norm: PhaseFunction, targets: np.ndarray) -> np.ndarray:
     """Solve g'(t) = target on [0, pi] for a normalized phase (g'' > 0).
 
-    Safeguarded Newton, as in Numerical Recipes' ``rtsafe``.  g' is
-    tabulated once on a uniform grid of [0, pi] (made monotone by a
-    running maximum); the table gives each target a bracket and a
-    linearly interpolated seed.  Each step evaluates g' and g'' at the
-    current point, tightens the bracket by the sign of g'(t) - target,
-    and takes the Newton step, or the bracket midpoint when that step
-    leaves the bracket or g'' <= 0.  A target is done when its Newton
-    step falls below the rounding floor 2 spacing(t) + 8
-    spacing(max|g'|) / g''(t) (what rounding in g' alone can move t by)
-    or its bracket has collapsed; only unfinished targets are evaluated
-    again.  Each result depends on its own target only.  Targets must
-    lie in [g'(0), g'(pi)], up to a relative fuzz absorbed by clipping.
+    Safeguarded Newton, as in Numerical Recipes' ``rtsafe``.  g' and g''
+    are tabulated once on a fixed uniform grid of ``_SLOPE_TABLE_SIZE``
+    points of [0, pi], whatever the targets (g' made monotone by a
+    running maximum).  The table interval holding a target is its
+    bracket, and the seed is the inverse cubic Hermite interpolant over
+    that interval (see ``_slope_seed``).  Each step evaluates g' and g''
+    at the current point, tightens the bracket by the sign of g'(t) -
+    target, and takes the Newton step, or the bracket midpoint when that
+    step leaves the bracket or g'' <= 0.
+
+    A target is done when its Newton step falls below the rounding floor
+    2 spacing(t) + noise / g''(t), what rounding in g' can move t by, or
+    its bracket has collapsed; only unfinished targets are evaluated
+    again.  noise is the larger of 8 spacing(max|g'|) and the error in
+    g' measured on the table (see ``_slope_table``).  Targets go through
+    each step in blocks of ``_SLOPE_BLOCK``.  Each result depends on its
+    own target only.  Targets must lie in [g'(0), g'(pi)], up to a
+    relative fuzz absorbed by clipping.
     """
     lo_val = float(norm.d1(np.asarray(0.0)))
     hi_val = float(norm.d1(np.asarray(np.pi)))
@@ -421,40 +428,102 @@ def _invert_increasing_slope(norm: PhaseFunction, targets: np.ndarray) -> np.nda
         )
     targets = np.clip(targets, lo_val, hi_val)
 
-    grid = np.linspace(0.0, np.pi, _SLOPE_TABLE_SIZE)
-    table = np.maximum.accumulate(norm.d1(grid))
-    noise = 8.0 * np.spacing(np.max(np.abs(table)))
-    i = np.clip(np.searchsorted(table, targets), 1, _SLOPE_TABLE_SIZE - 1)
-    lo, hi = grid[i - 1], grid[i]
-    rise = table[i] - table[i - 1]
-    frac = np.divide(
-        targets - table[i - 1], rise, out=np.full_like(rise, 0.5), where=rise > 0.0
-    )
-    t = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
+    grid, table, cubic, noise = _slope_table(norm)
+    t, lo, hi = np.empty_like(targets), np.empty_like(targets), np.empty_like(targets)
+    for b in range(0, targets.size, _SLOPE_BLOCK):
+        s = slice(b, b + _SLOPE_BLOCK)
+        t[s], lo[s], hi[s] = _slope_seed(grid, table, cubic, targets[s])
 
     out = np.empty_like(targets)
     todo = np.arange(targets.size)
     u = targets
     for _ in range(_SLOPE_MAX_STEPS):
-        f = norm.d1(t) - u
-        df = norm.d2(t)
-        lo = np.where(f < 0.0, t, lo)
-        hi = np.where(f < 0.0, hi, t)
-        curved = df > 0.0
-        df = np.where(curved, df, 1.0)
-        step = f / df
-        newton = t - step
-        inside = curved & (lo <= newton) & (newton <= hi)
-        t_next = np.where(inside, newton, 0.5 * (lo + hi))
-        settled = inside & (np.abs(step) <= 2.0 * np.spacing(t) + noise / df)
-        done = settled | (hi - lo <= 2.0 * np.spacing(hi))
-        out[todo[done]] = t_next[done]
+        done = np.empty(todo.size, dtype=bool)
+        for b in range(0, todo.size, _SLOPE_BLOCK):
+            s = slice(b, b + _SLOPE_BLOCK)
+            t[s], lo[s], hi[s], done[s] = _newton_step(norm, noise, u[s], t[s], lo[s], hi[s])
+        out[todo] = t  # targets still open at the step cap keep their last iterate
         keep = ~done
-        todo, u, t, lo, hi = todo[keep], u[keep], t_next[keep], lo[keep], hi[keep]
+        todo, u, t, lo, hi = todo[keep], u[keep], t[keep], lo[keep], hi[keep]
         if todo.size == 0:
             break
-    out[todo] = t  # targets still open at the step cap keep their last iterate
     return out
+
+
+def _slope_table(norm: PhaseFunction) -> tuple[Array, Array, Array, float]:
+    """(grid, table, cubic, noise): what every inverse-slope target reads.
+
+    grid holds ``_SLOPE_TABLE_SIZE`` uniform points of [0, pi] and table
+    the running maximum of g' on it.  cubic holds, per table interval,
+    the rows 1/(u_hi - u_lo) and the coefficients c1, c2, c3 of
+    ``_slope_seed``.  noise is the larger of 8 spacing(max|g'|) and
+    max|D^6 g'| / 2^6 over the table, D^6 the sixth difference.  The
+    smooth part of D^6 g' is d^6 g^(7), negligible at this spacing d,
+    while errors of at most E in each tabulated g' give |D^6| <= 2^6 E;
+    so the second term is a lower estimate of the rounding, or finite
+    differencing, error E in g'.
+    """
+    grid = np.linspace(0.0, np.pi, _SLOPE_TABLE_SIZE)
+    d = grid[1]
+    slope = norm.d1(grid)
+    curv = norm.d2(grid)
+    table = np.maximum.accumulate(slope)
+    rounding = 8.0 * np.spacing(np.max(np.abs(table)))
+    noise = max(rounding, np.max(np.abs(np.diff(slope, 6))) / 64.0)
+
+    rise = np.diff(table)
+    curved = (rise > 0.0) & (curv[:-1] > 0.0) & (curv[1:] > 0.0)
+    inv_rise = np.divide(1.0, rise, out=np.zeros_like(rise), where=rise > 0.0)
+    a = np.divide(rise, d * curv[:-1], out=np.ones_like(rise), where=curved)
+    b = np.divide(rise, d * curv[1:], out=np.ones_like(rise), where=curved)
+    cubic = np.stack([inv_rise, a, 3.0 - 2.0 * a - b, a + b - 2.0])
+    return grid, table, cubic, float(noise)
+
+
+def _slope_seed(
+    grid: Array, table: Array, cubic: Array, targets: Array
+) -> tuple[Array, Array, Array]:
+    """(seed, lo, hi) for each target from the tables of ``_slope_table``.
+
+    [lo, hi] is the table interval holding the target, and q its linear
+    position between the interval's ends u_lo and u_hi.  The seed is
+    lo + (hi - lo) p(q), where p(q) = q (c1 + q (c2 + q c3)) is the
+    cubic Hermite interpolant of t(u) over the interval: with end slopes
+    a = (u_hi - u_lo) / ((hi - lo) g''(lo)) and b likewise at hi,
+    relative to the secant, c1 = a, c2 = 3 - 2a - b and c3 = a + b - 2.
+    Where g'' <= 0 at either end, a = b = 1 makes p(q) = q, the linear
+    seed.  Where the cubic leaves [0, 1], the seed is linear too.
+    """
+    i = np.clip(np.searchsorted(table, targets) - 1, 0, table.size - 2)
+    lo, hi = grid[i], grid[i + 1]
+    inv_rise, c1, c2, c3 = cubic[:, i]
+    q = np.clip((targets - table[i]) * inv_rise, 0.0, 1.0)
+    p = q * (c1 + q * (c2 + q * c3))
+    p = np.where((0.0 <= p) & (p <= 1.0), p, q)
+    return lo + p * (hi - lo), lo, hi
+
+
+def _newton_step(
+    norm: PhaseFunction, noise: float, u: Array, t: Array, lo: Array, hi: Array
+) -> tuple[Array, Array, Array, Array]:
+    """One safeguarded Newton step of ``_invert_increasing_slope``.
+
+    Returns the next iterate, the tightened bracket and whether each
+    target is done.
+    """
+    f = norm.d1(t) - u
+    df = norm.d2(t)
+    lo = np.where(f < 0.0, t, lo)
+    hi = np.where(f < 0.0, hi, t)
+    curved = df > 0.0
+    df = np.where(curved, df, 1.0)
+    step = f / df
+    newton = t - step
+    inside = curved & (lo <= newton) & (newton <= hi)
+    t_next = np.where(inside, newton, 0.5 * (lo + hi))
+    settled = inside & (np.abs(step) <= 2.0 * np.spacing(t) + noise / df)
+    done = settled | (hi - lo <= 2.0 * np.spacing(hi))
+    return t_next, lo, hi, done
 
 
 def psi(phase: PhaseFunction, x: float | Array) -> float | Array:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import wnl.asymptotics
 from wnl.asymptotics import (
     asymptotic_limit,
     asymptotic_limit_slope_route,
@@ -21,6 +22,7 @@ from wnl.phase import (
     build_from_callable,
     build_linear,
     build_sine,
+    require_valid,
 )
 from wnl.stationary import stationary_comparison
 
@@ -37,7 +39,7 @@ FINAL_STEP_PIECES = {
         6400,
         (
             0.03967937035221762,
-            1.1550094012150944,
+            1.1552415583765687,
             0.03967937035221749,
             1.15669853388257,
         ),
@@ -47,7 +49,7 @@ FINAL_STEP_PIECES = {
         (
             0.3748409548937269,
             1.6072961575704356,
-            0.021883618833834263,
+            0.022709158332639312,
             1.6063923335197283,
         ),
     ),
@@ -237,6 +239,48 @@ def test_final_step_report_frozen_pieces(phase):
     got = (r.edge_left, r.middle, r.edge_right, r.limit_piece)
     assert got == pytest.approx(pieces, rel=1e-12, abs=0.0)
 
+
+
+@pytest.mark.parametrize(
+    "phase,n,eps",
+    [
+        (build_sine(), 6400, 0.2),
+        (build_blaschke([0.3, 0.7]), 4096, 0.2),
+        (build_blaschke([0.3, 0.7]), 65536, 0.1),
+    ],
+    ids=["sine-6400", "blaschke-4096", "blaschke-65536"],
+)
+def test_final_step_strips_cover_the_central_range(monkeypatch, phase, n, eps):
+    """Each central index k counts in exactly one strip: the left one when
+    k/n <= h'(eps), the middle when k/n <= h'(pi - eps), else the right.
+
+    Each case has a seam with frac(n h'(seam)) > 1/2, where splitting at
+    ceil(n h'(seam) + 1/2) would drop an index.
+    """
+    invert = wnl.asymptotics._invert_increasing_slope
+    calls = []
+
+    def recording(norm, targets):
+        t = invert(norm, targets)
+        calls.append((targets, t))
+        return t
+
+    monkeypatch.setattr(wnl.asymptotics, "_invert_increasing_slope", recording)
+    report = final_step_report(phase, n, eps=eps)
+    norm = require_valid(phase)
+    central = wnl.asymptotics._partition(norm, float(n)).central_range()
+    ks = np.arange(central.start, central.stop)
+    assert np.array_equal(np.concatenate([c[0] for c in calls]), ks / n)
+
+    t = np.concatenate([c[1] for c in calls])
+    left = ks / n <= float(norm.d1(np.asarray(eps)))
+    right = ks / n > float(norm.d1(np.asarray(math.pi - eps)))
+    middle = ~left & ~right
+    vals = math.sqrt(2.0 / math.pi) / np.sqrt(norm.d2(t)) / n
+    weight = np.abs(np.cos(n * norm.h(t) - ks * t + math.pi / 4.0))
+    assert report.edge_left == pytest.approx(np.sum(vals[left]), rel=1e-13)
+    assert report.middle == pytest.approx(np.sum((vals * weight)[middle]), rel=1e-13)
+    assert report.edge_right == pytest.approx(np.sum(vals[right]), rel=1e-13)
 
 def test_final_step_report_eps_too_small():
     with pytest.raises(DomainError, match="eps"):

@@ -11,11 +11,13 @@ from hypothesis import assume, given, settings, strategies as st
 from wnl.asymptotics import asymptotic_limit
 from wnl.errors import DomainError, WnlError
 from wnl.phase import (
+    _SLOPE_TABLE_SIZE,
     PhaseFunction,
     TermPartition,
     _Curvature,
     _invert_increasing_slope,
     _partition,
+    _slope_table,
     build_blaschke,
     build_blaschke_general,
     build_from_callable,
@@ -310,6 +312,94 @@ def test_inverse_slope_evaluation_count():
     assert np.array_equal(t, _invert_increasing_slope(norm, ks / n))
     assert sum(points) - fixed <= 10 * (ks.size - 1)
 
+
+
+def _points_beyond_table(norm, targets):
+    """Points of d1 and d2 per target beyond a one-target call's cost."""
+    points = []
+
+    def counted(f):
+        def g(t):
+            points.append(np.size(t))
+            return f(t)
+
+        return g
+
+    counting = dataclasses.replace(norm, d1=counted(norm.d1), d2=counted(norm.d2))
+    _invert_increasing_slope(counting, targets[:1])
+    fixed = sum(points)
+    points.clear()
+    _invert_increasing_slope(counting, targets)
+    return (sum(points) - fixed) / (targets.size - 1)
+
+
+@pytest.mark.parametrize(
+    "phase,bound",
+    [
+        (build_sine(), 3.5),
+        (build_blaschke([0.3, 0.7]), 3.5),
+        (build_blaschke([0.1, 0.2, 0.95]), 6.0),
+        (build_from_callable(np.sin), 6.0),
+    ],
+    ids=lambda v: getattr(v, "label", str(v)),
+)
+def test_inverse_slope_settles_early(phase, bound):
+    """The Hermite seed leaves most targets one Newton step from done.
+
+    Over 50,000 targets across the slope range.  The two noisy phases
+    (a zero at 0.95; finite-difference derivatives) need the floor taken
+    from the table's measured noise, or they bisect to a collapsed
+    bracket.
+    """
+    norm = require_valid(phase)
+    lo_val, hi_val = _slope_ends(norm)
+    u = np.linspace(lo_val, hi_val, 50_002)[1:-1]
+    assert _points_beyond_table(norm, u) <= bound
+
+
+@pytest.mark.parametrize(
+    "phase", [build_sine(), build_blaschke([0.3, 0.7])], ids=lambda p: p.label
+)
+def test_inverse_slope_settles_early_on_final_step_targets(phase):
+    """Every k/n of the central range at n = 65536, as final_step_report
+    inverts them, costs at most 3.5 points of d1 and d2 each."""
+    norm = require_valid(phase)
+    n = 65536
+    central = _partition(norm, float(n)).central_range()
+    ks = np.arange(central.start, central.stop)
+    assert _points_beyond_table(norm, ks / n) <= 3.5
+
+
+@pytest.mark.parametrize(
+    "phase", [build_sine(), build_blaschke([0.3, 0.7])], ids=lambda p: p.label
+)
+def test_inverse_slope_noise_floor_of_analytic_phases(phase):
+    """Measured table noise stays below 8 ulps of max|g'| here, so the
+    floor, and every root that hinges on it, is the rounding floor."""
+    _, table, _, noise = _slope_table(require_valid(phase))
+    assert noise == 8.0 * np.spacing(np.max(np.abs(table)))
+
+
+@pytest.mark.parametrize("phase", _INVERSE_PHASES, ids=lambda p: p.label)
+def test_inverse_slope_inside_the_end_intervals(phase):
+    """Targets inside the first and the last table interval.
+
+    g'' vanishes at 0 and pi for odd phases, so the cubic seed falls
+    back to the linear one there, and a noise floor over a vanishing
+    g'' must not end Newton early.  The roots meet the residual bound
+    of test_inverse_slope_matches_bisection (twice the bisection's, over
+    the same 50,000 targets) and stay in their interval.
+    """
+    norm = require_valid(phase)
+    lo_val, hi_val = _slope_ends(norm)
+    u = np.linspace(lo_val, hi_val, 50_002)[1:-1]
+    bound = 2.0 * np.max(np.abs(norm.d1(_bisect_slope(norm, u)) - u))
+    d = np.pi / (_SLOPE_TABLE_SIZE - 1)
+    for ts in (np.linspace(0.0, d, 13)[1:-1], np.linspace(np.pi - d, np.pi, 13)[1:-1]):
+        u = norm.d1(ts)
+        t = _invert_increasing_slope(norm, u)
+        assert np.max(np.abs(norm.d1(t) - u)) <= bound
+        assert np.all(ts[0] - d <= t) and np.all(t <= ts[-1] + d)
 
 def test_modulus_bounds_for_sine():
     phase = build_sine()
