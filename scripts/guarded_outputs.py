@@ -42,6 +42,8 @@ CLI_RUNS = [
         ["converge", "--phase", "blaschke:0.3,0.7", "--params", "65536"],
     ),
     ("converge_abs", ["converge", "--phase", "abs", "--params", "64,256,1024"]),
+    # the 2^20- and 2^22-point full-window grids
+    ("converge_abs_large", ["converge", "--phase", "abs", "--params", "65536,262144"]),
     ("stationary_sine", ["stationary-compare", "--phase", "sine", "--params", "1000"]),
     (
         "stationary_blaschke",
@@ -92,6 +94,9 @@ def write_library_tables() -> None:
     wnl.compute_spectrum(wnl.build_sine(), 300.0).to_csv("spectrum_sine_300.csv")
     wnl.compute_spectrum(wnl.build_blaschke([0.3, 0.7]), 256.0).to_csv(
         "spectrum_blaschke_256.csv"
+    )
+    wnl.compute_spectrum(wnl.build_blaschke_general([0.4 + 0.3j]), 256.0).to_csv(
+        "spectrum_blaschke_complex_256.csv"
     )
     wnl.weyl_study(lambda u: 0.5 * u * u, 1, (0.0, 1.0), [1000, 10_000]).to_csv(
         "weyl_quadratic.csv"

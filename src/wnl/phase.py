@@ -227,20 +227,27 @@ def _blaschke_phase(zeros: np.ndarray, odd: bool, label: str) -> PhaseFunction:
     The sign is that of h''(pi/2), as for :func:`build_from_callable`.
     """
     r = np.abs(zeros)
+    real = not np.any(np.imag(zeros))
 
-    def summed(term: Callable[..., Array]) -> PhaseCallable:
+    def rotate(a: complex, c: Array, s: Array | None) -> tuple[Array, Array | None]:
+        """|a| cos(t - arg a) and |a| sin(t - arg a) from c = cos t and
+        s = sin t.  A real zero needs no Im a terms.  s is None only for
+        real zeros and a term that never reads the sine; then so is the
+        second result."""
+        if real:
+            return a.real * c, None if s is None else a.real * s
+        return a.real * c + a.imag * s, a.real * s - a.imag * c
+
+    def summed(term: Callable[..., Array], reads_sin: bool = True) -> PhaseCallable:
         """t -> the sum over zeros a of term(t, |a|, |a| cos(t - arg a),
         |a| sin(t - arg a)), accumulated one zero at a time in N-arrays."""
 
         def f(t: Array) -> Array:
             t = np.asarray(t, dtype=float)
-            c, s = np.cos(t), np.sin(t)
+            c = np.cos(t)
+            s = np.sin(t) if reads_sin or not real else None
             return functools.reduce(
-                np.add,
-                (
-                    term(t, m, a.real * c + a.imag * s, a.real * s - a.imag * c)
-                    for a, m in zip(zeros, r)
-                ),
+                np.add, (term(t, m, *rotate(a, c, s)) for a, m in zip(zeros, r))
             )
 
         return f
@@ -249,7 +256,7 @@ def _blaschke_phase(zeros: np.ndarray, odd: bool, label: str) -> PhaseFunction:
         return 1.0 + m * m - 2.0 * rc
 
     h = summed(lambda t, m, rc, rs: -(t + 2.0 * np.arctan2(rs, 1.0 - rc)))
-    d1 = summed(lambda t, m, rc, rs: -(1.0 - m * m) / den(m, rc))
+    d1 = summed(lambda t, m, rc, rs: -(1.0 - m * m) / den(m, rc), reads_sin=False)
     d2 = summed(lambda t, m, rc, rs: 2.0 * (1.0 - m * m) * rs / den(m, rc) ** 2)
 
     return PhaseFunction(

@@ -17,6 +17,7 @@ from wnl.errors import (
 )
 from wnl.phase import (
     build_blaschke,
+    build_blaschke_general,
     build_from_callable,
     build_piecewise_abs,
     build_sine,
@@ -86,6 +87,55 @@ def test_half_route_matches_full_route(phase, xs):
         assert half.coeffs.dtype == complex
         assert np.max(np.abs(half.coeffs - full.coeffs)) <= 1e-12
         assert np.max(np.abs(full.coeffs.imag)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "phase, x, window",
+    [
+        (build_sine(), 1000.0, "auto"),
+        (build_blaschke([0.3, 0.7]), 256.0, "auto"),
+        (build_piecewise_abs(), 1024.0, "full"),
+        (build_blaschke_general([0.4 + 0.3j]), 256.0, "auto"),
+        (build_sine(), 351.5, "auto"),
+    ],
+    ids=["sine", "blaschke[0.3,0.7]", "abs-full", "blaschke-complex", "sine-fractional"],
+)
+def test_buffer_route_is_the_reference_expression(phase, x, window):
+    """compute_spectrum exponentiates in place and lets the FFT scale by
+    1/N; on a power-of-two grid that is the plain expression, byte for byte."""
+    spec = compute_spectrum(phase, x, window=window)
+    n = 2**spec.grid_pow
+    if phase.odd:
+        t = 2.0 * np.pi * np.arange(n // 2 + 1) / n
+        fcoef = np.fft.hfft(np.exp(1j * x * phase.h(t)), n) / n
+    else:
+        t = 2.0 * np.pi * np.arange(n) / n
+        fcoef = np.fft.fft(np.exp(1j * x * phase.h(t))) / n
+    expected = fcoef[spec.nu_values() % n].astype(complex)
+    assert spec.coeffs.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "phase, x, window, bound",
+    [
+        (build_piecewise_abs(), 4096.0, "full", 2.25),
+        (build_sine().normalized(), 16384.0, "auto", 1.6),
+    ],
+    ids=["abs-full", "sine"],
+)
+def test_spectrum_peak_memory(phase, x, window, bound):
+    """One spectrum on 2^16 points peaks near two complex N-arrays for the
+    full window (samples and FFT in one buffer, plus the kept copy) and
+    1.5 for an odd phase; bounds in units of 16 N bytes."""
+    compute_spectrum(phase, x, window=window)  # warm-up: FFT plan caches
+    tracemalloc.start()
+    try:
+        spec = compute_spectrum(phase, x, window=window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spec.grid_pow == 16
+    assert peak <= bound * 16 * 2**16
 
 
 @pytest.mark.parametrize(
