@@ -41,6 +41,11 @@ CLI_RUNS = [
         "converge_blaschke_65536",
         ["converge", "--phase", "blaschke:0.3,0.7", "--params", "65536"],
     ),
+    # a zero near the circle: every scale widens its auto window
+    (
+        "converge_blaschke_09",
+        ["converge", "--phase", "blaschke:0.9", "--params", "128,256,512,1024,2048,4096"],
+    ),
     ("converge_abs", ["converge", "--phase", "abs", "--params", "64,256,1024"]),
     # the 2^20- and 2^22-point full-window grids
     ("converge_abs_large", ["converge", "--phase", "abs", "--params", "65536,262144"]),

@@ -35,7 +35,7 @@ _INTERIOR_MARGIN = 1e-9  # keep evaluation strictly inside (0, pi)
 _SLOPE_RANGE_GRID = 4097  # samples of h' in PhaseFunction.slope_range
 _FD_STEP = 1e-5  # central-difference step of build_from_callable
 _VALIDATE_GRID = 256  # samples per structural check in validate
-_SYMMETRY_TOL = 1e-8  # largest |h(-t) + h(t)| of a phase taken as odd
+_SYMMETRY_TOL = 1e-8  # largest |h(-t) -+ h(t)| of a phase taken as odd or even
 _DOUBLING_LIMIT = 64.0  # largest accepted |h''(2s)| / |h''(s)| near an endpoint
 _DOUBLING_CORNER = math.pi / 8.0  # the largest s of the dyadic ladder
 
@@ -46,7 +46,9 @@ class PhaseFunction:
 
     All three callables must accept and return numpy arrays (scalars are
     promoted).  ``sign`` is +1 when h'' > 0 on (0, pi) and -1 when
-    h'' < 0; builders set it, ``validate`` checks it.
+    h'' < 0.  ``odd`` declares h(-t) = -h(t) and ``even`` declares
+    h(-t) = h(t); the spectrum takes a half route on either.  Builders
+    set all three, ``validate`` checks them.
     """
 
     h: PhaseCallable
@@ -54,6 +56,7 @@ class PhaseFunction:
     d2: PhaseCallable
     winding_k: int
     odd: bool
+    even: bool
     sign: int
     label: str
 
@@ -68,6 +71,7 @@ class PhaseFunction:
             d2=lambda t: -d2(t),
             winding_k=-self.winding_k,
             odd=self.odd,
+            even=self.even,
             sign=1,
             label=f"-({self.label})",
         )
@@ -130,6 +134,7 @@ def build_sine() -> PhaseFunction:
         d2=lambda t: -np.sin(t),
         winding_k=0,
         odd=True,
+        even=False,
         sign=-1,
         label="sine",
     )
@@ -146,6 +151,7 @@ def build_linear(k: int) -> PhaseFunction:
         d2=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         winding_k=k,
         odd=True,
+        even=False,
         sign=1,
         label=f"linear[{k}]",
     )
@@ -169,6 +175,7 @@ def build_piecewise_abs() -> PhaseFunction:
         d2=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         winding_k=0,
         odd=False,
+        even=True,
         sign=1,
         label="abs",
     )
@@ -265,6 +272,7 @@ def _blaschke_phase(zeros: np.ndarray, odd: bool, label: str) -> PhaseFunction:
         d2=d2,
         winding_k=-int(np.size(zeros)),
         odd=odd,
+        even=False,
         sign=1 if float(d2(np.pi / 2.0)) >= 0.0 else -1,
         label=label,
     )
@@ -294,14 +302,15 @@ def build_from_callable(
     sign = 1 if float(d2(np.asarray([np.pi / 2.0]))[0]) >= 0.0 else -1
     odd = _symmetry_defect(hv) < _SYMMETRY_TOL
     return PhaseFunction(
-        h=hv, d1=d1, d2=d2, winding_k=winding_k, odd=odd, sign=sign, label=label
+        h=hv, d1=d1, d2=d2, winding_k=winding_k, odd=odd, even=False, sign=sign, label=label
     )
 
 
-def _symmetry_defect(h: PhaseCallable) -> float:
-    """max |h(-t) + h(t)| over the validation grid; zero to rounding iff h is odd."""
+def _symmetry_defect(h: PhaseCallable, parity: int = -1) -> float:
+    """max |h(-t) - parity h(t)| over the validation grid; zero to rounding
+    iff h is odd (parity -1) or even (parity +1)."""
     t = np.linspace(-np.pi + 1e-6, np.pi - 1e-6, _VALIDATE_GRID)
-    return float(np.max(np.abs(h(-t) + h(t))))
+    return float(np.max(np.abs(h(-t) - parity * h(t))))
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +339,17 @@ def validate(phase: PhaseFunction) -> ValidationReport:
             f"{np.max(np.abs(per)):.3e}"
         )
 
-    if phase.odd:
-        sym = _symmetry_defect(phase.h)
-        symmetry_ok = sym < _SYMMETRY_TOL
-        if not symmetry_ok:
-            msgs.append(f"declared odd but h(-t)+h(t) reaches {sym:.3e}")
-    else:
-        symmetry_ok = True
+    symmetry_ok = True
+    for declared, parity, name, expr in (
+        (phase.odd, -1, "odd", "h(-t)+h(t)"),
+        (phase.even, 1, "even", "h(-t)-h(t)"),
+    ):
+        if declared:
+            sym = _symmetry_defect(phase.h, parity)
+            if not sym < _SYMMETRY_TOL:  # a nan defect fails too
+                symmetry_ok = False
+                msgs.append(f"declared {name} but {expr} reaches {sym:.3e}")
+    if not (phase.odd or phase.even):
         msgs.append("phase not declared odd; symmetry not required")
 
     ti = np.linspace(_INTERIOR_MARGIN, np.pi - _INTERIOR_MARGIN, _VALIDATE_GRID)[1:-1]

@@ -134,6 +134,25 @@ def _tail_bound(
     return (pieces / 2.0) * per_side / math.pi
 
 
+def _grid_coefficients(phase: PhaseFunction, x: float, n_grid: int) -> np.ndarray:
+    """All N coefficients of e^{i x h(t)} on the N-point grid, from one FFT.
+
+    An odd or even phase is sampled on [0, pi] only, N/2 + 1 points.
+    """
+    m = n_grid // 2 + 1 if phase.odd or phase.even else n_grid
+    hv = phase.h(2.0 * np.pi * np.arange(m) / n_grid)  # before z: h's own peak comes first
+    z = np.empty(n_grid if phase.even else m, dtype=complex)
+    head = z[:m]
+    np.multiply(1j * x, hv, out=head)
+    del hv
+    np.exp(head, out=head)
+    if phase.odd:
+        return np.fft.hfft(z, n_grid, norm="forward")
+    if phase.even:
+        z[m:] = z[m - 2 : 0 : -1]  # the sample at t_{N-j} is the one at t_j
+    return np.fft.fft(z, norm="forward", out=z)
+
+
 def compute_spectrum(
     phase: PhaseFunction,
     x: float,
@@ -147,28 +166,36 @@ def compute_spectrum(
     of a curvature-definite phase are negligible, and the Parseval gate
     verifies that rather than assuming it.  Its grid is the smallest
     power of two, at least 2^8, with N >= 2 max(-lo, hi + 1) points, so
-    that no kept index wraps.  ``window="full"`` keeps all N
-    coefficients instead (the right mode for phases whose spectrum
-    decays too slowly to window, at the price of an inf tail bound
-    unless curvature certifies one); its grid has at least
-    8 * (x * max|h'| + 64) points, and a pinned ``grid_pow`` below the
-    8x oversampling floor raises GridResolutionError.
+    that no kept index wraps.  Near a slope extreme where |h'''| is
+    large (a Blaschke zero close to the circle) the coefficients decay
+    only on the fold scale (x |h'''|)^(1/3), which W can miss; so when
+    the gate fails, W doubles and the window is cut again from the same
+    FFT.  A new FFT runs only when the wider window needs a larger
+    grid, and the widening stops at a pinned ``grid_pow`` or at the
+    sample budget.  ``window="full"`` keeps all N coefficients instead
+    (the right mode for phases whose spectrum decays too slowly to
+    window, at the price of an inf tail bound unless curvature
+    certifies one); its grid has at least 8 * (x * max|h'| + 64)
+    points, and a pinned ``grid_pow`` below the 8x oversampling floor
+    raises GridResolutionError.
 
     For an odd phase e^{i x h(-t)} is the conjugate of e^{i x h(t)}, so
     every coefficient is real: h is sampled on [0, pi] only, N/2 + 1
     points, and one Hermitian FFT (``np.fft.hfft``) yields the N
-    coefficients.  Other phases take the full complex FFT.  One complex
-    buffer holds the samples, is exponentiated in place and, for the
-    complex FFT, receives the transform, with ``norm="forward"`` scaling
-    by the exact 1/N; a full-window spectrum thus holds at most two
-    complex N-arrays (buffer and kept window) besides the FFT's own
-    scratch.  ``numpy.fft`` is used rather than ``scipy.fft``, whose
-    import alone costs more start-up time and memory than its faster
-    transform saves.
+    coefficients.  For an even phase e^{i x h(-t)} equals e^{i x h(t)}:
+    h and exp run on the same N/2 + 1 points, whose values are mirrored
+    into the rest of the buffer before the complex FFT.  Other phases
+    are sampled at all N points.  One complex buffer holds the samples,
+    is exponentiated in place and, for the complex FFT, receives the
+    transform, with ``norm="forward"`` scaling by the exact 1/N; a
+    full-window spectrum thus holds at most two complex N-arrays
+    (buffer and kept window) besides the FFT's own scratch.
+    ``numpy.fft`` is used rather than ``scipy.fft``, whose import alone
+    costs more start-up time and memory than its faster transform saves.
 
     A window that does not fit the grid raises GridResolutionError, as
-    does a Parseval defect above 1e-6.  A grid above 2^24 points raises
-    DomainError before any sample is allocated.
+    does a Parseval defect above 1e-6 that widening cannot mend.  A grid
+    above 2^24 points raises DomainError before any sample is allocated.
     """
     if x <= 0.0:
         raise DomainError(f"x must be positive, got {x!r}")
@@ -178,13 +205,18 @@ def compute_spectrum(
 
     m1, m2 = phase.slope_range()
     peak = x * max(abs(m1), abs(m2))
+    w_pad = max(64.0, 4.0 * math.sqrt(x))
+
+    def auto_window(pad: float) -> tuple[int, int, int]:
+        """[x m1 - pad, x m2 + pad] and the grid size it needs."""
+        lo, hi = math.ceil(x * m1 - pad), math.floor(x * m2 + pad)
+        return lo, hi, 2 * max(-lo, hi + 1)  # no kept index wraps
+
     if window == "auto":
-        w_pad = max(64.0, 4.0 * math.sqrt(x))
-        lo = math.ceil(x * m1 - w_pad)
-        hi = math.floor(x * m2 + w_pad)
-        need = 2 * max(-lo, hi + 1)  # no kept index wraps
+        lo, hi, need = auto_window(w_pad)
     else:
         need = 8.0 * (peak + 64.0)
+    pinned = grid_pow is not None
     if grid_pow is None:
         grid_pow = max(8, math.ceil(math.log2(need)))
     n_grid = 2**grid_pow
@@ -206,24 +238,31 @@ def compute_spectrum(
             f"window [{lo}, {hi}] does not fit a {n_grid}-point grid; raise grid_pow"
         )
 
-    m = n_grid // 2 + 1 if phase.odd else n_grid
-    z = 1j * x * phase.h(2.0 * np.pi * np.arange(m) / n_grid)
-    np.exp(z, out=z)
-    if phase.odd:
-        fcoef = np.fft.hfft(z, n_grid, norm="forward")
-    else:
-        fcoef = np.fft.fft(z, norm="forward", out=z)
-    del z
-
-    # the window is one contiguous run of fcoef, or two when it wraps past N
-    start = lo % n_grid
-    stop = start + hi - lo + 1
-    wrapped = fcoef[: max(stop - n_grid, 0)]
-    coeffs = np.concatenate([fcoef[start:stop], wrapped], dtype=complex)
-    del fcoef, wrapped  # each N-array is dropped once read: they set peak memory
-    sq = np.abs(coeffs)
-    sq *= sq
-    defect = abs(float(np.sum(sq)) - 1.0)
+    fcoef = _grid_coefficients(phase, x, n_grid)
+    while True:
+        # the window is one contiguous run of fcoef, or two when it wraps past N
+        start = lo % n_grid
+        stop = start + hi - lo + 1
+        wrapped = max(stop - n_grid, 0)
+        coeffs = np.concatenate([fcoef[start:stop], fcoef[:wrapped]], dtype=complex)
+        if window == "full":
+            del fcoef  # each N-array is dropped once read: they set peak memory
+        sq = np.abs(coeffs)
+        sq *= sq
+        defect = abs(float(np.sum(sq)) - 1.0)
+        if window == "full" or not defect > _PARSEVAL_GATE:
+            break
+        # widen the auto window: the same FFT while it fits, a larger grid if allowed
+        w_pad *= 2.0
+        wide_lo, wide_hi, need = auto_window(w_pad)
+        if need > n_grid:
+            wide_pow = math.ceil(math.log2(need))
+            if pinned or 2**wide_pow > _SAMPLE_BUDGET:
+                break
+            grid_pow, n_grid = wide_pow, 2**wide_pow
+            del fcoef, coeffs, sq
+            fcoef = _grid_coefficients(phase, x, n_grid)
+        lo, hi = wide_lo, wide_hi
     if defect > _PARSEVAL_GATE:
         raise GridResolutionError(
             f"windowed Parseval defect {defect:.3e} exceeds {_PARSEVAL_GATE:g}; "

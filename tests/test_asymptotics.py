@@ -24,6 +24,8 @@ from wnl.phase import (
     build_sine,
     require_valid,
 )
+from wnl.specfun import girard_value
+from wnl.spectrum import coefficient_quadrature, compute_spectrum
 from wnl.stationary import stationary_comparison
 
 L_SINE = 1.2171884777994833275  # 16 / Gamma(1/4)^2
@@ -155,6 +157,24 @@ def test_study_rejects_non_finite_scales(bad):
 def test_infinite_scale_is_a_clean_error(route):
     with pytest.raises(DomainError, match="n must be finite"):
         route(build_sine(), math.inf)
+
+
+def test_study_completes_for_a_zero_near_the_circle():
+    """At alpha = 0.9 every scale 2^7..2^12 needs a widened window; the
+    ladder completes, its limit is Girard's value, the scaled norm
+    approaches it, and seeded coefficients match the quadrature twin."""
+    phase = build_blaschke([0.9])
+    params = [2.0**k for k in range(7, 13)]
+    report = convergence_study(phase, params)
+    assert report.limit == pytest.approx(girard_value(0.9).value, abs=1e-11)
+    gaps = [abs(r.scaled_norm - report.limit) for r in report.rows]
+    assert gaps[-1] < 0.5 * gaps[0]
+    norm = phase.normalized()
+    rng = np.random.default_rng(14)
+    for n in params:
+        spec = compute_spectrum(norm, n)
+        for nu in rng.integers(spec.nu_min, spec.nu_max + 1, 2).tolist():
+            assert abs(spec.coeff(nu) - coefficient_quadrature(norm, n, nu)) < 1e-9
 
 
 def test_study_rejects_real_ladder_for_nonzero_winding():

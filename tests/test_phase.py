@@ -164,6 +164,21 @@ def test_validate(phase, ok):
     assert validate(phase).passed is ok
 
 
+def test_validate_checks_declared_parity():
+    """Only abs is built even; a phase declared even must be, as one
+    declared odd must be odd, since the spectrum's half routes trust it."""
+    assert build_piecewise_abs().even and not build_piecewise_abs().odd
+    assert not any(p.even for p in (build_sine(), build_linear(2), build_blaschke([0.5])))
+    assert validate(build_piecewise_abs()).symmetry_ok
+    report = validate(dataclasses.replace(build_sine(), even=True))
+    assert not report.symmetry_ok and not report.passed
+    assert any(m.startswith("declared even but h(-t)-h(t) reaches") for m in report.messages)
+    assert not any(m.startswith("declared odd") for m in report.messages)
+    odd_abs = validate(dataclasses.replace(build_piecewise_abs(), odd=True))
+    assert not odd_abs.symmetry_ok
+    assert any(m.startswith("declared odd but h(-t)+h(t) reaches") for m in odd_abs.messages)
+
+
 def test_require_valid_raises_with_reasons():
     with pytest.raises(WnlError, match="fails validation"):
         require_valid(build_linear(1))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import jv
 
+from wnl import spectrum
 from wnl.errors import (
     DomainError,
     GridResolutionError,
@@ -89,6 +90,30 @@ def test_half_route_matches_full_route(phase, xs):
         assert np.max(np.abs(full.coeffs.imag)) <= 1e-9
 
 
+def test_even_half_route_matches_full_route():
+    """The even abs phase samples h on [0, pi] only and mirrors; forcing
+    the full N-point sample must give the same window, grid and
+    coefficients."""
+    phase = build_piecewise_abs()
+    seen = []
+
+    def h(t):
+        seen.append(np.max(t))
+        return phase.h(t)
+
+    for x in (1024.0, 4096.0):
+        seen.clear()
+        half = compute_spectrum(dataclasses.replace(phase, h=h), x, window="full")
+        assert max(seen) <= np.pi  # the half route ran
+        full = compute_spectrum(dataclasses.replace(phase, even=False), x, window="full")
+        assert (half.nu_min, half.nu_max, half.grid_pow) == (
+            full.nu_min,
+            full.nu_max,
+            full.grid_pow,
+        )
+        assert np.max(np.abs(half.coeffs - full.coeffs)) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "phase, x, window",
     [
@@ -108,6 +133,10 @@ def test_buffer_route_is_the_reference_expression(phase, x, window):
     if phase.odd:
         t = 2.0 * np.pi * np.arange(n // 2 + 1) / n
         fcoef = np.fft.hfft(np.exp(1j * x * phase.h(t)), n) / n
+    elif phase.even:
+        t = 2.0 * np.pi * np.arange(n // 2 + 1) / n
+        z = np.exp(1j * x * phase.h(t))
+        fcoef = np.fft.fft(np.concatenate([z, z[-2:0:-1]])) / n
     else:
         t = 2.0 * np.pi * np.arange(n) / n
         fcoef = np.fft.fft(np.exp(1j * x * phase.h(t))) / n
@@ -204,14 +233,54 @@ def test_parseval_defect_small():
     assert spec.parseval_defect < 1e-12
 
 
-@pytest.mark.parametrize("grid_pow", [None, 20], ids=["auto", "pinned"])
-def test_parseval_failure_names_the_window(grid_pow):
-    """The auto window does not depend on grid_pow, so the remedy named is
-    the window, not a finer grid."""
-    match = r"window \[-255936, 63\].*window='full'"
+@pytest.mark.parametrize(
+    "grid_pow, budget", [(None, 2**19), (19, spectrum._SAMPLE_BUDGET)], ids=["auto", "pinned"]
+)
+def test_parseval_failure_names_the_window(grid_pow, budget, monkeypatch):
+    """Widening stops once the window outgrows the sample budget (lowered
+    to 2^19 here, which this phase reaches after six doublings) or a
+    pinned grid; the error then names the last window and
+    window='full', not a finer grid.  Under the real budget it passes
+    (test_auto_window_widens_until_parseval_passes)."""
+    monkeypatch.setattr(spectrum, "_SAMPLE_BUDGET", budget)
+    match = r"defect 2\.605e-06 .*window \[-259968, 4095\].*window='full'"
     with pytest.raises(GridResolutionError, match=match) as err:
         compute_spectrum(build_blaschke([0.999]), 128.0, grid_pow=grid_pow)
     assert "grid_pow" not in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "alpha, x, doublings, ffts",
+    [
+        (0.8, 128.0, 1, 1),
+        (0.9, 4096.0, 1, 1),
+        (0.9, 128.0, 2, 1),
+        (0.95, 1024.0, 3, 1),
+        (0.999, 128.0, 7, 2),
+    ],
+)
+def test_auto_window_widens_until_parseval_passes(alpha, x, doublings, ffts, monkeypatch):
+    """A Blaschke zero near the circle fails the gate at W = max(64, 4 sqrt x);
+    W doubles until it passes, re-cutting one FFT while the grid holds the
+    window.  Only 0.999 outgrows its first grid, 2^19 -> 2^20 points."""
+    grid_coefficients = spectrum._grid_coefficients
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return grid_coefficients(*args)
+
+    monkeypatch.setattr(spectrum, "_grid_coefficients", counted)
+    phase = build_blaschke([alpha])
+    spec = compute_spectrum(phase, x)
+    m1, m2 = phase.slope_range()
+    w_pad = max(64.0, 4.0 * math.sqrt(x)) * 2**doublings
+    assert (spec.nu_min, spec.nu_max) == (
+        math.ceil(x * m1 - w_pad),
+        math.floor(x * m2 + w_pad),
+    )
+    assert spec.parseval_defect <= 1e-6
+    assert len(calls) == ffts and calls[-1] == 2**spec.grid_pow
 
 
 def test_tail_bound_finite_and_honest():
