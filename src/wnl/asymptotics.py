@@ -118,7 +118,7 @@ def full_circle_reference(phase: PhaseFunction, tol: float = 1e-10) -> float:
         for _ in range(60):
             m = 0.5 * (a + b)
             if (d2_at(m) < 0.0) == (fa < 0.0):
-                a, fa = m, d2_at(m)
+                a = m
             else:
                 b = m
         kink = 0.5 * (a + b)
@@ -230,7 +230,6 @@ class ConvergenceReport:
 def convergence_study(
     phase: PhaseFunction,
     params: Sequence[float],
-    grid_pow: int | None = None,
     limit_tol: float = 1e-10,
 ) -> ConvergenceReport:
     """Measure the scaled norm and partition sums at each scale in params.
@@ -261,7 +260,7 @@ def convergence_study(
     limit = asymptotic_limit(phase, tol=limit_tol)
 
     def one(n: float) -> StudyRow:
-        spec = compute_spectrum(norm, n, grid_pow=grid_pow)
+        spec = compute_spectrum(norm, n)
         part = _partition(norm, n)
         sums = partition_sums(spec, part)
         return StudyRow(
@@ -327,9 +326,7 @@ class FinalStepReport:
         return self.edge_left + self.middle + self.edge_right
 
 
-def final_step_report(
-    phase: PhaseFunction, n: int, eps: float = 0.1, grid_size: int = 16384
-) -> FinalStepReport:
+def final_step_report(phase: PhaseFunction, n: int, eps: float = 0.1) -> FinalStepReport:
     """Split the central approximation sum at slope seams h'(eps), h'(pi-eps).
 
     Every term uses the stationary shape sqrt(2/pi) (n g'')^(-1/2): the
@@ -349,7 +346,7 @@ def final_step_report(
         raise DomainError(f"n must be at least 2, got {n!r}")
     if not (0.0 < eps < math.pi / 2.0):
         raise DomainError(f"eps must lie in (0, pi/2), got {eps!r}")
-    part = _partition(norm, float(n), grid_size)
+    part = _partition(norm, float(n))
     alpha_n, beta_n = part.alpha_n, part.beta_n
     u_lo = float(norm.d1(np.asarray(eps)))
     u_hi = float(norm.d1(np.asarray(math.pi - eps)))

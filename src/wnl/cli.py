@@ -57,7 +57,6 @@ class RunConfig:
     phase_spec: str = "sine"
     param_list: tuple[float, ...] = ()
     quad_tol: float = 1e-10
-    grid_pow: int | None = None
     epsilon: float = 0.1
     out: Path | None = None
     fmt: str = "csv"
@@ -170,14 +169,14 @@ def _converge_log_growth(cfg: RunConfig, phase: PhaseFunction) -> int:
     The sawtooth coefficients decay like 1/nu^2, too slowly for a
     certified window, so the full grid is summed; the part of the norm
     beyond the grid Nyquist is missing, making each value a slowly
-    converging lower bound (about one percent low on the default grid).
+    converging lower bound (about one percent low on the auto grid).
     """
     limit_per_log = 2.0 / math.pi
     if any(p < 3.0 for p in cfg.param_list):
         raise DomainError("log-growth mode needs params >= 3 so that log n > 1")
     rows = []
     for p in cfg.param_list:
-        spec = compute_spectrum(phase, p, grid_pow=cfg.grid_pow, window="full")
+        spec = compute_spectrum(phase, p, window="full")
         norm = spec.abs_sum()
         ratio = norm / math.log(p)
         rows.append((p, norm, ratio, abs(ratio - limit_per_log)))
@@ -197,9 +196,7 @@ def cmd_converge(cfg: RunConfig) -> int:
     phase = parse_phase(cfg.phase_spec)
     if phase.label == "abs":
         return _converge_log_growth(cfg, phase)
-    report = convergence_study(
-        phase, list(cfg.param_list), grid_pow=cfg.grid_pow, limit_tol=cfg.quad_tol
-    )
+    report = convergence_study(phase, list(cfg.param_list), limit_tol=cfg.quad_tol)
     _emit(cfg, report.csv_text, report.payload)
     print(f"limit L = {report.limit!r}")
     print(f"final error |S - L| = {report.errors()[-1]!r} at param {report.rows[-1].param!r}")
@@ -224,7 +221,7 @@ def cmd_stationary_compare(cfg: RunConfig) -> int:
             f"stationary-compare takes exactly one param, got {list(cfg.param_list)!r}"
         )
     n = cfg.param_list[0]
-    table = stationary_comparison(phase, n, grid_pow=cfg.grid_pow)
+    table = stationary_comparison(phase, n)
     fitted = fitted_calibration(phase, table)
     _emit(cfg, table.csv_text, lambda: {**table.payload(), "fitted_c": fitted})
     if not table.rows:
@@ -276,7 +273,7 @@ def cmd_explore_blaschke(cfg: RunConfig) -> int:
     reference = full_circle_reference(phase, tol=cfg.quad_tol)
     rows = []
     for p in cfg.param_list:
-        s = scaled_norm(compute_spectrum(phase, p, grid_pow=cfg.grid_pow))
+        s = scaled_norm(compute_spectrum(phase, p))
         rows.append((p, s, abs(s - reference)))
     header = f"phase_label={phase.label} reference={reference!r}"
     if exploratory:
@@ -308,9 +305,6 @@ _FLAGS = {
     ),
     "--params": dict(required=True, help="comma-separated ladder of n or x values"),
     "--tol": dict(dest="quad_tol", metavar="TOL", type=float, help="quadrature tolerance"),
-    "--grid-pow": dict(
-        type=int, help="fix the transform size at 2**grid_pow (default: auto)"
-    ),
     "--epsilon": dict(
         type=float, help="edge width for the final-step split printed by converge"
     ),
@@ -325,12 +319,12 @@ _COMMANDS = {
     "converge": (cmd_converge, tuple(_FLAGS)),
     "stationary-compare": (
         cmd_stationary_compare,
-        ("--phase", "--params", "--grid-pow", "--out", "--format"),
+        ("--phase", "--params", "--out", "--format"),
     ),
     "bessel": (cmd_bessel, ("--params", "--out", "--format")),
     "explore-blaschke": (
         cmd_explore_blaschke,
-        ("--phase", "--params", "--tol", "--grid-pow", "--out", "--format"),
+        ("--phase", "--params", "--tol", "--out", "--format"),
     ),
 }
 

@@ -65,8 +65,10 @@ def van_der_corput_bound(df_a: float, df_b: float, mu: float, big_a: float = 2.0
     additive constant of the estimate; zero is a legal (if optimistic)
     choice, and the calibrated default is 2.
     """
-    if not (mu > 0.0):
-        raise DomainError(f"mu must be positive, got {mu!r}")
+    if not (math.isfinite(df_a) and math.isfinite(df_b)):
+        raise DomainError(f"endpoint slopes must be finite, got ({df_a!r}, {df_b!r})")
+    if not (0.0 < mu < math.inf):
+        raise DomainError(f"mu must be positive and finite, got {mu!r}")
     if not (big_a >= 0.0):
         raise DomainError(f"A must be non-negative, got {big_a!r}")
     return (abs(df_b - df_a) + 2.0) * (4.0 / math.sqrt(mu) + big_a)

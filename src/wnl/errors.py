@@ -23,7 +23,9 @@ class PeriodicityError(DomainError):
 class GridResolutionError(WnlError):
     """The requested FFT grid or window cannot represent the spectrum.
 
-    The message always says which knob to turn (usually ``grid_pow``).
+    The message names what failed: the last window tried and
+    ``window='full'`` when the Parseval gate fails, or ``grid_pow`` when
+    a pinned grid is too small for its window.
     """
 
 

@@ -38,6 +38,7 @@ _VALIDATE_GRID = 256  # samples per structural check in validate
 _SYMMETRY_TOL = 1e-8  # largest |h(-t) -+ h(t)| of a phase taken as odd or even
 _DOUBLING_LIMIT = 64.0  # largest accepted |h''(2s)| / |h''(s)| near an endpoint
 _DOUBLING_CORNER = math.pi / 8.0  # the largest s of the dyadic ladder
+_CURVATURE_GRID = 16384  # samples of h'' on [0, pi] behind Phi and omega
 
 
 @dataclass(frozen=True)
@@ -80,11 +81,15 @@ class PhaseFunction:
         """(min, max) of h' on [-pi, pi], sampled densely.
 
         An odd grid size keeps -pi, 0, pi on the grid, where monotone
-        curvature puts the extremes.
+        curvature puts the extremes.  A non-finite sample raises
+        DomainError.
         """
         t = np.linspace(-np.pi, np.pi, _SLOPE_RANGE_GRID)
         v = self.d1(t)
-        return float(np.min(v)), float(np.max(v))
+        lo, hi = float(np.min(v)), float(np.max(v))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError(f"h' of {self.label!r} is not finite on [-pi, pi]")
+        return lo, hi
 
 
 @dataclass
@@ -559,7 +564,7 @@ def psi(phase: PhaseFunction, x: float | Array) -> float | Array:
     xs = np.atleast_1d(np.asarray(x, dtype=float)) * phase.sign
     lo_val = float(norm.d1(np.asarray(0.0)))
     hi_val = float(norm.d1(np.asarray(np.pi)))
-    if np.any(xs <= lo_val) or np.any(xs >= hi_val):
+    if not np.all((lo_val < xs) & (xs < hi_val)):
         a = float(phase.d1(np.asarray(0.0)))
         b = float(phase.d1(np.asarray(np.pi)))
         raise DomainError(
@@ -589,22 +594,23 @@ def legendre(phase: PhaseFunction, x: float) -> float:
 
 
 def modulus_of_continuity(
-    phase: PhaseFunction, delta: float, grid_size: int = 4096
+    phase: PhaseFunction, delta: float, grid_size: int = _CURVATURE_GRID
 ) -> float:
     """omega(delta) = sup |h''(u) - h''(v)| over |u - v| <= delta in [0, pi].
 
     Sliding-window extrema over a uniform grid, with linear
     interpolation between the two bracketing integer window widths so
     the result is continuous in delta (a plain floor produces staircase
-    artifacts that poison root finding in :func:`choose_phi`).
+    artifacts that poison root finding in :func:`choose_phi`).  The
+    default grid is the partition's, so this is its omega at delta.
     """
     if not (0.0 < delta <= np.pi):
         raise DomainError(f"delta must lie in (0, pi], got {delta!r}")
     spacing = np.pi / (grid_size - 1)
     if delta < 4.0 * spacing:
         raise DomainError(
-            f"delta {delta:.3e} is below 4 grid spacings ({4 * spacing:.3e}); "
-            "raise grid_size"
+            f"delta {delta:.3e} is below 4 spacings ({4 * spacing:.3e}) of the "
+            f"{grid_size}-point curvature grid"
         )
     return _Curvature(phase, grid_size).omega(delta)
 
@@ -660,7 +666,7 @@ class _Curvature:
         return lo + frac * (hi - lo)
 
 
-def choose_phi(phase: PhaseFunction, n: float, grid_size: int = 16384) -> float:
+def choose_phi(phase: PhaseFunction, n: float, grid_size: int = _CURVATURE_GRID) -> float:
     """The cutoff scale Phi solving omega(Phi / sqrt(n)) * Phi^4 = 1.
 
     omega is the modulus of continuity of h'' on [0, pi]; the product is
@@ -688,8 +694,9 @@ def _solve_phi(curvature: _Curvature, n: float) -> float:
     upper = n**0.25
     if 1.0 / sqrt_n < 4.0 * curvature.spacing:
         raise DomainError(
-            f"n = {n} needs delta resolution below {4 * curvature.spacing:.3e}; "
-            "raise grid_size"
+            f"n = {n} needs delta resolution below {4 * curvature.spacing:.3e}; the "
+            f"{curvature.size}-point curvature grid resolves "
+            f"n <= {(4.0 * curvature.spacing) ** -2:.2e}"
         )
 
     def product(p: float) -> float:
@@ -815,24 +822,22 @@ class TermPartition:
         }
 
 
-def partition_terms(
-    phase: PhaseFunction, n: float, grid_size: int = 16384
-) -> TermPartition:
+def partition_terms(phase: PhaseFunction, n: float) -> TermPartition:
     """Build the four-way index partition at scale n (real n >= 2).
 
     Works on the normalized phase; validation must pass.  delta is
     clamped to pi/8 so the slope probes at 2*delta stay inside (0, pi/2).
     """
-    return _partition(require_valid(phase), n, grid_size)
+    return _partition(require_valid(phase), n)
 
 
-def _partition(norm: PhaseFunction, n: float, grid_size: int = 16384) -> TermPartition:
+def _partition(norm: PhaseFunction, n: float) -> TermPartition:
     """:func:`partition_terms` for a phase already normalized and validated.
 
     h'' is sampled once: the bisection for Phi and omega(delta) read the
     same curvature profile and share its window ranges.
     """
-    curvature = _Curvature(norm, grid_size)
+    curvature = _Curvature(norm, _CURVATURE_GRID)
     phi = _solve_phi(curvature, n)
     delta = min(phi / math.sqrt(n), math.pi / 8.0)
     omega = curvature.omega(max(delta, 4.0 * curvature.spacing))

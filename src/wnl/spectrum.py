@@ -36,6 +36,7 @@ from .phase import PhaseFunction, TermPartition
 _PARSEVAL_GATE = 1e-6  # a window missing this much square mass is rejected
 _QUAD_MAX_DOUBLINGS = 10  # panel doublings coefficient_quadrature may spend
 _SAMPLE_BUDGET = 2**24  # largest FFT grid compute_spectrum will allocate
+_PIECES_GRID = 4096  # samples of h'' around the circle in _monotone_pieces
 
 
 def check_periodicity(phase: PhaseFunction, x: float) -> None:
@@ -90,17 +91,17 @@ class CoefficientSpectrum:
         Path(path).write_text(_table.csv_text(header, ("nu", "re", "im", "abs"), rows))
 
 
-def _monotone_pieces(phase: PhaseFunction, grid_size: int = 4096) -> int | None:
+def _monotone_pieces(phase: PhaseFunction) -> int | None:
     """Number of monotone segments of h' around the circle, or None.
 
     Counted as sign changes of h'' over [-pi, pi); zero samples are
     dropped first.  Returns None when h'' vanishes on most of the
     circle, in which case no variation certificate is available.
     """
-    t = np.linspace(-np.pi, np.pi, grid_size, endpoint=False)
+    t = np.linspace(-np.pi, np.pi, _PIECES_GRID, endpoint=False)
     s = np.sign(phase.d2(t))
     s = s[s != 0.0]
-    if s.size < grid_size // 2:
+    if s.size < _PIECES_GRID // 2:
         return None
     flips = int(np.sum(s[1:] != s[:-1]))
     if s[0] != s[-1]:
@@ -195,7 +196,8 @@ def compute_spectrum(
 
     A window that does not fit the grid raises GridResolutionError, as
     does a Parseval defect above 1e-6 that widening cannot mend.  A grid
-    above 2^24 points raises DomainError before any sample is allocated.
+    above 2^24 points raises DomainError before any sample is allocated,
+    and so does a phase whose h' or e^{i x h} is not finite on the grid.
     """
     if x <= 0.0:
         raise DomainError(f"x must be positive, got {x!r}")
@@ -250,6 +252,11 @@ def compute_spectrum(
         sq = np.abs(coeffs)
         sq *= sq
         defect = abs(float(np.sum(sq)) - 1.0)
+        if not math.isfinite(defect):
+            raise DomainError(
+                f"e^(i x h) of {phase.label!r} is not finite on the {n_grid}-point "
+                f"grid at x = {x!r}"
+            )
         if window == "full" or not defect > _PARSEVAL_GATE:
             break
         # widen the auto window: the same FFT while it fits, a larger grid if allowed

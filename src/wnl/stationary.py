@@ -137,16 +137,18 @@ def stationary_comparison(
     phase: PhaseFunction,
     x: float,
     calib_c: float = 8.0,
-    grid_pow: int | None = None,
 ) -> ComparisonTable:
     """Approximate every central coefficient and fetch its exact value.
 
     The exact side is the FFT spectrum of the normalized phase at the
     same x, so the two columns share nothing but the phase itself.
+    calib_c must be finite and non-negative.
     """
+    if not (0.0 <= calib_c < math.inf):
+        raise DomainError(f"calib_c must be finite and non-negative, got {calib_c!r}")
     norm = require_valid(phase)
     part = _partition(norm, x)
-    spec = compute_spectrum(norm, x, grid_pow=grid_pow)
+    spec = compute_spectrum(norm, x)
     rng = part.central_range()
     if len(rng) and not (spec.nu_min <= rng.start and rng[-1] <= spec.nu_max):
         raise DomainError(
@@ -204,6 +206,8 @@ def lemma1_var_bound(phase: PhaseFunction, x: float, nu: float) -> float:
     exact up to rounding when 1/phi' is piecewise monotone with turning
     points on the grid.
     """
+    if not (math.isfinite(x) and math.isfinite(nu)):
+        raise DomainError(f"x and nu must be finite, got ({x!r}, {nu!r})")
     t = np.linspace(-np.pi, np.pi, _VAR_BOUND_GRID)
     slope = x * phase.d1(t) - nu
     smallest = float(np.min(np.abs(slope)))
@@ -223,10 +227,10 @@ def lemma1_monotone_bound(phimin_a: float, phimin_b: float) -> float:
     The two arguments are the endpoint slopes; monotonicity means the
     smaller magnitude is attained at an endpoint, which is all the
     first-derivative test needs.  Symmetric in its arguments.  A zero
-    slope admits no bound and raises DomainError.
+    or non-finite slope admits no bound and raises DomainError.
     """
-    if phimin_a == 0.0 or phimin_b == 0.0:
+    if not all(0.0 < abs(s) < math.inf for s in (phimin_a, phimin_b)):
         raise DomainError(
-            f"endpoint slopes must be nonzero, got ({phimin_a!r}, {phimin_b!r})"
+            f"endpoint slopes must be finite and nonzero, got ({phimin_a!r}, {phimin_b!r})"
         )
     return 2.0 / min(abs(phimin_a), abs(phimin_b))

@@ -67,6 +67,9 @@ def test_parser_rejects_unknown_command():
         ["stationary-compare", "--phase", "sine", "--params", "150", "--tol", "1e-8"],
         ["stationary-compare", "--phase", "sine", "--params", "150", "--epsilon", "0.2"],
         ["explore-blaschke", "--phase", "blaschke:0.5", "--params", "20", "--epsilon", "0.2"],
+        ["converge", "--phase", "sine", "--params", "150", "--grid-pow", "12"],
+        ["stationary-compare", "--phase", "sine", "--params", "150", "--grid-pow", "12"],
+        ["explore-blaschke", "--phase", "blaschke:0.5", "--params", "20", "--grid-pow", "12"],
     ],
     ids=lambda argv: f"{argv[0]} {argv[-2]}",
 )
@@ -117,6 +120,15 @@ def test_non_finite_params_are_a_clean_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: --params must be finite")
     assert err.count("\n") == 1
+
+
+def test_unresolvable_scale_names_the_curvature_grid(capsys):
+    """Past the largest n the curvature grid resolves, the error says so
+    instead of naming a knob the command does not take."""
+    assert main(["converge", "--phase", "sine", "--params", "2000000"]) == 1
+    err = capsys.readouterr().err
+    assert "16384-point curvature grid resolves n <= 1.70e+06" in err
+    assert "grid_size" not in err
 
 
 def test_validate_exit_codes(capsys):

@@ -85,14 +85,13 @@ OPTIONS = {
     "choose_phi": ("grid_size",),
     "coefficient_quadrature": ("tol",),
     "compute_spectrum": ("grid_pow", "window"),
-    "convergence_study": ("grid_pow", "limit_tol"),
+    "convergence_study": ("limit_tol",),
     "corollary2_integral": ("n_nodes",),
-    "final_step_report": ("eps", "grid_size"),
+    "final_step_report": ("eps",),
     "fractional_array": ("j0",),
     "full_circle_reference": ("tol",),
     "modulus_of_continuity": ("grid_size",),
-    "partition_terms": ("grid_size",),
-    "stationary_comparison": ("calib_c", "grid_pow"),
+    "stationary_comparison": ("calib_c",),
     "van_der_corput_bound": ("big_a",),
 }
 
@@ -108,6 +107,26 @@ def test_public_options_are_pinned():
             if defaults:
                 found[name] = defaults
     assert found == OPTIONS
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: wnl.psi(wnl.build_sine(), NAN),
+        lambda: wnl.legendre(wnl.build_sine(), NAN),
+        lambda: wnl.lemma1_var_bound(wnl.build_blaschke([0.5]), NAN, 3.0),
+        lambda: wnl.lemma1_monotone_bound(NAN, 1.0),
+        lambda: wnl.van_der_corput_bound(NAN, 1.0, 1.0),
+    ],
+    ids=["psi", "legendre", "lemma1_var_bound", "lemma1_monotone_bound", "van_der_corput"],
+)
+def test_nan_argument_is_a_domain_error(call):
+    """A nan argument raises DomainError rather than coming back as nan."""
+    with pytest.raises(wnl.DomainError):
+        call()
 
 
 def test_frozen_constants_match_their_regeneration(monkeypatch, capsys):

@@ -529,8 +529,8 @@ def test_partition_samples_curvature_once():
         sizes.append(np.size(t))
         return norm.d2(t)
 
-    _partition(dataclasses.replace(norm, d2=d2), 1000.0, grid_size=4096)
-    assert sizes == [4096]
+    _partition(dataclasses.replace(norm, d2=d2), 1000.0)
+    assert sizes == [16384]
 
 
 def test_choose_phi_clamps_for_flat_curvature():
@@ -567,9 +567,7 @@ def test_partition_seams_ordered():
 def test_partition_carries_omega_at_delta():
     phase = build_blaschke([0.3, 0.7])
     part = partition_terms(phase, 1000.0)
-    assert part.omega == modulus_of_continuity(phase, part.delta, grid_size=16384)
-    fine = partition_terms(phase, 1000.0, grid_size=1 << 16)
-    assert fine.omega == modulus_of_continuity(phase, fine.delta, grid_size=1 << 16)
+    assert part.omega == modulus_of_continuity(phase, part.delta)
 
 
 def test_partition_accepts_real_scale():

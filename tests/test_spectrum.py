@@ -358,6 +358,30 @@ def test_non_finite_x_rejected(route, x):
         route(build_sine(), x)
 
 
+def test_nan_phase_is_a_domain_error(monkeypatch):
+    """h = nan near t = 1: with h' finite the Parseval defect is nan, with h'
+    nan too the slope range is.  Either is named before any window widens."""
+
+    def h(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(np.abs(t - 1.0) < 0.01, np.nan, np.sin(t))
+
+    grid_coefficients = spectrum._grid_coefficients
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return grid_coefficients(*args)
+
+    monkeypatch.setattr(spectrum, "_grid_coefficients", counted)
+    with pytest.raises(DomainError, match="'sine' is not finite"):
+        compute_spectrum(dataclasses.replace(build_sine(), h=h), 100.0)
+    assert len(calls) == 1
+    with pytest.raises(DomainError, match="'custom' is not finite"):
+        compute_spectrum(build_from_callable(h), 100.0)
+    assert len(calls) == 1
+
+
 def test_nonperiodic_x_rejected():
     with pytest.raises(PeriodicityError):
         compute_spectrum(build_blaschke([0.5]), 2.5)

@@ -158,6 +158,14 @@ def test_comparison_csv(tmp_path):
     assert float(first[1]) == table.rows[0].exact.real
 
 
+@pytest.mark.parametrize("calib_c", [math.nan, -1.0, math.inf])
+def test_calib_c_must_be_finite_and_non_negative(calib_c):
+    """A nan C makes every bound nan and certifies every row; a negative C
+    makes every row a violation.  Both are refused."""
+    with pytest.raises(DomainError, match="calib_c"):
+        stationary_comparison(build_sine(), 1000.0, calib_c=calib_c)
+
+
 # ---------------------------------------------------------------------------
 # First-derivative-test bounds
 # ---------------------------------------------------------------------------
