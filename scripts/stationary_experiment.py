@@ -27,8 +27,8 @@ def main() -> int:
     path = args.out_dir / f"stationary_n{args.scale:g}.csv"
     table.to_csv(path)
 
-    rels = np.array([r.rel_err for r in table.rows])
-    print(f"scale {args.scale:g}: {len(table.rows)} central indices")
+    rels = table.rel_err
+    print(f"scale {args.scale:g}: {table.nu.size} central indices")
     print(f"  max absolute error  = {table.max_abs_err():.3e}")
     print(f"  median relative err = {float(np.median(rels)):.4%}")
     print(f"  rows over 1% rel    = {int(np.sum(rels > 0.01))} "

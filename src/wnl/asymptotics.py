@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _table
-from ._quad import integrate_panels
+from ._quad import integrate_panels, require_tolerance
 from .errors import DomainError, QuadratureBudgetError
 from .phase import (
     PhaseFunction,
@@ -77,6 +77,7 @@ def asymptotic_limit(phase: PhaseFunction, tol: float = 1e-10) -> float:
     needs |h''| on (0, pi), which lets the quadrature be self-tested on
     synthetic curvature profiles that are not phases at all.
     """
+    require_tolerance(tol)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.sqrt(np.abs(phase.d2(t)))
@@ -100,6 +101,7 @@ def full_circle_reference(phase: PhaseFunction, tol: float = 1e-10) -> float:
     sign inside the circle here, so its zeros are located first and the
     panel edges pinned to them, keeping each sqrt kink on a breakpoint.
     """
+    require_tolerance(tol)
     two_pi = 2.0 * math.pi
 
     def d2_at(t: float) -> float:
@@ -144,6 +146,7 @@ def asymptotic_limit_slope_route(phase: PhaseFunction, tol: float = 1e-8) -> flo
     over the slope interval [h'(0), h'(pi)]; nothing is shared with the
     t-route but the phase itself, so agreement is a real check.
     """
+    require_tolerance(tol)
     norm = require_valid(phase)
     alpha = float(norm.d1(np.asarray(0.0)))
     beta = float(norm.d1(np.asarray(np.pi)))

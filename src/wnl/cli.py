@@ -169,7 +169,9 @@ def _converge_log_growth(cfg: RunConfig, phase: PhaseFunction) -> int:
     The sawtooth coefficients decay like 1/nu^2, too slowly for a
     certified window, so the full grid is summed; the part of the norm
     beyond the grid Nyquist is missing, making each value a slowly
-    converging lower bound (about one percent low on the auto grid).
+    converging lower bound.  On the auto grid every value lies a constant
+    0.01645 below the exact norm 1 + (4/pi)(H_2n - H_n / 2): 0.34% low at
+    n = 64 and 0.16% low at n = 262144.
     """
     limit_per_log = 2.0 / math.pi
     if any(p < 3.0 for p in cfg.param_list):
@@ -224,11 +226,11 @@ def cmd_stationary_compare(cfg: RunConfig) -> int:
     table = stationary_comparison(phase, n)
     fitted = fitted_calibration(phase, table)
     _emit(cfg, table.csv_text, lambda: {**table.payload(), "fitted_c": fitted})
-    if not table.rows:
+    if not table.nu.size:
         print(f"central window holds no integer index at param {n!r}; empty table")
         return 0
     print(
-        f"{len(table.rows)} central indices; max abs err {table.max_abs_err()!r}, "
+        f"{table.nu.size} central indices; max abs err {table.max_abs_err()!r}, "
         f"max rel err {table.max_rel_err()!r}"
     )
     print(

@@ -47,6 +47,7 @@ def weyl_sum(svals: np.ndarray, j: int) -> float:
 
     An empty sample is answered with 0.0 plus a warning rather than an
     error, so parameter sweeps survive windows that miss every integer.
+    A sample holding nan or inf raises DomainError.
     """
     if j == 0 or j != int(j):
         raise DomainError(f"frequency j must be a nonzero integer, got {j!r}")
@@ -54,7 +55,10 @@ def weyl_sum(svals: np.ndarray, j: int) -> float:
     if svals.size == 0:
         warnings.warn("weyl_sum of an empty sample is 0 by convention", stacklevel=2)
         return 0.0
-    return float(np.abs(np.mean(np.exp(2j * np.pi * int(j) * svals))))
+    value = float(np.abs(np.mean(np.exp(2j * np.pi * int(j) * svals))))
+    if math.isnan(value):  # one scalar test instead of a pass over the samples
+        raise DomainError(f"weyl_sum of a sample holding a non-finite value (j = {j})")
+    return value
 
 
 def van_der_corput_bound(df_a: float, df_b: float, mu: float, big_a: float = 2.0) -> float:

@@ -200,7 +200,7 @@ def build_blaschke(alphas: Sequence[float]) -> PhaseFunction:
     a = np.asarray(alphas, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise DomainError("need a non-empty 1-d sequence of zero moduli")
-    if np.any((a <= 0.0) | (a >= 1.0)):
+    if np.any(~((a > 0.0) & (a < 1.0))):  # nan fails too
         raise DomainError(f"zero moduli must lie in (0, 1), got {alphas!r}")
     levels = ",".join(map(_digits, a))
     return _blaschke_phase(a, odd=True, label=f"blaschke[{levels}]")
@@ -219,7 +219,8 @@ def build_blaschke_general(zeros: Sequence[complex]) -> PhaseFunction:
     z = np.asarray(zeros, dtype=complex)
     if z.ndim != 1 or z.size == 0:
         raise DomainError("need a non-empty 1-d sequence of zeros")
-    if np.any(np.abs(z) >= 1.0) or np.any(np.abs(z) <= 0.0):
+    mod = np.abs(z)
+    if np.any(~((mod > 0.0) & (mod < 1.0))):  # nan fails too
         raise DomainError("zeros must satisfy 0 < |a| < 1")
     levels = ",".join(
         f"{_digits(v.real)}{'' if np.signbit(v.imag) else '+'}{_digits(v.imag)}j" for v in z

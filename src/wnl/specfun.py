@@ -306,7 +306,7 @@ def corollary2_integral(alphas: Sequence[float], n_nodes: int = 96) -> float:
     a = np.asarray(alphas, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise DomainError("need a non-empty 1-d sequence of zero moduli")
-    if np.any((a <= 0.0) | (a >= 1.0)):
+    if np.any(~((a > 0.0) & (a < 1.0))):  # nan fails too
         raise DomainError(f"zero moduli must lie in (0, 1), got {alphas!r}")
 
     def smooth(u: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _table
-from ._quad import integrate_adaptive
+from ._quad import integrate_adaptive, require_tolerance
 from .errors import (
     DomainError,
     GridResolutionError,
@@ -302,8 +302,11 @@ def coefficient_quadrature(
     the normalized coefficient.  An odd phase makes the coefficient real,
     (1/pi) integral over [0, pi] of cos(x h(t) - nu t) dt, so only that
     half is integrated; other phases integrate the complex exponential
-    over [-pi, pi].  Completely independent of the FFT route.
+    over [-pi, pi].  Completely independent of the FFT route.  A tol
+    that is nan or <= 0, or an integrand that is not finite, raises
+    DomainError.
     """
+    require_tolerance(tol)
     check_periodicity(phase, x)
     slope = max(abs(v) for v in phase.slope_range())
     travel = x * slope + abs(nu)
@@ -312,8 +315,12 @@ def coefficient_quadrature(
     panels0 = max(4, math.ceil(0.75 * travel * (span / math.pi)))  # same density
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        arg = x * phase.h(t) - nu * t
-        return np.cos(arg) if phase.odd else np.exp(1j * arg)
+        arg = x * phase.h(t)  # a new array: h may return t itself
+        arg -= nu * t
+        if phase.odd:
+            return np.cos(arg, out=arg)
+        z = 1j * arg
+        return np.exp(z, out=z)
 
     value, _ = integrate_adaptive(
         integrand,
@@ -323,6 +330,7 @@ def coefficient_quadrature(
         tol=0.5 * span * tol,  # tol/2 on the normalized coefficient
         order=16,
         max_doublings=_QUAD_MAX_DOUBLINGS,
+        what=f"e^(i x h) of {phase.label!r} at x = {x!r}",
     )
     return value / span
 

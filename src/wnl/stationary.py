@@ -14,6 +14,11 @@ x omega(delta) delta^3 piece from freezing g'' across the stationary
 neighborhood of half-width delta.  Both delta and omega(delta) are read
 from the index partition at scale x, which computes them once.
 
+``stationary_comparison`` returns the central window as one table of
+numpy columns (index, t*, rho, g''(t*), approximation, FFT coefficient,
+bound); its error statistics and its CSV and JSON forms are column
+expressions, and ``fitted_calibration`` reads the stored g'' column.
+
 Away from the central window the coefficient integral has no
 stationary point; Lemma 1's first-derivative bounds cover that case.
 """
@@ -22,7 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,15 +54,15 @@ def _approximate_at(
     part: TermPartition,
     nus: np.ndarray,
     calib_c: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """t*, rho, the saddle-point value and its remainder bound at each index."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """t*, g''(t*), rho, the saddle-point value and its remainder bound at each index."""
     x, delta = part.n, part.delta
     t_star = _invert_increasing_slope(norm, nus / x)
     g2 = norm.d2(t_star)
     rho = x * norm.h(t_star) - nus * t_star
     approx = _SQRT_2_OVER_PI / np.sqrt(x * g2) * np.cos(rho + math.pi / 4.0)
     bounds = calib_c / (x * g2 * delta) + x * part.omega * delta**3
-    return t_star, rho, approx, bounds
+    return t_star, g2, rho, approx, bounds
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +70,9 @@ def _approximate_at(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
+    """One central index of a :class:`ComparisonTable`, as Python scalars."""
+
     nu: int
     t_star: float
     rho: float
@@ -81,12 +90,18 @@ class ComparisonRow:
         return self.abs_err / mag if mag > 0.0 else math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonTable:
     """Central-window stationary approximations against FFT coefficients.
 
-    delta and omega are those of the partition the rows were built
-    from, so the remainder budget can be re-derived from the table.
+    A table of numpy columns, one entry per central index: ``nu``,
+    ``t_star``, ``rho``, ``g2`` = g''(t*), ``approx``, ``exact``
+    (complex) and ``remainder_bound``.  The error columns ``abs_err``
+    and ``rel_err`` are derived once, on first use.  delta and omega
+    are those of the partition the table was built from, so the
+    remainder budget can be re-derived from the table.  ``rows`` gives
+    the same entries as :class:`ComparisonRow` tuples, built on first
+    use; nothing in the package reads it.
     """
 
     x: float
@@ -94,24 +109,51 @@ class ComparisonTable:
     calib_c: float
     delta: float
     omega: float
-    rows: tuple[ComparisonRow, ...]
+    nu: np.ndarray
+    t_star: np.ndarray
+    rho: np.ndarray
+    g2: np.ndarray
+    approx: np.ndarray
+    exact: np.ndarray
+    remainder_bound: np.ndarray
+
+    @cached_property
+    def rows(self) -> tuple[ComparisonRow, ...]:
+        columns = (self.nu, self.t_star, self.rho, self.approx, self.exact, self.remainder_bound)
+        entries = zip(*(c.tolist() for c in columns))
+        # ComparisonRow._make without its length check, which costs a third of the build
+        return tuple(map(tuple.__new__, repeat(ComparisonRow), entries))
+
+    # Python's abs of a complex is the C library's hypot of its parts, and so
+    # is np.hypot; numpy's complex abs has a loop of its own that may differ
+    # from both by an ulp.  So the error columns equal the rows' properties.
+
+    @cached_property
+    def abs_err(self) -> np.ndarray:
+        """|approx - exact|, as ``ComparisonRow.abs_err`` computes it."""
+        return np.hypot(self.approx - self.exact.real, self.exact.imag)
+
+    @cached_property
+    def rel_err(self) -> np.ndarray:
+        """abs_err / |exact|, inf where the coefficient is 0, as ``ComparisonRow.rel_err``."""
+        mag = np.hypot(self.exact.real, self.exact.imag)
+        return np.divide(self.abs_err, mag, out=np.full(mag.shape, math.inf), where=mag > 0.0)
 
     def max_abs_err(self) -> float:
-        return max((r.abs_err for r in self.rows), default=0.0)
+        return float(np.max(self.abs_err, initial=0.0))
 
     def max_rel_err(self) -> float:
-        return max((r.rel_err for r in self.rows), default=0.0)
+        return float(np.max(self.rel_err, initial=0.0))
 
     def bound_violations(self) -> int:
         """How many rows have |approx - exact| above their remainder bound."""
-        return sum(1 for r in self.rows if r.abs_err > r.remainder_bound)
+        return int(np.count_nonzero(self.abs_err > self.remainder_bound))
 
     _COLUMNS = ("nu", "exact", "approx", "abs_err", "remainder_bound")
 
     def _rows(self) -> list[tuple]:
-        return [
-            (r.nu, r.exact.real, r.approx, r.abs_err, r.remainder_bound) for r in self.rows
-        ]
+        columns = (self.nu, self.exact.real, self.approx, self.abs_err, self.remainder_bound)
+        return list(zip(*(c.tolist() for c in columns)))
 
     def csv_text(self) -> str:
         """Five data columns; exact is the real part of the coefficient.
@@ -120,7 +162,7 @@ class ComparisonTable:
         the coefficients are exactly real; the header records the
         largest imaginary magnitude dropped so the file never hides one.
         """
-        max_im = max((abs(r.exact.imag) for r in self.rows), default=0.0)
+        max_im = float(np.max(np.abs(self.exact.imag), initial=0.0))
         header = f"x={self.x!r} label={self.label} calib_c={self.calib_c!r} max_im={max_im!r}"
         return _table.csv_text(header, self._COLUMNS, self._rows())
 
@@ -156,18 +198,21 @@ def stationary_comparison(
             f"window [{spec.nu_min}, {spec.nu_max}]"
         )
     nus = np.arange(rng.start, rng.stop)
-    t_star, rho, approx, bounds = _approximate_at(norm, part, nus, calib_c)
+    t_star, g2, rho, approx, bounds = _approximate_at(norm, part, nus, calib_c)
     first = rng.start - spec.nu_min
-    exact = spec.coeffs[first : first + nus.size]
-    columns = (nus, t_star, rho, approx, exact, bounds)
-    rows = tuple(map(ComparisonRow, *(c.tolist() for c in columns)))
     return ComparisonTable(
         x=x,
         label=norm.label,
         calib_c=calib_c,
         delta=part.delta,
         omega=part.omega,
-        rows=rows,
+        nu=nus,
+        t_star=t_star,
+        rho=rho,
+        g2=g2,
+        approx=approx,
+        exact=spec.coeffs[first : first + nus.size],
+        remainder_bound=bounds,
     )
 
 
@@ -177,7 +222,8 @@ def fitted_calibration(phase: PhaseFunction, table: ComparisonTable) -> float:
     Inverts the two-term budget rowwise: the C piece must cover whatever
     the frozen-curvature piece x omega(delta) delta^3 does not.  Returns
     0 when the second term alone already dominates everywhere.  The
-    table must have been built for this phase.
+    table must have been built for this phase; its g'' column is used
+    as stored.
     """
     norm = require_valid(phase)
     if table.label != norm.label:
@@ -186,9 +232,7 @@ def fitted_calibration(phase: PhaseFunction, table: ComparisonTable) -> float:
         )
     x, delta = table.x, table.delta
     frozen_piece = x * table.omega * delta**3
-    abs_err = np.array([r.abs_err for r in table.rows])
-    g2 = norm.d2(np.array([r.t_star for r in table.rows]))
-    return float(np.max((abs_err - frozen_piece) * (x * g2 * delta), initial=0.0))
+    return float(np.max((table.abs_err - frozen_piece) * (x * table.g2 * delta), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

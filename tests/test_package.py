@@ -5,6 +5,7 @@ import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wnl
@@ -120,13 +121,52 @@ NAN = float("nan")
         lambda: wnl.lemma1_var_bound(wnl.build_blaschke([0.5]), NAN, 3.0),
         lambda: wnl.lemma1_monotone_bound(NAN, 1.0),
         lambda: wnl.van_der_corput_bound(NAN, 1.0, 1.0),
+        lambda: wnl.build_blaschke([NAN]),
+        lambda: wnl.build_blaschke_general([NAN]),
+        lambda: wnl.corollary2_integral([NAN]),
+        lambda: wnl.weyl_sum(np.array([0.1, NAN]), 1),
+        lambda: wnl.coefficient_quadrature(wnl.build_sine().normalized(), 100.0, 3, tol=NAN),
+        lambda: wnl.asymptotic_limit(wnl.build_sine(), tol=NAN),
+        lambda: wnl.asymptotic_limit_slope_route(wnl.build_sine(), tol=NAN),
+        lambda: wnl.full_circle_reference(wnl.build_sine(), tol=NAN),
     ],
-    ids=["psi", "legendre", "lemma1_var_bound", "lemma1_monotone_bound", "van_der_corput"],
+    ids=[
+        "psi", "legendre", "lemma1_var_bound", "lemma1_monotone_bound", "van_der_corput",
+        "build_blaschke", "build_blaschke_general", "corollary2_integral", "weyl_sum",
+        "coefficient_quadrature", "asymptotic_limit", "asymptotic_limit_slope_route",
+        "full_circle_reference",
+    ],
 )
 def test_nan_argument_is_a_domain_error(call):
     """A nan argument raises DomainError rather than coming back as nan."""
     with pytest.raises(wnl.DomainError):
         call()
+
+
+QUADRATURES = {
+    "coefficient_quadrature": lambda tol: wnl.coefficient_quadrature(
+        wnl.build_sine().normalized(), 100.0, 3, tol=tol
+    ),
+    "asymptotic_limit": lambda tol: wnl.asymptotic_limit(wnl.build_sine(), tol=tol),
+    "asymptotic_limit_slope_route": lambda tol: wnl.asymptotic_limit_slope_route(
+        wnl.build_sine(), tol=tol
+    ),
+    "full_circle_reference": lambda tol: wnl.full_circle_reference(wnl.build_sine(), tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [NAN, 0.0, -1e-12])
+@pytest.mark.parametrize("name", sorted(QUADRATURES))
+def test_unreachable_tolerance_is_refused_up_front(monkeypatch, name, tol):
+    """A tol no refinement can meet raises before any panel is summed."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} integrated with tol={tol!r}")
+
+    monkeypatch.setattr(wnl.asymptotics, "integrate_panels", refuse)
+    monkeypatch.setattr(wnl.spectrum, "integrate_adaptive", refuse)
+    with pytest.raises(wnl.DomainError, match="tol must be positive"):
+        QUADRATURES[name](tol)
 
 
 def test_frozen_constants_match_their_regeneration(monkeypatch, capsys):
@@ -137,3 +177,24 @@ def test_frozen_constants_match_their_regeneration(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [str(script)])
     assert runpy.run_path(str(script))["main"]() == 0
     assert "DRIFT" not in capsys.readouterr().out
+
+
+EXPERIMENTS = {
+    "convergence_experiment.py": (
+        ["--max-pow", "8"],
+        ["convergence_sine.csv", "convergence_blaschke_half.csv", "convergence_blaschke_pair.csv"],
+    ),
+    "stationary_experiment.py": (["--scale", "1000"], ["stationary_n1000.csv"]),
+    "equidist_experiment.py": ([], [f"weyl_parabola_j{j}.csv" for j in (1, 2, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_experiment_scripts_run(name, monkeypatch, tmp_path, capsys):
+    """Each scripts/*_experiment.py exits 0 and writes its tables."""
+    args, files = EXPERIMENTS[name]
+    script = Path(__file__).resolve().parents[1] / "scripts" / name
+    monkeypatch.setattr(sys, "argv", [str(script), "--out-dir", str(tmp_path), *args])
+    assert runpy.run_path(str(script))["main"]() == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+    assert all((tmp_path / f).stat().st_size > 0 for f in files)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from wnl import _quad
 from wnl._quad import (
     integrate_adaptive,
     integrate_panels,
@@ -63,3 +64,27 @@ def test_breakpoints_must_increase(bad):
 def test_constant_integrates_to_width(a, width, panels):
     val = integrate_uniform(lambda t: np.ones_like(t), a, a + width, panels)
     assert val.real == pytest.approx(width, rel=1e-12)
+
+
+def test_panel_nodes_keep_their_expression():
+    """nodes = half * x + mid in place is mid + half * x, bit for bit."""
+    bp = np.linspace(-1.0, 2.5, 1001)
+    x, w = np.polynomial.legendre.leggauss(16)
+    a, b = bp[:-1][:, None], bp[1:][:, None]
+    half = 0.5 * (b - a)
+    nodes, weights = panel_nodes(bp, 16)
+    assert nodes.tobytes() == (0.5 * (a + b) + half * x[None, :]).ravel().tobytes()
+    assert weights.tobytes() == (half * w[None, :]).ravel().tobytes()
+
+
+@pytest.mark.parametrize("order", [16, 32])
+@pytest.mark.parametrize(
+    "f", [lambda t: np.cos(900.0 * np.sin(t) - 7.0 * t), lambda t: np.exp(1j * 900.0 * np.sin(t))]
+)
+def test_blocked_sum_is_the_one_call_sum(f, order):
+    """Several blocks of the integrand give the one-call sum bit for bit,
+    also when the last block is partial."""
+    bp = np.linspace(0.0, np.pi, 5001)
+    assert (bp.size - 1) * order > 2 * _quad._BLOCK_NODES
+    nodes, weights = panel_nodes(bp, order)
+    assert integrate_panels(f, bp, order) == complex(np.sum(weights * f(nodes)))

@@ -382,6 +382,36 @@ def test_nan_phase_is_a_domain_error(monkeypatch):
     assert len(calls) == 1
 
 
+def test_nan_phase_quadrature_is_a_domain_error(monkeypatch):
+    """h = nan near t = 1 with h' finite: the first level's sum is nan, and
+    the quadrature names the phase instead of spending its doubling budget."""
+    from wnl import _quad
+
+    sine = build_sine()
+    phase = dataclasses.replace(
+        sine, h=lambda t: np.where(np.abs(np.asarray(t) - 1.0) < 0.01, np.nan, sine.h(t))
+    )
+    levels = []
+    integrate_uniform = _quad.integrate_uniform
+
+    def counted(*args):
+        levels.append(args[3])
+        return integrate_uniform(*args)
+
+    monkeypatch.setattr(_quad, "integrate_uniform", counted)
+    with pytest.raises(DomainError, match="'sine' at x = 100.0 is not finite"):
+        coefficient_quadrature(phase, 100.0, 3)
+    assert len(levels) == 1
+
+
+def test_quadrature_leaves_the_nodes_of_an_identity_phase_alone():
+    """h(t) = t returns the nodes themselves; the integrand must not write
+    into them.  The coefficients of e^{i x t} are 1 at nu = x and 0 elsewhere."""
+    ident = build_from_callable(lambda t: t, winding_k=1, label="identity")
+    assert coefficient_quadrature(ident, 5.0, 5) == pytest.approx(1.0, abs=1e-12)
+    assert coefficient_quadrature(ident, 5.0, 3) == pytest.approx(0.0, abs=1e-12)
+
+
 def test_nonperiodic_x_rejected():
     with pytest.raises(PeriodicityError):
         compute_spectrum(build_blaschke([0.5]), 2.5)

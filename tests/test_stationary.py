@@ -18,6 +18,7 @@ from wnl.phase import (
 )
 from wnl.spectrum import compute_spectrum
 from wnl.stationary import (
+    ComparisonTable,
     fitted_calibration,
     lemma1_monotone_bound,
     lemma1_var_bound,
@@ -156,6 +157,64 @@ def test_comparison_csv(tmp_path):
     first = lines[2].split(",")
     assert int(first[0]) == table.rows[0].nu
     assert float(first[1]) == table.rows[0].exact.real
+
+
+# sine and [0.3,0.7] at x = 1000, and an empty central window
+COLUMN_CASES = [(build_sine(), 1000.0), (build_blaschke([0.3, 0.7]), 1000.0), (build_blaschke([0.9]), 2.0)]
+
+
+@pytest.mark.parametrize(("phase", "x"), COLUMN_CASES, ids=["sine", "pair", "empty"])
+def test_columns_are_the_rows(phase, x):
+    """Each column equals its ComparisonRow field, and the error columns
+    equal the rows' abs_err and rel_err, value for value."""
+    table = stationary_comparison(phase, x)
+    rows = table.rows
+    assert table.rows is rows  # built once
+    assert len(rows) == table.nu.size
+    assert (not rows) == (x == 2.0)
+    for field in ("nu", "t_star", "rho", "approx", "exact", "remainder_bound"):
+        assert getattr(table, field).tolist() == [getattr(r, field) for r in rows], field
+    assert table.abs_err.tolist() == [r.abs_err for r in rows]
+    assert table.rel_err.tolist() == [r.rel_err for r in rows]
+    norm = require_valid(phase)
+    assert table.g2.tolist() == norm.d2(table.t_star).tolist()
+
+
+@pytest.mark.parametrize(("phase", "x"), COLUMN_CASES, ids=["sine", "pair", "empty"])
+def test_column_statistics_match_row_loops(phase, x):
+    """The column expressions give what a Python loop over the rows gives."""
+    table = stationary_comparison(phase, x)
+    rows = table.rows
+    assert table.max_abs_err() == max((r.abs_err for r in rows), default=0.0)
+    assert table.max_rel_err() == max((r.rel_err for r in rows), default=0.0)
+    assert table.bound_violations() == sum(1 for r in rows if r.abs_err > r.remainder_bound)
+    norm = require_valid(phase)
+    frozen_piece = x * table.omega * table.delta**3
+    c = 0.0
+    for r in rows:
+        g2 = float(norm.d2(np.asarray(r.t_star)))
+        c = max(c, (r.abs_err - frozen_piece) * (x * g2 * table.delta))
+    assert fitted_calibration(phase, table) == c
+
+
+def test_error_columns_match_rows_for_complex_coefficients():
+    """With complex exact values, where numpy's complex abs may round
+    differently, abs_err and rel_err still equal the rows' Python abs;
+    a zero coefficient has an infinite relative error, as in the rows."""
+    rng = np.random.default_rng(5)
+    n = 4000
+    exact = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-8, 0, n)
+    exact[7] = 0.0
+    real = rng.standard_normal(n)
+    table = ComparisonTable(
+        x=1.0, label="synthetic", calib_c=8.0, delta=0.1, omega=0.0,
+        nu=np.arange(n), t_star=real, rho=real, g2=real, approx=real * 1e-3,
+        exact=exact, remainder_bound=np.abs(real) * 1e-3,
+    )
+    assert table.abs_err.tolist() == [r.abs_err for r in table.rows]
+    assert table.rel_err.tolist() == [r.rel_err for r in table.rows]
+    assert table.rel_err[7] == math.inf
+    assert table.bound_violations() == sum(1 for r in table.rows if r.abs_err > r.remainder_bound)
 
 
 @pytest.mark.parametrize("calib_c", [math.nan, -1.0, math.inf])
