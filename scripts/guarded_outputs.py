@@ -41,6 +41,11 @@ CLI_RUNS = [
         "converge_blaschke_65536",
         ["converge", "--phase", "blaschke:0.3,0.7", "--params", "65536"],
     ),
+    # the single-zero ladder, whose limit has the closed form girard_value(0.5)
+    (
+        "converge_blaschke_05",
+        ["converge", "--phase", "blaschke:0.5", "--params", "128,256,512,1024"],
+    ),
     # a zero near the circle: every scale widens its auto window
     (
         "converge_blaschke_09",

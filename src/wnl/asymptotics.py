@@ -31,6 +31,7 @@ from .phase import (
     require_valid,
 )
 from .spectrum import compute_spectrum, partition_sums, scaled_norm
+from .stationary import _stationary_points
 
 _LIMIT_PREFACTOR = (2.0 / math.pi) ** 1.5
 
@@ -294,8 +295,8 @@ def truncated_riemann(
     for integrands blowing up at the left endpoint.  Non-finite values
     raise DomainError.
     """
-    if n < 2:
-        raise DomainError(f"n must be at least 2, got {n!r}")
+    if not (2 <= n < math.inf):
+        raise DomainError(f"n must be at least 2 and finite, got {n!r}")
     if not b > a:
         raise DomainError(f"need b > a, got [{a!r}, {b!r}]")
     j = np.arange(2, n + 1)
@@ -341,8 +342,9 @@ def final_step_report(phase: PhaseFunction, n: int, eps: float = 0.1) -> FinalSt
     floor(n u_lo) and floor(n u_hi), with u_lo = g'(eps) and u_hi =
     g'(pi - eps): index k is in the left strip when k/n <= u_lo, in the
     middle when u_lo < k/n <= u_hi and in the right strip otherwise, so
-    each central index counts exactly once.  One inverse-slope call
-    covers the whole range.
+    each central index counts exactly once.  The indices, g''(t*) and
+    rho are the columns :func:`wnl.stationary.stationary_comparison`
+    reads, from one slope inversion over the whole range.
     """
     norm = require_valid(phase)
     if n < 2:
@@ -360,16 +362,13 @@ def final_step_report(phase: PhaseFunction, n: int, eps: float = 0.1) -> FinalSt
             "or a larger n"
         )
 
-    central = part.central_range()
-    ks = np.arange(central.start, central.stop)
-    t = _invert_increasing_slope(norm, ks / n)
-    vals = 1.0 / np.sqrt(norm.d2(t))
+    ks, _, g2, rho = _stationary_points(norm, part)
+    vals = 1.0 / np.sqrt(g2)
     cut_lo, cut_hi = np.searchsorted(
         ks, (math.floor(u_lo * n), math.floor(u_hi * n)), side="right"
     )
     mid = slice(cut_lo, cut_hi)
-    rho = n * norm.h(t[mid]) - ks[mid] * t[mid]
-    vals[mid] *= np.abs(np.cos(rho + math.pi / 4.0))
+    vals[mid] *= np.abs(np.cos(rho[mid] + math.pi / 4.0))
     pref = math.sqrt(2.0 / math.pi)
     edge_left = float(pref * np.sum(vals[:cut_lo]) / n)
     middle = float(pref * np.sum(vals[mid]) / n)

@@ -32,8 +32,8 @@ def fractional_array(
 
     The window j0 is closed on both ends; results lie in [0, 1).
     """
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n!r}")
+    if not (1 <= n < math.inf):
+        raise DomainError(f"n must be at least 1 and finite, got {n!r}")
     lo, hi = j0
     if not (0.0 <= lo < hi <= 1.0):
         raise DomainError(f"j0 must be a subinterval of [0, 1], got {j0!r}")
@@ -49,7 +49,7 @@ def weyl_sum(svals: np.ndarray, j: int) -> float:
     error, so parameter sweeps survive windows that miss every integer.
     A sample holding nan or inf raises DomainError.
     """
-    if j == 0 or j != int(j):
+    if not math.isfinite(j) or j == 0 or j != int(j):
         raise DomainError(f"frequency j must be a nonzero integer, got {j!r}")
     svals = np.asarray(svals, dtype=float)
     if svals.size == 0:
@@ -125,6 +125,8 @@ def weyl_study(
     """Weyl sums of the fractional arrays of varphi over an n ladder."""
     if len(n_values) == 0:
         raise DomainError("n_values must be non-empty")
+    if not all(map(math.isfinite, n_values)):
+        raise DomainError(f"n_values must be finite, got {list(n_values)!r}")
     if any(b <= a for a, b in zip(n_values, list(n_values)[1:])):
         raise DomainError(f"n_values must be strictly increasing, got {list(n_values)!r}")
     vals = []

@@ -147,7 +147,7 @@ def build_sine() -> PhaseFunction:
 
 def build_linear(k: int) -> PhaseFunction:
     """h(t) = k*t for integer k.  Degenerate: h'' = 0 everywhere."""
-    if k != int(k):
+    if not math.isfinite(k) or k != int(k):
         raise DomainError(f"linear phase needs an integer slope, got {k!r}")
     k = int(k)
     return PhaseFunction(
@@ -671,12 +671,17 @@ def choose_phi(phase: PhaseFunction, n: float, grid_size: int = _CURVATURE_GRID)
     """The cutoff scale Phi solving omega(Phi / sqrt(n)) * Phi^4 = 1.
 
     omega is the modulus of continuity of h'' on [0, pi]; the product is
-    nondecreasing in Phi, so bisection on [1, n^(1/4)] finds the root.
+    nondecreasing in Phi, so bisection on [Phi_floor, n^(1/4)] finds the
+    root.  Phi_floor = max(1, 4 spacing sqrt(n)) keeps delta = Phi /
+    sqrt(n) at four or more spacings of the curvature grid; it is 1 for
+    n <= 1.70e6 on the default grid.
     The scale n may be any real >= 2 (the construction is continuous in
     n, and real scales are first-class downstream).  Degenerate cases
     clamp: if omega never lifts the product to 1 the upper end is
     returned with a warning (h'' constant, e.g. a linear phase), and if
     the product already exceeds 1 at Phi = 1 the lower end is returned.
+    A product that reaches 1 at a Phi_floor above 1 means the root lies
+    below the grid's resolution, which raises DomainError.
     h'' is sampled once into a doubling table of window extremes, and
     each integer window width is read from it once, so the 80 bisection
     steps cost about 20 passes rather than 160.
@@ -693,12 +698,7 @@ def _solve_phi(curvature: _Curvature, n: float) -> float:
         raise DomainError(f"n must be finite, got {n!r}")
     sqrt_n = math.sqrt(n)
     upper = n**0.25
-    if 1.0 / sqrt_n < 4.0 * curvature.spacing:
-        raise DomainError(
-            f"n = {n} needs delta resolution below {4 * curvature.spacing:.3e}; the "
-            f"{curvature.size}-point curvature grid resolves "
-            f"n <= {(4.0 * curvature.spacing) ** -2:.2e}"
-        )
+    floor = max(1.0, 4.0 * curvature.spacing * sqrt_n)
 
     def product(p: float) -> float:
         return curvature.omega(p / sqrt_n) * p**4
@@ -710,9 +710,16 @@ def _solve_phi(curvature: _Curvature, n: float) -> float:
             stacklevel=3,
         )
         return upper
-    if product(1.0) >= 1.0:
+    if product(floor) >= 1.0:
+        if floor > 1.0:
+            raise DomainError(
+                f"n = {n} puts the cutoff root for {curvature.label!r} below the delta "
+                f"resolution {4 * curvature.spacing:.3e}; the {curvature.size}-point "
+                f"curvature grid resolves n <= {(4.0 * curvature.spacing) ** -2:.2e} "
+                "for every phase"
+            )
         return 1.0
-    lo, hi = 1.0, upper
+    lo, hi = floor, upper
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if product(mid) < 1.0:

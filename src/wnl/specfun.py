@@ -109,6 +109,8 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     as z -> 1, the transformed one converges like the series of a
     completed object).
     """
+    if not all(map(math.isfinite, (a, b, c))):
+        raise DomainError(f"a, b and c must be finite, got ({a!r}, {b!r}, {c!r})")
     if c <= 0.0 and c == math.floor(c):
         raise DomainError(f"c must not be a non-positive integer, got {c!r}")
     if not (0.0 <= z < 1.0):
@@ -194,10 +196,9 @@ def bessel_j_sequence(nmax: int, x: float) -> np.ndarray:
     are suppressed only polynomially while the recurrence needs room
     for the solution to decay into dominance.
     """
-    if nmax < 0:
-        raise DomainError(f"nmax must be non-negative, got {nmax!r}")
-    if nmax > _ORDER_CAP:
-        raise DomainError(f"orders above {_ORDER_CAP} unsupported, got {nmax!r}")
+    if not (0 <= nmax <= _ORDER_CAP and nmax == int(nmax)):
+        raise DomainError(f"nmax must be an integer in [0, {_ORDER_CAP}], got {nmax!r}")
+    nmax = int(nmax)
     if x < 0.0 or not math.isfinite(x):
         raise DomainError(f"x must be finite and non-negative, got {x!r}")
     if x > _ARGUMENT_CAP:
@@ -205,7 +206,13 @@ def bessel_j_sequence(nmax: int, x: float) -> np.ndarray:
             f"x = {x!r} is beyond the supported recurrence range ({_ARGUMENT_CAP:g})"
         )
     if x <= _SERIES_CUT:
-        return np.asarray([_ascending_series(n, x) for n in range(nmax + 1)])
+        # (x/2)^n / n! falls with n, so past the first 0 every entry is 0 too
+        vals = np.zeros(nmax + 1)
+        for n in range(nmax + 1):
+            vals[n] = _ascending_series(n, x)
+            if vals[n] == 0.0:
+                break
+        return vals
     margin = 20 + math.ceil(x)
     prev_vals: np.ndarray | None = None
     while margin <= 2**24:
@@ -223,21 +230,11 @@ def bessel_j_sequence(nmax: int, x: float) -> np.ndarray:
 def bessel_j(nu: int, x: float) -> float:
     """J_nu(x) for integer nu with |nu| <= 10000 and x >= 0.
 
-    Negative orders use J_{-nu} = (-1)^nu J_nu.
+    The last entry of :func:`bessel_j_sequence` up to |nu|, which checks
+    the order and the argument.  Negative orders use J_{-nu} = (-1)^nu J_nu.
     """
-    if nu != int(nu):
-        raise DomainError(f"order must be an integer, got {nu!r}")
-    nu = int(nu)
-    n = abs(nu)
-    if n > _ORDER_CAP:
-        raise DomainError(f"|nu| must be at most {_ORDER_CAP}, got {nu!r}")
-    if x < 0.0 or not math.isfinite(x):
-        raise DomainError(f"x must be finite and non-negative, got {x!r}")
-    if x <= _SERIES_CUT:
-        val = _ascending_series(n, x)
-    else:
-        val = float(bessel_j_sequence(n, x)[n])
-    if nu < 0 and n % 2 == 1:
+    val = float(bessel_j_sequence(abs(nu), x)[-1])
+    if nu < 0 and nu % 2 == 1:
         return -val
     return val
 
@@ -288,15 +285,19 @@ def girard_value(alpha: float) -> GirardValue:
     )
 
 
-def corollary2_integral(alphas: Sequence[float], n_nodes: int = 96) -> float:
+_JACOBI_NODES = 96  # Gauss-Jacobi nodes of corollary2_integral's first rule
+
+
+def corollary2_integral(alphas: Sequence[float]) -> float:
     """Limit constant for a multi-zero Blaschke phase, by direct integral.
 
     Substituting u = cos t in (2/pi)^(3/2) * integral of sqrt(h'') over
     [0, pi] gives the weight (1-u)^(-1/4) (1+u)^(-1/4) times the smooth
     factor sqrt(sum_j 2 a_j (1-a_j^2) / (1+a_j^2-2 a_j u)^2), which a
     Gauss-Jacobi rule with exponents (-1/4, -1/4) integrates without
-    seeing the endpoint singularity.  A second rule 32 nodes larger must
-    confirm the value to 1e-11 or ConvergenceError is raised.
+    seeing the endpoint singularity.  The rule has _JACOBI_NODES nodes;
+    a second rule 32 nodes larger must confirm the value to 1e-11 or
+    QuadratureBudgetError is raised.
 
     This route never touches the hypergeometric series, so it serves as
     an independent check of :func:`girard_value`.
@@ -318,12 +319,11 @@ def corollary2_integral(alphas: Sequence[float], n_nodes: int = 96) -> float:
         return float(np.sum(weights * smooth(nodes)))
 
     pref = (2.0 / math.pi) ** 1.5
-    v1 = rule(n_nodes)
-    v2 = rule(n_nodes + 32)
+    v1 = rule(_JACOBI_NODES)
+    v2 = rule(_JACOBI_NODES + 32)
     if abs(v1 - v2) > 1e-11 * max(1.0, abs(v2)):
         raise QuadratureBudgetError(
-            f"Gauss-Jacobi values disagree: {v1!r} vs {v2!r} at {n_nodes} nodes; "
-            "raise n_nodes",
+            f"Gauss-Jacobi values disagree: {v1!r} vs {v2!r} at {_JACOBI_NODES} nodes",
             estimate=pref * v2,
         )
     return pref * v2

@@ -303,11 +303,13 @@ def coefficient_quadrature(
     (1/pi) integral over [0, pi] of cos(x h(t) - nu t) dt, so only that
     half is integrated; other phases integrate the complex exponential
     over [-pi, pi].  Completely independent of the FFT route.  A tol
-    that is nan or <= 0, or an integrand that is not finite, raises
-    DomainError.
+    that is nan or <= 0, a non-finite nu, or an integrand that is not
+    finite, raises DomainError.
     """
     require_tolerance(tol)
     check_periodicity(phase, x)
+    if not math.isfinite(nu):
+        raise DomainError(f"nu must be finite, got {nu!r}")
     slope = max(abs(v) for v in phase.slope_range())
     travel = x * slope + abs(nu)
     start = 0.0 if phase.odd else -math.pi

@@ -16,8 +16,10 @@ from the index partition at scale x, which computes them once.
 
 ``stationary_comparison`` returns the central window as one table of
 numpy columns (index, t*, rho, g''(t*), approximation, FFT coefficient,
-bound); its error statistics and its CSV and JSON forms are column
-expressions, and ``fitted_calibration`` reads the stored g'' column.
+bound); the first four come from ``_stationary_points``, which
+``asymptotics.final_step_report`` reads too.  The error statistics and
+the CSV and JSON forms are column expressions, and
+``fitted_calibration`` reads the stored g'' column.
 
 Away from the central window the coefficient integral has no
 stationary point; Lemma 1's first-derivative bounds cover that case.
@@ -49,20 +51,18 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _VAR_BOUND_GRID = 8192  # samples of phi' in lemma1_var_bound
 
 
-def _approximate_at(
-    norm: PhaseFunction,
-    part: TermPartition,
-    nus: np.ndarray,
-    calib_c: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """t*, g''(t*), rho, the saddle-point value and its remainder bound at each index."""
-    x, delta = part.n, part.delta
+def _stationary_points(
+    norm: PhaseFunction, part: TermPartition
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """nu, t* = psi(nu/x), g''(t*) and rho over the partition's central
+    range, from one slope inversion."""
+    x = part.n
+    rng = part.central_range()
+    nus = np.arange(rng.start, rng.stop)
     t_star = _invert_increasing_slope(norm, nus / x)
     g2 = norm.d2(t_star)
     rho = x * norm.h(t_star) - nus * t_star
-    approx = _SQRT_2_OVER_PI / np.sqrt(x * g2) * np.cos(rho + math.pi / 4.0)
-    bounds = calib_c / (x * g2 * delta) + x * part.omega * delta**3
-    return t_star, g2, rho, approx, bounds
+    return nus, t_star, g2, rho
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +197,9 @@ def stationary_comparison(
             f"central indices [{rng.start}, {rng[-1]}] outside the computed "
             f"window [{spec.nu_min}, {spec.nu_max}]"
         )
-    nus = np.arange(rng.start, rng.stop)
-    t_star, g2, rho, approx, bounds = _approximate_at(norm, part, nus, calib_c)
+    nus, t_star, g2, rho = _stationary_points(norm, part)
+    approx = _SQRT_2_OVER_PI / np.sqrt(x * g2) * np.cos(rho + math.pi / 4.0)
+    bounds = calib_c / (x * g2 * part.delta) + x * part.omega * part.delta**3
     first = rng.start - spec.nu_min
     return ComparisonTable(
         x=x,

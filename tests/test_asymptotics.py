@@ -277,7 +277,7 @@ def test_final_step_strips_cover_the_central_range(monkeypatch, phase, n, eps):
     Each case has a seam with frac(n h'(seam)) > 1/2, where splitting at
     ceil(n h'(seam) + 1/2) would drop an index.
     """
-    invert = wnl.asymptotics._invert_increasing_slope
+    invert = wnl.stationary._invert_increasing_slope
     calls = []
 
     def recording(norm, targets):
@@ -285,7 +285,7 @@ def test_final_step_strips_cover_the_central_range(monkeypatch, phase, n, eps):
         calls.append((targets, t))
         return t
 
-    monkeypatch.setattr(wnl.asymptotics, "_invert_increasing_slope", recording)
+    monkeypatch.setattr(wnl.stationary, "_invert_increasing_slope", recording)
     report = final_step_report(phase, n, eps=eps)
     norm = require_valid(phase)
     central = wnl.asymptotics._partition(norm, float(n)).central_range()

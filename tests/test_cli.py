@@ -123,9 +123,10 @@ def test_non_finite_params_are_a_clean_error(argv, capsys):
 
 
 def test_unresolvable_scale_names_the_curvature_grid(capsys):
-    """Past the largest n the curvature grid resolves, the error says so
-    instead of naming a knob the command does not take."""
-    assert main(["converge", "--phase", "sine", "--params", "2000000"]) == 1
+    """When the cutoff root lies below the curvature grid's resolution, the
+    error says so instead of naming a knob the command does not take.  The
+    partition runs before any FFT, so this scale fails cheaply."""
+    assert main(["stationary-compare", "--phase", "sine", "--params", "1e12"]) == 1
     err = capsys.readouterr().err
     assert "16384-point curvature grid resolves n <= 1.70e+06" in err
     assert "grid_size" not in err

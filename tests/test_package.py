@@ -1,6 +1,7 @@
 """The package as a whole: its public names and its frozen reference constants."""
 
 import inspect
+import math
 import runpy
 import sys
 from pathlib import Path
@@ -87,7 +88,6 @@ OPTIONS = {
     "coefficient_quadrature": ("tol",),
     "compute_spectrum": ("grid_pow", "window"),
     "convergence_study": ("limit_tol",),
-    "corollary2_integral": ("n_nodes",),
     "final_step_report": ("eps",),
     "fractional_array": ("j0",),
     "full_circle_reference": ("tol",),
@@ -129,12 +129,28 @@ NAN = float("nan")
         lambda: wnl.asymptotic_limit(wnl.build_sine(), tol=NAN),
         lambda: wnl.asymptotic_limit_slope_route(wnl.build_sine(), tol=NAN),
         lambda: wnl.full_circle_reference(wnl.build_sine(), tol=NAN),
+        lambda: wnl.truncated_riemann(np.sqrt, 0.0, 1.0, NAN),
+        lambda: wnl.fractional_array(np.sqrt, NAN),
+        lambda: wnl.fractional_array(np.sqrt, math.inf),
+        lambda: wnl.weyl_study(np.sqrt, 1, (0.0, 1.0), [10, NAN]),
+        lambda: wnl.weyl_sum(np.array([0.1, 0.2]), NAN),
+        lambda: wnl.coefficient_quadrature(wnl.build_sine().normalized(), 10.0, NAN),
+        lambda: wnl.bessel_j(NAN, 1.0),
+        lambda: wnl.bessel_j_sequence(NAN, 3.0),
+        lambda: wnl.build_linear(NAN),
+        lambda: wnl.build_linear(math.inf),
+        lambda: wnl.hyp2f1(NAN, 0.75, 1.5, 0.3),
+        lambda: wnl.hyp2f1(0.5, 0.75, NAN, 0.3),
+        lambda: wnl.hyp2f1(math.inf, 0.75, 1.5, 0.3),
     ],
     ids=[
         "psi", "legendre", "lemma1_var_bound", "lemma1_monotone_bound", "van_der_corput",
         "build_blaschke", "build_blaschke_general", "corollary2_integral", "weyl_sum",
         "coefficient_quadrature", "asymptotic_limit", "asymptotic_limit_slope_route",
-        "full_circle_reference",
+        "full_circle_reference", "truncated_riemann", "fractional_array",
+        "fractional_array_inf", "weyl_study", "weyl_sum_j", "coefficient_quadrature_nu",
+        "bessel_j", "bessel_j_sequence", "build_linear", "build_linear_inf",
+        "hyp2f1_a", "hyp2f1_c", "hyp2f1_a_inf",
     ],
 )
 def test_nan_argument_is_a_domain_error(call):
@@ -180,11 +196,6 @@ def test_frozen_constants_match_their_regeneration(monkeypatch, capsys):
 
 
 EXPERIMENTS = {
-    "convergence_experiment.py": (
-        ["--max-pow", "8"],
-        ["convergence_sine.csv", "convergence_blaschke_half.csv", "convergence_blaschke_pair.csv"],
-    ),
-    "stationary_experiment.py": (["--scale", "1000"], ["stationary_n1000.csv"]),
     "equidist_experiment.py": ([], [f"weyl_parabola_j{j}.csv" for j in (1, 2, 3)]),
 }
 

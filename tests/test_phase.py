@@ -443,6 +443,14 @@ def test_choose_phi_frozen_value():
     assert phi == pytest.approx(PHI_SINE_1E6, abs=1e-6)
 
 
+def test_partition_reaches_past_the_unit_floor():
+    """Above n = 1.70e6 the bisection starts at four grid spacings of delta,
+    so sine at 4e6 partitions, with the Phi of a 65536-point grid."""
+    part = partition_terms(build_sine(), 4e6)
+    assert part.phi == pytest.approx(choose_phi(build_sine(), 4e6, grid_size=1 << 16), abs=1e-6)
+    assert part.delta >= 4.0 * math.pi / (16384 - 1)
+
+
 def _window_extrema(f, length, maximum):
     """Rolling max (or min) over every length-``length`` window, in O(n).
 

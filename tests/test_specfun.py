@@ -11,8 +11,10 @@ import pytest
 import scipy.special as sps
 from hypothesis import given, settings, strategies as st
 
+import wnl.specfun
 from wnl.errors import DomainError, QuadratureBudgetError
 from wnl.specfun import (
+    _ascending_series,
     bessel_j,
     bessel_j_sequence,
     corollary2_integral,
@@ -128,6 +130,13 @@ class TestBesselJ:
         total = seq[0] + 2.0 * np.sum(seq[2::2])
         assert total == pytest.approx(1.0, abs=1e-13)
 
+    def test_small_argument_sequence_is_the_series_entry_by_entry(self):
+        """Below x = 2 each entry is the ascending series, the underflowed tail included."""
+        for x in (0.0, 1e-3, 1.0, 2.0):
+            seq = bessel_j_sequence(400, x)
+            assert seq.tolist() == [_ascending_series(n, x) for n in range(401)]
+            assert seq[-1] == 0.0
+
     def test_against_scipy_grid(self):
         xs = np.array([0.3, 1.7, 2.0, 2.3, 9.0, 31.4, 250.0])
         for x in xs:
@@ -179,9 +188,10 @@ class TestCorollary2Integral:
     def test_pair_frozen(self):
         assert corollary2_integral([0.3, 0.7]) == pytest.approx(L_PAIR, rel=1e-10)
 
-    def test_budget_error_carries_estimate(self):
+    def test_budget_error_carries_estimate(self, monkeypatch):
+        monkeypatch.setattr(wnl.specfun, "_JACOBI_NODES", 4)
         with pytest.raises(QuadratureBudgetError) as info:
-            corollary2_integral([0.5], n_nodes=4)
+            corollary2_integral([0.5])
         assert info.value.estimate == pytest.approx(GIRARD[0.5], rel=1e-3)
 
 
