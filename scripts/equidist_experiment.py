@@ -27,7 +27,7 @@ def main() -> int:
     for j in (1, 2, 3):
         report = weyl_study(lambda u: 0.5 * u * u, j, (0.0, 1.0), ladder)
         path = args.out_dir / f"weyl_parabola_j{j}.csv"
-        report.to_csv(path)
+        path.write_text(report.table().csv_text())
         cs = [m * math.sqrt(n) for n, m in report.values]
         print(f"parabola j={j}: fitted decay {report.fitted_decay:+.3f}, "
               f"C_j range [{min(cs):.4f}, {max(cs):.4f}], wrote {path}")

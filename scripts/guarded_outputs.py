@@ -101,21 +101,20 @@ def run_validate(name: str, spec: str) -> None:
 
 
 def write_library_tables() -> None:
-    wnl.compute_spectrum(wnl.build_sine(), 300.0).to_csv("spectrum_sine_300.csv")
-    wnl.compute_spectrum(wnl.build_blaschke([0.3, 0.7]), 256.0).to_csv(
-        "spectrum_blaschke_256.csv"
-    )
-    wnl.compute_spectrum(wnl.build_blaschke_general([0.4 + 0.3j]), 256.0).to_csv(
-        "spectrum_blaschke_complex_256.csv"
-    )
-    wnl.weyl_study(lambda u: 0.5 * u * u, 1, (0.0, 1.0), [1000, 10_000]).to_csv(
-        "weyl_quadratic.csv"
-    )
-    wnl.weyl_study(lambda u: 0.5 * u, 2, (0.0, 1.0), [100, 1000]).to_csv(
-        "weyl_rational.csv"
-    )
-    wnl.weyl_study(lambda u: 0.5 * u * u, 1, (0.0, 1.0), [1000]).to_csv("weyl_no_fit.csv")
-    wnl.convergence_study(wnl.build_sine(), [100, 400]).to_json("study_sine.json")
+    reports = {
+        "spectrum_sine_300.csv": wnl.compute_spectrum(wnl.build_sine(), 300.0),
+        "spectrum_blaschke_256.csv": wnl.compute_spectrum(wnl.build_blaschke([0.3, 0.7]), 256.0),
+        "spectrum_blaschke_complex_256.csv": wnl.compute_spectrum(
+            wnl.build_blaschke_general([0.4 + 0.3j]), 256.0
+        ),
+        "weyl_quadratic.csv": wnl.weyl_study(lambda u: 0.5 * u * u, 1, (0.0, 1.0), [1000, 10_000]),
+        "weyl_rational.csv": wnl.weyl_study(lambda u: 0.5 * u, 2, (0.0, 1.0), [100, 1000]),
+        "weyl_no_fit.csv": wnl.weyl_study(lambda u: 0.5 * u * u, 1, (0.0, 1.0), [1000]),
+        "study_sine.json": wnl.convergence_study(wnl.build_sine(), [100, 400]),
+    }
+    for name, report in reports.items():
+        table = report.table()
+        Path(name).write_text(table.json_text() if name.endswith(".json") else table.csv_text())
 
 
 def main() -> int:

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _table
 from ._quad import integrate_panels, require_tolerance
+from ._table import Table
 from .errors import DomainError, QuadratureBudgetError
 from .phase import (
     PhaseFunction,
@@ -205,30 +204,17 @@ class ConvergenceReport:
     def errors(self) -> list[float]:
         return [abs(r.scaled_norm - self.limit) for r in self.rows]
 
-    _COLUMNS = (
-        "param", "scaled_norm", "abs_err", "external_sum", "periphery_sum", "central_sum"
-    )
-
-    def _rows(self) -> list[tuple]:
-        return [
+    def table(self) -> Table:
+        header = f"phase_label={self.phase_label} limit={self.limit!r}"
+        fields = {"phase_label": self.phase_label, "limit": self.limit}
+        columns = (
+            "param", "scaled_norm", "abs_err", "external_sum", "periphery_sum", "central_sum"
+        )
+        rows = [
             (r.param, r.scaled_norm, e, r.external_sum, r.periphery_sum, r.central_sum)
             for r, e in zip(self.rows, self.errors())
         ]
-
-    def csv_text(self) -> str:
-        header = f"phase_label={self.phase_label} limit={self.limit!r}"
-        return _table.csv_text(header, self._COLUMNS, self._rows())
-
-    def payload(self) -> dict:
-        """The report as a JSON-ready dict, with the same columns as the CSV."""
-        fields = {"phase_label": self.phase_label, "limit": self.limit}
-        return _table.payload(fields, self._COLUMNS, self._rows())
-
-    def to_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.csv_text())
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(_table.json_text(self.payload()))
+        return Table(header, fields, columns, rows)
 
 
 def convergence_study(

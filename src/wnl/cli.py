@@ -11,7 +11,7 @@ Five subcommands cover the package's experiment surface:
 * ``explore-blaschke``: norm trajectories for Blaschke phases,
   including complex zeros where no convergence theorem applies.
 
-Every table goes through the one format of :mod:`wnl._table`.
+Every command that writes a table hands one :class:`wnl._table.Table` to ``_emit``.
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ import argparse
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._table import csv_text, json_text, payload
+from ._table import Table
 from .asymptotics import (
     convergence_study,
     final_step_report,
@@ -131,21 +131,15 @@ def _parse_params(text: str) -> tuple[float, ...]:
     return values
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-
-
-def _emit(
-    cfg: RunConfig, table_csv: Callable[[], str], table_payload: Callable[[], dict]
-) -> None:
+def _emit(cfg: RunConfig, table: Table) -> None:
     """Write the table to --out, or to stdout when no path is given;
     --format picks csv or json either way, and only that form is built."""
-    text = json_text(table_payload()) if cfg.fmt == "json" else table_csv()
+    text = table.json_text() if cfg.fmt == "json" else table.csv_text()
     if cfg.out is None:
         sys.stdout.write(text)
         return
-    _write_text(cfg.out, text)
+    cfg.out.parent.mkdir(parents=True, exist_ok=True)
+    cfg.out.write_text(text)
     print(f"wrote {cfg.out}")
 
 
@@ -187,8 +181,7 @@ def _converge_log_growth(cfg: RunConfig, phase: PhaseFunction) -> int:
         "mode=log-growth (norms are Nyquist-truncated lower bounds)"
     )
     fields = {"phase_label": phase.label, "mode": "log-growth", "limit_per_log": limit_per_log}
-    columns = ("param", "norm", "norm_over_log", "abs_err")
-    _emit(cfg, lambda: csv_text(header, columns, rows), lambda: payload(fields, columns, rows))
+    _emit(cfg, Table(header, fields, ("param", "norm", "norm_over_log", "abs_err"), rows))
     print(f"norm/log n -> 2/pi = {limit_per_log!r}")
     print(f"final ratio {rows[-1][2]!r} (abs err {rows[-1][3]!r})")
     return 0
@@ -199,7 +192,7 @@ def cmd_converge(cfg: RunConfig) -> int:
     if phase.label == "abs":
         return _converge_log_growth(cfg, phase)
     report = convergence_study(phase, list(cfg.param_list), limit_tol=cfg.quad_tol)
-    _emit(cfg, report.csv_text, report.payload)
+    _emit(cfg, report.table())
     print(f"limit L = {report.limit!r}")
     print(f"final error |S - L| = {report.errors()[-1]!r} at param {report.rows[-1].param!r}")
     largest = cfg.param_list[-1]
@@ -225,7 +218,8 @@ def cmd_stationary_compare(cfg: RunConfig) -> int:
     n = cfg.param_list[0]
     table = stationary_comparison(phase, n)
     fitted = fitted_calibration(phase, table)
-    _emit(cfg, table.csv_text, lambda: {**table.payload(), "fitted_c": fitted})
+    written = table.table()
+    _emit(cfg, replace(written, fields={**written.fields, "fitted_c": fitted}))
     if not table.nu.size:
         print(f"central window holds no integer index at param {n!r}; empty table")
         return 0
@@ -252,10 +246,8 @@ def cmd_bessel(cfg: RunConfig) -> int:
     for x in cfg.param_list:
         s = bessel_path_norm(x)
         rows.append((x, s, abs(s - limit)))
-    columns = ("x", "scaled_sum", "abs_err")
     header = f"limit={limit!r} source=specfun"
-    fields = {"limit": limit}
-    _emit(cfg, lambda: csv_text(header, columns, rows), lambda: payload(fields, columns, rows))
+    _emit(cfg, Table(header, {"limit": limit}, ("x", "scaled_sum", "abs_err"), rows))
     print(f"limit 16/Gamma(1/4)^2 = {limit!r}")
     print(f"final scaled sum {rows[-1][1]!r} (err {rows[-1][2]!r})")
     spectrum_path = scaled_norm(compute_spectrum(build_sine(), 100.0))
@@ -281,8 +273,7 @@ def cmd_explore_blaschke(cfg: RunConfig) -> int:
     if exploratory:
         header += " exploratory: no theorem applies"
     fields = {"phase_label": phase.label, "reference": reference, "exploratory": exploratory}
-    columns = ("param", "scaled_norm", "abs_gap_to_reference")
-    _emit(cfg, lambda: csv_text(header, columns, rows), lambda: payload(fields, columns, rows))
+    _emit(cfg, Table(header, fields, ("param", "scaled_norm", "abs_gap_to_reference"), rows))
     kind = "conjectured reference" if exploratory else "reference limit"
     print(f"{kind} (2/pi)^(3/2) integral of sqrt(|h''|) = {reference!r}")
     if phase.label.startswith("blaschke[") and "," not in phase.label:

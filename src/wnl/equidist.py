@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _table
+from ._table import Table
 from .errors import DomainError
 
 _EDGE_FUZZ = 1e-9  # absorbs float noise at closed interval endpoints
@@ -106,14 +105,16 @@ class WeylReport:
         slope = np.polyfit(ln, lw, 1)[0]
         return float(slope)
 
-    def to_csv(self, path: str | Path) -> None:
+    def table(self) -> Table:
+        """One row per n; the fitted decay is nan when fewer than two magnitudes are positive."""
         try:
-            decay = repr(self.fitted_decay)
+            decay = self.fitted_decay
         except DomainError:
-            decay = "nan"
+            decay = math.nan
         lo, hi = self.interval
-        header = f"j={self.j} interval=[{lo!r},{hi!r}] fitted_decay={decay}"
-        Path(path).write_text(_table.csv_text(header, ("n", "magnitude"), self.values))
+        header = f"j={self.j} interval=[{lo!r},{hi!r}] fitted_decay={decay!r}"
+        fields = {"j": self.j, "interval": self.interval, "fitted_decay": decay}
+        return Table(header, fields, ("n", "magnitude"), self.values)
 
 
 def weyl_study(

@@ -294,7 +294,10 @@ def build_from_callable(
     Good enough for exploration; the finite-difference noise floor
     (~1e-10 on d1, far worse on d2) makes this unsuitable for tight
     tolerance work, so prefer an analytic builder when one exists.
+    A winding_k that is not a finite integer raises DomainError.
     """
+    if not math.isfinite(winding_k) or winding_k != int(winding_k):
+        raise DomainError(f"winding_k must be an integer, got {winding_k!r}")
 
     def hv(t: Array) -> Array:
         return np.asarray(h(np.asarray(t, dtype=float)), dtype=float)
@@ -308,7 +311,7 @@ def build_from_callable(
     sign = 1 if float(d2(np.asarray([np.pi / 2.0]))[0]) >= 0.0 else -1
     odd = _symmetry_defect(hv) < _SYMMETRY_TOL
     return PhaseFunction(
-        h=hv, d1=d1, d2=d2, winding_k=winding_k, odd=odd, even=False, sign=sign, label=label
+        h=hv, d1=d1, d2=d2, winding_k=int(winding_k), odd=odd, even=False, sign=sign, label=label
     )
 
 
@@ -594,26 +597,25 @@ def legendre(phase: PhaseFunction, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def modulus_of_continuity(
-    phase: PhaseFunction, delta: float, grid_size: int = _CURVATURE_GRID
-) -> float:
+def modulus_of_continuity(phase: PhaseFunction, delta: float) -> float:
     """omega(delta) = sup |h''(u) - h''(v)| over |u - v| <= delta in [0, pi].
 
     Sliding-window extrema over a uniform grid, with linear
     interpolation between the two bracketing integer window widths so
     the result is continuous in delta (a plain floor produces staircase
     artifacts that poison root finding in :func:`choose_phi`).  The
-    default grid is the partition's, so this is its omega at delta.
+    grid is the partition's ``_CURVATURE_GRID``, so this is its omega at
+    delta.
     """
     if not (0.0 < delta <= np.pi):
         raise DomainError(f"delta must lie in (0, pi], got {delta!r}")
-    spacing = np.pi / (grid_size - 1)
+    spacing = np.pi / (_CURVATURE_GRID - 1)
     if delta < 4.0 * spacing:
         raise DomainError(
             f"delta {delta:.3e} is below 4 spacings ({4 * spacing:.3e}) of the "
-            f"{grid_size}-point curvature grid"
+            f"{_CURVATURE_GRID}-point curvature grid"
         )
-    return _Curvature(phase, grid_size).omega(delta)
+    return _Curvature(phase, _CURVATURE_GRID).omega(delta)
 
 
 class _Curvature:
@@ -667,14 +669,14 @@ class _Curvature:
         return lo + frac * (hi - lo)
 
 
-def choose_phi(phase: PhaseFunction, n: float, grid_size: int = _CURVATURE_GRID) -> float:
+def choose_phi(phase: PhaseFunction, n: float) -> float:
     """The cutoff scale Phi solving omega(Phi / sqrt(n)) * Phi^4 = 1.
 
     omega is the modulus of continuity of h'' on [0, pi]; the product is
     nondecreasing in Phi, so bisection on [Phi_floor, n^(1/4)] finds the
     root.  Phi_floor = max(1, 4 spacing sqrt(n)) keeps delta = Phi /
     sqrt(n) at four or more spacings of the curvature grid; it is 1 for
-    n <= 1.70e6 on the default grid.
+    n <= 1.70e6 on the ``_CURVATURE_GRID`` of 16384 points.
     The scale n may be any real >= 2 (the construction is continuous in
     n, and real scales are first-class downstream).  Degenerate cases
     clamp: if omega never lifts the product to 1 the upper end is
@@ -686,7 +688,7 @@ def choose_phi(phase: PhaseFunction, n: float, grid_size: int = _CURVATURE_GRID)
     each integer window width is read from it once, so the 80 bisection
     steps cost about 20 passes rather than 160.
     """
-    return _solve_phi(_Curvature(phase, grid_size), n)
+    return _solve_phi(_Curvature(phase, _CURVATURE_GRID), n)
 
 
 def _solve_phi(curvature: _Curvature, n: float) -> float:

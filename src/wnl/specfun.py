@@ -65,11 +65,10 @@ def lngamma_fn(x: float) -> float:
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma(x) for x > 0.  Overflows (to inf) past x ~ 171.6."""
+    """Gamma(x) for x > 0; DomainError where Gamma(x) overflows a double,
+    past x ~ 171.62 and below x ~ 5.6e-309."""
     if not (x > 0.0) or not math.isfinite(x):
         raise DomainError(f"gamma_fn needs x > 0, got {x!r}")
-    if x >= _SHIFT_THRESHOLD:
-        return math.exp(_lngamma_stirling(x))
     # Gamma(x) = Gamma(x + m) / (x (x+1) ... (x+m-1)); the product is
     # exact to a few ulp, so small x (where Gamma is huge) stays accurate.
     prod = 1.0
@@ -77,7 +76,13 @@ def gamma_fn(x: float) -> float:
     while z < _SHIFT_THRESHOLD:
         prod *= z
         z += 1.0
-    return math.exp(_lngamma_stirling(z)) / prod
+    try:
+        value = math.exp(_lngamma_stirling(z)) / prod
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise DomainError(f"Gamma({x!r}) overflows a double")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from . import _table
 from ._quad import integrate_adaptive, require_tolerance
+from ._table import Table
 from .errors import (
     DomainError,
     GridResolutionError,
@@ -77,18 +76,22 @@ class CoefficientSpectrum:
     def abs_sum(self) -> float:
         return float(np.sum(np.abs(self.coeffs)))
 
-    def to_csv(self, path: str | Path) -> None:
+    def table(self) -> Table:
         """One row per coefficient: nu, its real and imaginary parts and |a_nu|."""
         header = (
             f"x={self.x!r} grid_pow={self.grid_pow} "
             f"parseval_defect={self.parseval_defect!r} tail_bound={self.tail_bound!r} "
             f"label={self.label}"
         )
+        fields = {
+            "x": self.x, "grid_pow": self.grid_pow, "parseval_defect": self.parseval_defect,
+            "tail_bound": self.tail_bound, "label": self.label,
+        }
         rows = [
             (nu, c.real, c.imag, abs(c))
             for nu, c in zip(self.nu_values().tolist(), self.coeffs.tolist())
         ]
-        Path(path).write_text(_table.csv_text(header, ("nu", "re", "im", "abs"), rows))
+        return Table(header, fields, ("nu", "re", "im", "abs"), rows)
 
 
 def _monotone_pieces(phase: PhaseFunction) -> int | None:
@@ -194,15 +197,21 @@ def compute_spectrum(
     ``numpy.fft`` is used rather than ``scipy.fft``, whose import alone
     costs more start-up time and memory than its faster transform saves.
 
-    A window that does not fit the grid raises GridResolutionError, as
-    does a Parseval defect above 1e-6 that widening cannot mend.  A grid
-    above 2^24 points raises DomainError before any sample is allocated,
-    and so does a phase whose h' or e^{i x h} is not finite on the grid.
+    A pinned ``grid_pow`` that is not an integer raises DomainError
+    before any sampling.  A window that does not fit the grid raises
+    GridResolutionError, as does a Parseval defect above 1e-6 that
+    widening cannot mend.  A grid above 2^24 points raises DomainError
+    before any sample is allocated, and so does a phase whose h' or
+    e^{i x h} is not finite on the grid.
     """
     if x <= 0.0:
         raise DomainError(f"x must be positive, got {x!r}")
     if window not in ("auto", "full"):
         raise DomainError(f"window must be 'auto' or 'full', got {window!r}")
+    if grid_pow is not None:
+        if not math.isfinite(grid_pow) or grid_pow != int(grid_pow):
+            raise DomainError(f"grid_pow must be an integer, got {grid_pow!r}")
+        grid_pow = int(grid_pow)
     check_periodicity(phase, x)
 
     m1, m2 = phase.slope_range()

@@ -18,7 +18,7 @@ from the index partition at scale x, which computes them once.
 numpy columns (index, t*, rho, g''(t*), approximation, FFT coefficient,
 bound); the first four come from ``_stationary_points``, which
 ``asymptotics.final_step_report`` reads too.  The error statistics and
-the CSV and JSON forms are column expressions, and
+the written table are column expressions, and
 ``fitted_calibration`` reads the stored g'' column.
 
 Away from the central window the coefficient integral has no
@@ -31,12 +31,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from . import _table
+from ._table import Table
 from .errors import DomainError, MisalignedError
 from .phase import (
     PhaseFunction,
@@ -149,30 +148,19 @@ class ComparisonTable:
         """How many rows have |approx - exact| above their remainder bound."""
         return int(np.count_nonzero(self.abs_err > self.remainder_bound))
 
-    _COLUMNS = ("nu", "exact", "approx", "abs_err", "remainder_bound")
-
-    def _rows(self) -> list[tuple]:
-        columns = (self.nu, self.exact.real, self.approx, self.abs_err, self.remainder_bound)
-        return list(zip(*(c.tolist() for c in columns)))
-
-    def csv_text(self) -> str:
+    def table(self) -> Table:
         """Five data columns; exact is the real part of the coefficient.
 
         For odd phases the spectrum comes from a Hermitian FFT, so
-        the coefficients are exactly real; the header records the
+        the coefficients are exactly real; the CSV header records the
         largest imaginary magnitude dropped so the file never hides one.
         """
         max_im = float(np.max(np.abs(self.exact.imag), initial=0.0))
         header = f"x={self.x!r} label={self.label} calib_c={self.calib_c!r} max_im={max_im!r}"
-        return _table.csv_text(header, self._COLUMNS, self._rows())
-
-    def payload(self) -> dict:
-        """The table as a JSON-ready dict, with the same columns as the CSV."""
         fields = {"x": self.x, "label": self.label, "calib_c": self.calib_c}
-        return _table.payload(fields, self._COLUMNS, self._rows())
-
-    def to_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.csv_text())
+        columns = (self.nu, self.exact.real, self.approx, self.abs_err, self.remainder_bound)
+        rows = list(zip(*(c.tolist() for c in columns)))
+        return Table(header, fields, ("nu", "exact", "approx", "abs_err", "remainder_bound"), rows)
 
 
 def stationary_comparison(

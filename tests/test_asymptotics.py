@@ -191,8 +191,8 @@ def test_report_csv_and_json(tmp_path):
     report = convergence_study(build_sine(), [50.0, 100.0])
     csv_path = tmp_path / "study.csv"
     json_path = tmp_path / "study.json"
-    report.to_csv(csv_path)
-    report.to_json(json_path)
+    csv_path.write_text(report.table().csv_text())
+    json_path.write_text(report.table().json_text())
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("# phase_label=-(sine) limit=")
     assert lines[1] == "param,scaled_norm,abs_err,external_sum,periphery_sum,central_sum"

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
+from wnl._table import Table
 from wnl.cli import RunConfig, build_parser, main, parse_phase
 from wnl.errors import DomainError
 from wnl.specfun import girard_value
-from wnl.stationary import ComparisonTable, fitted_calibration, stationary_comparison
+from wnl.stationary import fitted_calibration, stationary_comparison
 
 
 class TestParsePhase:
@@ -210,28 +211,29 @@ def test_stationary_compare(tmp_path, capsys):
     ("spec", "x", "empty"), [("sine", 150.0, False), ("blaschke:0.9", 2.0, True)]
 )
 def test_stationary_compare_writes_library_table(tmp_path, capsys, spec, x, empty):
-    """The CLI files are the library's csv_text and payload, empty table or not."""
+    """The CLI files are the library's table(), empty or not."""
     phase = parse_phase(spec)
     table = stationary_comparison(phase, x)
     assert (not table.rows) == empty
     out = tmp_path / "table.csv"
     argv = ["stationary-compare", "--phase", spec, "--params", repr(x)]
     assert main(argv + ["--out", str(out)]) == 0
-    assert out.read_bytes() == table.csv_text().encode()
+    assert out.read_bytes() == table.table().csv_text().encode()
     js = tmp_path / "table.json"
     assert main(argv + ["--format", "json", "--out", str(js)]) == 0
-    payload = {**table.payload(), "fitted_c": fitted_calibration(phase, table)}
+    written = json.loads(table.table().json_text())
+    payload = {**written, "fitted_c": fitted_calibration(phase, table)}
     assert json.loads(js.read_text()) == payload
     said = capsys.readouterr().out
     assert ("central window holds no integer index" in said) == empty
 
 
-@pytest.mark.parametrize(("fmt", "unused"), [("csv", "payload"), ("json", "csv_text")])
+@pytest.mark.parametrize(("fmt", "unused"), [("csv", "json_text"), ("json", "csv_text")])
 def test_stationary_compare_builds_one_format(fmt, unused, monkeypatch, tmp_path):
     def refuse(self):
-        raise AssertionError(f"--format {fmt} built ComparisonTable.{unused}")
+        raise AssertionError(f"--format {fmt} built Table.{unused}")
 
-    monkeypatch.setattr(ComparisonTable, unused, refuse)
+    monkeypatch.setattr(Table, unused, refuse)
     out = tmp_path / f"table.{fmt}"
     argv = ["stationary-compare", "--phase", "sine", "--params", "150"]
     assert main(argv + ["--format", fmt, "--out", str(out)]) == 0

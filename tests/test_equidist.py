@@ -123,7 +123,7 @@ def test_weyl_report_shape_and_csv(tmp_path):
     assert report.interval == (0.25, 0.75)
     assert [n for n, _ in report.values] == [500, 5000]
     out = tmp_path / "weyl.csv"
-    report.to_csv(out)
+    out.write_text(report.table().csv_text())
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# j=2 interval=[0.25,0.75] fitted_decay=")
     assert lines[1] == "n,magnitude"

@@ -84,14 +84,12 @@ OPTIONS = {
     "asymptotic_limit": ("tol",),
     "asymptotic_limit_slope_route": ("tol",),
     "build_from_callable": ("winding_k", "label"),
-    "choose_phi": ("grid_size",),
     "coefficient_quadrature": ("tol",),
     "compute_spectrum": ("grid_pow", "window"),
     "convergence_study": ("limit_tol",),
     "final_step_report": ("eps",),
     "fractional_array": ("j0",),
     "full_circle_reference": ("tol",),
-    "modulus_of_continuity": ("grid_size",),
     "stationary_comparison": ("calib_c",),
     "van_der_corput_bound": ("big_a",),
 }
@@ -142,6 +140,9 @@ NAN = float("nan")
         lambda: wnl.hyp2f1(NAN, 0.75, 1.5, 0.3),
         lambda: wnl.hyp2f1(0.5, 0.75, NAN, 0.3),
         lambda: wnl.hyp2f1(math.inf, 0.75, 1.5, 0.3),
+        lambda: wnl.compute_spectrum(wnl.build_from_callable(np.sin, winding_k=NAN), 10.0),
+        lambda: wnl.compute_spectrum(wnl.build_sine(), 10.0, grid_pow=NAN),
+        lambda: wnl.compute_spectrum(wnl.build_sine(), 10.0, grid_pow=NAN, window="full"),
     ],
     ids=[
         "psi", "legendre", "lemma1_var_bound", "lemma1_monotone_bound", "van_der_corput",
@@ -150,7 +151,8 @@ NAN = float("nan")
         "full_circle_reference", "truncated_riemann", "fractional_array",
         "fractional_array_inf", "weyl_study", "weyl_sum_j", "coefficient_quadrature_nu",
         "bessel_j", "bessel_j_sequence", "build_linear", "build_linear_inf",
-        "hyp2f1_a", "hyp2f1_c", "hyp2f1_a_inf",
+        "hyp2f1_a", "hyp2f1_c", "hyp2f1_a_inf", "build_from_callable_winding",
+        "compute_spectrum_grid_pow", "compute_spectrum_grid_pow_full",
     ],
 )
 def test_nan_argument_is_a_domain_error(call):
@@ -193,6 +195,26 @@ def test_frozen_constants_match_their_regeneration(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [str(script)])
     assert runpy.run_path(str(script))["main"]() == 0
     assert "DRIFT" not in capsys.readouterr().out
+
+
+def test_guarded_library_tables_are_written(monkeypatch, tmp_path):
+    """The library step of scripts/guarded_outputs.py writes its seven tables,
+    so a renamed table writer fails here, not only in a byte-identity diff."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "guarded_outputs.py"
+    write_library_tables = runpy.run_path(str(script))["write_library_tables"]
+    monkeypatch.chdir(tmp_path)
+    write_library_tables()
+    files = [
+        "spectrum_sine_300.csv",
+        "spectrum_blaschke_256.csv",
+        "spectrum_blaschke_complex_256.csv",
+        "weyl_quadratic.csv",
+        "weyl_rational.csv",
+        "weyl_no_fit.csv",
+        "study_sine.json",
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+    assert all((tmp_path / f).stat().st_size > 0 for f in files)
 
 
 EXPERIMENTS = {

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import wnl.phase
 from wnl.asymptotics import asymptotic_limit
 from wnl.errors import DomainError, WnlError
 from wnl.phase import (
@@ -433,21 +434,24 @@ def test_modulus_monotone(d1, d2):
     assert modulus_of_continuity(phase, lo) <= modulus_of_continuity(phase, hi) + 1e-12
 
 
-def test_modulus_rejects_unresolvable_delta():
+def test_modulus_rejects_unresolvable_delta(monkeypatch):
+    monkeypatch.setattr(wnl.phase, "_CURVATURE_GRID", 128)
     with pytest.raises(DomainError):
-        modulus_of_continuity(build_sine(), 1e-6, grid_size=128)
+        modulus_of_continuity(build_sine(), 1e-6)
 
 
-def test_choose_phi_frozen_value():
-    phi = choose_phi(build_sine(), 1e6, grid_size=1 << 16)
+def test_choose_phi_frozen_value(monkeypatch):
+    monkeypatch.setattr(wnl.phase, "_CURVATURE_GRID", 1 << 16)
+    phi = choose_phi(build_sine(), 1e6)
     assert phi == pytest.approx(PHI_SINE_1E6, abs=1e-6)
 
 
-def test_partition_reaches_past_the_unit_floor():
+def test_partition_reaches_past_the_unit_floor(monkeypatch):
     """Above n = 1.70e6 the bisection starts at four grid spacings of delta,
     so sine at 4e6 partitions, with the Phi of a 65536-point grid."""
     part = partition_terms(build_sine(), 4e6)
-    assert part.phi == pytest.approx(choose_phi(build_sine(), 4e6, grid_size=1 << 16), abs=1e-6)
+    monkeypatch.setattr(wnl.phase, "_CURVATURE_GRID", 1 << 16)
+    assert part.phi == pytest.approx(choose_phi(build_sine(), 4e6), abs=1e-6)
     assert part.delta >= 4.0 * math.pi / (16384 - 1)
 
 
@@ -651,6 +655,12 @@ def test_partition_classes_come_in_order_with_empty_central_window(phase, left, 
     masks = part.masks(np.arange(-40, 41))
     assert masks["periphery_left"].sum() == left
     assert masks["periphery_right"].sum() == right
+
+
+@pytest.mark.parametrize("winding_k", [0.5, math.inf], ids=["half", "inf"])
+def test_build_from_callable_refuses_non_integer_winding(winding_k):
+    with pytest.raises(DomainError, match="winding_k must be an integer"):
+        build_from_callable(np.sin, winding_k=winding_k)
 
 
 def test_build_from_callable_detects_structure():

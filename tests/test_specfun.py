@@ -74,6 +74,15 @@ class TestGamma:
         with pytest.raises(DomainError):
             gamma_fn(-2.5)
 
+    @pytest.mark.parametrize(
+        ("inside", "outside"), [(171.62, 171.7), (1e-308, 5e-324)], ids=["large", "tiny"]
+    )
+    def test_overflow_is_a_domain_error(self, inside, outside):
+        """Gamma stays finite up to the double range and raises past it, at both ends."""
+        assert gamma_fn(inside) == pytest.approx(sps.gamma(inside), rel=1e-12)
+        with pytest.raises(DomainError, match="overflows"):
+            gamma_fn(outside)
+
 
 class TestHyp2f1:
     def test_frozen_values(self):

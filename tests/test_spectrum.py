@@ -216,6 +216,26 @@ def test_window_sized_grid():
     assert compute_spectrum(build_sine(), 5.0).grid_pow == 8
 
 
+@pytest.mark.parametrize("grid_pow", [2.5, math.inf], ids=["fraction", "inf"])
+def test_pinned_grid_pow_must_be_an_integer(grid_pow):
+    """The check comes before any sampling: this phase refuses every evaluation."""
+
+    def refuse(t):
+        raise AssertionError("compute_spectrum sampled the phase")
+
+    phase = dataclasses.replace(build_sine(), h=refuse, d1=refuse, d2=refuse)
+    with pytest.raises(DomainError, match="grid_pow must be an integer"):
+        compute_spectrum(phase, 10.0, grid_pow=grid_pow)
+
+
+@pytest.mark.parametrize("window", ["auto", "full"])
+def test_integral_float_grid_pow_is_the_integer(window):
+    pinned = compute_spectrum(build_sine(), 10.0, grid_pow=9.0, window=window)
+    same = compute_spectrum(build_sine(), 10.0, grid_pow=9, window=window)
+    assert type(pinned.grid_pow) is int and pinned.grid_pow == 9
+    assert np.array_equal(pinned.coeffs, same.coeffs)
+
+
 @pytest.mark.parametrize("grid_pow", [None, 25], ids=["auto", "pinned"])
 def test_sample_budget_checked_before_allocation(grid_pow):
     tracemalloc.start()
@@ -468,7 +488,7 @@ def test_partition_sums_alignment_checks():
 def test_csv_round_trip(tmp_path):
     spec = compute_spectrum(build_sine(), 7.0)
     out = tmp_path / "spec.csv"
-    spec.to_csv(out)
+    out.write_text(spec.table().csv_text())
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# x=7.0 ")
     assert lines[1] == "nu,re,im,abs"
