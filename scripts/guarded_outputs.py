@@ -32,6 +32,8 @@ from wnl.cli import main as wnl_main
 # (output name, wnl arguments without --out and --format)
 CLI_RUNS = [
     ("converge_sine", ["converge", "--phase", "sine", "--params", "100,400,1600,6400"]),
+    # a fractional top scale: no final-step split is printed
+    ("converge_sine_fractional", ["converge", "--phase", "sine", "--params", "350.5,351.5"]),
     (
         "converge_blaschke",
         ["converge", "--phase", "blaschke:0.3,0.7", "--params", "128,512,2048,4096"],

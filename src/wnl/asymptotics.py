@@ -33,6 +33,7 @@ from .spectrum import compute_spectrum, partition_sums, scaled_norm
 from .stationary import _stationary_points
 
 _LIMIT_PREFACTOR = (2.0 / math.pi) ** 1.5
+_REFERENCE_TOL = 1e-10  # the full-circle quadrature's stopping tolerance
 
 
 def _geometric_breakpoints(a: float, b: float, levels: int) -> np.ndarray:
@@ -90,8 +91,8 @@ def asymptotic_limit(phase: PhaseFunction, tol: float = 1e-10) -> float:
     return _refine_until_stable(total, tol, _LIMIT_PREFACTOR, failure)
 
 
-def full_circle_reference(phase: PhaseFunction, tol: float = 1e-10) -> float:
-    """Half the sqrt-curvature integral over [0, 2 pi], for any phase.
+def full_circle_reference(phase: PhaseFunction) -> float:
+    """Half the sqrt-curvature integral over [0, 2 pi], for any phase, to 1e-10.
 
     For odd phases this equals :func:`asymptotic_limit` by symmetry.
     For phases without that symmetry (complex Blaschke zeros) it is the
@@ -101,7 +102,6 @@ def full_circle_reference(phase: PhaseFunction, tol: float = 1e-10) -> float:
     sign inside the circle here, so its zeros are located first and the
     panel edges pinned to them, keeping each sqrt kink on a breakpoint.
     """
-    require_tolerance(tol)
     two_pi = 2.0 * math.pi
 
     def d2_at(t: float) -> float:
@@ -135,8 +135,8 @@ def full_circle_reference(phase: PhaseFunction, tol: float = 1e-10) -> float:
             value += float(integrate_panels(integrand, bp, 32).real)
         return value
 
-    failure = f"full-circle reference did not stabilize to {tol:g} for {phase.label!r}"
-    return _refine_until_stable(total, tol, 0.5 * _LIMIT_PREFACTOR, failure)
+    failure = f"full-circle reference did not stabilize to {_REFERENCE_TOL:g} for {phase.label!r}"
+    return _refine_until_stable(total, _REFERENCE_TOL, 0.5 * _LIMIT_PREFACTOR, failure)
 
 
 def asymptotic_limit_slope_route(phase: PhaseFunction, tol: float = 1e-8) -> float:
@@ -217,13 +217,10 @@ class ConvergenceReport:
         return Table(header, fields, columns, rows)
 
 
-def convergence_study(
-    phase: PhaseFunction,
-    params: Sequence[float],
-    limit_tol: float = 1e-10,
-) -> ConvergenceReport:
+def convergence_study(phase: PhaseFunction, params: Sequence[float]) -> ConvergenceReport:
     """Measure the scaled norm and partition sums at each scale in params.
 
+    The limit L is :func:`asymptotic_limit` at its default tolerance, 1e-10.
     Parameters must be an increasing ladder of reals >= 2.  Non-integer
     entries require winding zero, since e^{ixh} stops being periodic at
     non-integer x otherwise; integer ladders work for any winding.
@@ -247,7 +244,7 @@ def convergence_study(
                 f"{phase.label!r} has winding {phase.winding_k}"
             )
     norm = require_valid(phase)
-    limit = asymptotic_limit(phase, tol=limit_tol)
+    limit = asymptotic_limit(phase)
 
     def one(n: float) -> StudyRow:
         spec = compute_spectrum(norm, n)

@@ -11,7 +11,9 @@ Five subcommands cover the package's experiment surface:
 * ``explore-blaschke``: norm trajectories for Blaschke phases,
   including complex zeros where no convergence theorem applies.
 
-Every command that writes a table hands one :class:`wnl._table.Table` to ``_emit``.
+Each ``cmd_*`` reads the parsed ``argparse.Namespace``; every setting is
+declared once, with its default, in ``_FLAGS``.  Every command that writes
+a table hands one :class:`wnl._table.Table` to ``_emit``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import argparse
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -45,32 +47,6 @@ from .phase import (
 from .specfun import bessel_j_sequence, gamma_fn, girard_value
 from .spectrum import compute_spectrum, scaled_norm
 from .stationary import fitted_calibration, stationary_comparison
-
-_TOL_FLOOR = 1e-14
-_TOL_CEIL = 1e-4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One experiment's worth of settings, parsed from the command line."""
-
-    phase_spec: str = "sine"
-    param_list: tuple[float, ...] = ()
-    quad_tol: float = 1e-10
-    epsilon: float = 0.1
-    out: Path | None = None
-    fmt: str = "csv"
-
-    def __post_init__(self) -> None:
-        if not (_TOL_FLOOR <= self.quad_tol <= _TOL_CEIL):
-            raise DomainError(
-                f"--tol must lie in [{_TOL_FLOOR:g}, {_TOL_CEIL:g}], got {self.quad_tol!r}"
-            )
-        if any(p <= 0.0 for p in self.param_list):
-            raise DomainError(f"params must be positive, got {list(self.param_list)!r}")
-        if self.fmt not in ("csv", "json"):
-            raise DomainError(f"--format must be csv or json, got {self.fmt!r}")
-
 
 def parse_phase(spec_text: str, allow_complex: bool = False) -> PhaseFunction:
     """Builder dispatch: sine | abs | linear:k | blaschke:a1,a2,...
@@ -128,19 +104,21 @@ def _parse_params(text: str) -> tuple[float, ...]:
         raise DomainError(f"unparseable --params {text!r}") from None
     if not all(map(math.isfinite, values)):
         raise DomainError(f"--params must be finite, got {text!r}")
+    if any(p <= 0.0 for p in values):
+        raise DomainError(f"params must be positive, got {list(values)!r}")
     return values
 
 
-def _emit(cfg: RunConfig, table: Table) -> None:
+def _emit(args: argparse.Namespace, table: Table) -> None:
     """Write the table to --out, or to stdout when no path is given;
     --format picks csv or json either way, and only that form is built."""
-    text = table.json_text() if cfg.fmt == "json" else table.csv_text()
-    if cfg.out is None:
+    text = table.json_text() if args.fmt == "json" else table.csv_text()
+    if args.out is None:
         sys.stdout.write(text)
         return
-    cfg.out.parent.mkdir(parents=True, exist_ok=True)
-    cfg.out.write_text(text)
-    print(f"wrote {cfg.out}")
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    args.out.write_text(text)
+    print(f"wrote {args.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +126,8 @@ def _emit(cfg: RunConfig, table: Table) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    phase = parse_phase(cfg.phase_spec)
+def cmd_validate(args: argparse.Namespace) -> int:
+    phase = parse_phase(args.phase_spec)
     report = validate(phase)
     print(report)
     for msg in report.messages:
@@ -157,7 +135,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     return 0 if report.passed else 1
 
 
-def _converge_log_growth(cfg: RunConfig, phase: PhaseFunction) -> int:
+def _converge_log_growth(args: argparse.Namespace, phase: PhaseFunction) -> int:
     """Norm growth is logarithmic here, not convergent; report norm/log n.
 
     The sawtooth coefficients decay like 1/nu^2, too slowly for a
@@ -168,10 +146,10 @@ def _converge_log_growth(cfg: RunConfig, phase: PhaseFunction) -> int:
     n = 64 and 0.16% low at n = 262144.
     """
     limit_per_log = 2.0 / math.pi
-    if any(p < 3.0 for p in cfg.param_list):
+    if any(p < 3.0 for p in args.params):
         raise DomainError("log-growth mode needs params >= 3 so that log n > 1")
     rows = []
-    for p in cfg.param_list:
+    for p in args.params:
         spec = compute_spectrum(phase, p, window="full")
         norm = spec.abs_sum()
         ratio = norm / math.log(p)
@@ -181,26 +159,26 @@ def _converge_log_growth(cfg: RunConfig, phase: PhaseFunction) -> int:
         "mode=log-growth (norms are Nyquist-truncated lower bounds)"
     )
     fields = {"phase_label": phase.label, "mode": "log-growth", "limit_per_log": limit_per_log}
-    _emit(cfg, Table(header, fields, ("param", "norm", "norm_over_log", "abs_err"), rows))
+    _emit(args, Table(header, fields, ("param", "norm", "norm_over_log", "abs_err"), rows))
     print(f"norm/log n -> 2/pi = {limit_per_log!r}")
     print(f"final ratio {rows[-1][2]!r} (abs err {rows[-1][3]!r})")
     return 0
 
 
-def cmd_converge(cfg: RunConfig) -> int:
-    phase = parse_phase(cfg.phase_spec)
+def cmd_converge(args: argparse.Namespace) -> int:
+    phase = parse_phase(args.phase_spec)
     if phase.label == "abs":
-        return _converge_log_growth(cfg, phase)
-    report = convergence_study(phase, list(cfg.param_list), limit_tol=cfg.quad_tol)
-    _emit(cfg, report.table())
+        return _converge_log_growth(args, phase)
+    report = convergence_study(phase, list(args.params))
+    _emit(args, report.table())
     print(f"limit L = {report.limit!r}")
     print(f"final error |S - L| = {report.errors()[-1]!r} at param {report.rows[-1].param!r}")
-    largest = cfg.param_list[-1]
+    largest = args.params[-1]
     if abs(largest - round(largest)) < 1e-9:
         try:
-            split = final_step_report(phase, int(round(largest)), eps=cfg.epsilon)
+            split = final_step_report(phase, int(round(largest)))
             print(
-                f"final-step split at eps={cfg.epsilon!r}: edges "
+                f"final-step split at eps={split.eps!r}: edges "
                 f"{split.edge_left!r} + {split.edge_right!r}, middle {split.middle!r}, "
                 f"limit piece {split.limit_piece!r}"
             )
@@ -209,17 +187,17 @@ def cmd_converge(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_stationary_compare(cfg: RunConfig) -> int:
-    phase = parse_phase(cfg.phase_spec)
-    if len(cfg.param_list) != 1:
+def cmd_stationary_compare(args: argparse.Namespace) -> int:
+    phase = parse_phase(args.phase_spec)
+    if len(args.params) != 1:
         raise DomainError(
-            f"stationary-compare takes exactly one param, got {list(cfg.param_list)!r}"
+            f"stationary-compare takes exactly one param, got {list(args.params)!r}"
         )
-    n = cfg.param_list[0]
+    n = args.params[0]
     table = stationary_comparison(phase, n)
     fitted = fitted_calibration(phase, table)
     written = table.table()
-    _emit(cfg, replace(written, fields={**written.fields, "fitted_c": fitted}))
+    _emit(args, replace(written, fields={**written.fields, "fitted_c": fitted}))
     if not table.nu.size:
         print(f"central window holds no integer index at param {n!r}; empty table")
         return 0
@@ -234,7 +212,7 @@ def cmd_stationary_compare(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_bessel(cfg: RunConfig) -> int:
+def cmd_bessel(args: argparse.Namespace) -> int:
     limit = 16.0 / gamma_fn(0.25) ** 2
 
     def bessel_path_norm(x: float) -> float:
@@ -243,11 +221,11 @@ def cmd_bessel(cfg: RunConfig) -> int:
         return float((seq[0] + 2.0 * np.sum(seq[1:])) / math.sqrt(x))
 
     rows = []
-    for x in cfg.param_list:
+    for x in args.params:
         s = bessel_path_norm(x)
         rows.append((x, s, abs(s - limit)))
     header = f"limit={limit!r} source=specfun"
-    _emit(cfg, Table(header, {"limit": limit}, ("x", "scaled_sum", "abs_err"), rows))
+    _emit(args, Table(header, {"limit": limit}, ("x", "scaled_sum", "abs_err"), rows))
     print(f"limit 16/Gamma(1/4)^2 = {limit!r}")
     print(f"final scaled sum {rows[-1][1]!r} (err {rows[-1][2]!r})")
     spectrum_path = scaled_norm(compute_spectrum(build_sine(), 100.0))
@@ -259,21 +237,21 @@ def cmd_bessel(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_explore_blaschke(cfg: RunConfig) -> int:
-    if not cfg.phase_spec.strip().lower().startswith("blaschke"):
+def cmd_explore_blaschke(args: argparse.Namespace) -> int:
+    if not args.phase_spec.strip().lower().startswith("blaschke"):
         raise DomainError("explore-blaschke needs a blaschke:... phase spec")
-    phase = parse_phase(cfg.phase_spec, allow_complex=True)
+    phase = parse_phase(args.phase_spec, allow_complex=True)
     exploratory = not phase.odd
-    reference = full_circle_reference(phase, tol=cfg.quad_tol)
+    reference = full_circle_reference(phase)
     rows = []
-    for p in cfg.param_list:
+    for p in args.params:
         s = scaled_norm(compute_spectrum(phase, p))
         rows.append((p, s, abs(s - reference)))
     header = f"phase_label={phase.label} reference={reference!r}"
     if exploratory:
         header += " exploratory: no theorem applies"
     fields = {"phase_label": phase.label, "reference": reference, "exploratory": exploratory}
-    _emit(cfg, Table(header, fields, ("param", "scaled_norm", "abs_gap_to_reference"), rows))
+    _emit(args, Table(header, fields, ("param", "scaled_norm", "abs_gap_to_reference"), rows))
     kind = "conjectured reference" if exploratory else "reference limit"
     print(f"{kind} (2/pi)^(3/2) integral of sqrt(|h''|) = {reference!r}")
     if phase.label.startswith("blaschke[") and "," not in phase.label:
@@ -288,7 +266,7 @@ def cmd_explore_blaschke(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 # A subcommand registers only the flags its cmd_* reads, so argparse rejects
-# the rest; a flag left out takes its default from RunConfig.
+# the rest; each flag's default is the value its cmd_* reads when it is left out.
 _FLAGS = {
     "--phase": dict(
         dest="phase_spec",
@@ -297,28 +275,21 @@ _FLAGS = {
         help="sine | abs | linear:k | blaschke:a1,a2,...",
     ),
     "--params": dict(required=True, help="comma-separated ladder of n or x values"),
-    "--tol": dict(dest="quad_tol", metavar="TOL", type=float, help="quadrature tolerance"),
-    "--epsilon": dict(
-        type=float, help="edge width for the final-step split printed by converge"
-    ),
-    "--out": dict(type=Path, help="output file path"),
+    "--out": dict(type=Path, default=None, help="output file path"),
     "--format": dict(
-        dest="fmt", choices=("csv", "json"), help="output format, for --out or stdout"
+        dest="fmt",
+        choices=("csv", "json"),
+        default="csv",
+        help="output format, for --out or stdout",
     ),
 }
 
 _COMMANDS = {
     "validate": (cmd_validate, ("--phase",)),
     "converge": (cmd_converge, tuple(_FLAGS)),
-    "stationary-compare": (
-        cmd_stationary_compare,
-        ("--phase", "--params", "--out", "--format"),
-    ),
+    "stationary-compare": (cmd_stationary_compare, ("--phase", "--params", "--out", "--format")),
     "bessel": (cmd_bessel, ("--params", "--out", "--format")),
-    "explore-blaschke": (
-        cmd_explore_blaschke,
-        ("--phase", "--params", "--tol", "--out", "--format"),
-    ),
+    "explore-blaschke": (cmd_explore_blaschke, ("--phase", "--params", "--out", "--format")),
 }
 
 
@@ -329,19 +300,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (fn, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__, argument_default=argparse.SUPPRESS)
+        p = sub.add_parser(name, help=fn.__doc__)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    given = vars(build_parser().parse_args(argv))
-    command = given.pop("command")
+    args = build_parser().parse_args(argv)
     try:
-        if "params" in given:
-            given["param_list"] = _parse_params(given.pop("params"))
-        return _COMMANDS[command][0](RunConfig(**given))
+        if "params" in args:
+            args.params = _parse_params(args.params)
+        return _COMMANDS[args.command][0](args)
     except WnlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

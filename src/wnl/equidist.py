@@ -60,21 +60,18 @@ def weyl_sum(svals: np.ndarray, j: int) -> float:
     return value
 
 
-def van_der_corput_bound(df_a: float, df_b: float, mu: float, big_a: float = 2.0) -> float:
-    """(|f'(b) - f'(a)| + 2) * (4 / sqrt(mu) + A).
+def van_der_corput_bound(df_a: float, df_b: float, mu: float) -> float:
+    """(|f'(b) - f'(a)| + 2) * (4 / sqrt(mu) + 2).
 
     Bound on |sum over [a, b] of e^{2 pi i f(k)}| for f with monotone f'
-    and f'' >= mu > 0; df_a and df_b are the endpoint slopes.  A is the
-    additive constant of the estimate; zero is a legal (if optimistic)
-    choice, and the calibrated default is 2.
+    and f'' >= mu > 0; df_a and df_b are the endpoint slopes.  The
+    additive constant 2 is the estimate's calibrated A.
     """
     if not (math.isfinite(df_a) and math.isfinite(df_b)):
         raise DomainError(f"endpoint slopes must be finite, got ({df_a!r}, {df_b!r})")
     if not (0.0 < mu < math.inf):
         raise DomainError(f"mu must be positive and finite, got {mu!r}")
-    if not (big_a >= 0.0):
-        raise DomainError(f"A must be non-negative, got {big_a!r}")
-    return (abs(df_b - df_a) + 2.0) * (4.0 / math.sqrt(mu) + big_a)
+    return (abs(df_b - df_a) + 2.0) * (4.0 / math.sqrt(mu) + 2.0)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,8 @@ class PhaseFunction:
     promoted).  ``sign`` is +1 when h'' > 0 on (0, pi) and -1 when
     h'' < 0.  ``odd`` declares h(-t) = -h(t) and ``even`` declares
     h(-t) = h(t); the spectrum takes a half route on either.  Builders
-    set all three, ``validate`` checks them.
+    set all three, ``validate`` checks them.  A ``winding_k`` that is not a
+    finite integer raises DomainError; an integral float is stored as its int.
     """
 
     h: PhaseCallable
@@ -60,6 +61,12 @@ class PhaseFunction:
     even: bool
     sign: int
     label: str
+
+    def __post_init__(self) -> None:
+        k = self.winding_k
+        if not math.isfinite(k) or k != int(k):
+            raise DomainError(f"winding_k must be an integer, got {k!r}")
+        object.__setattr__(self, "winding_k", int(k))
 
     def normalized(self) -> "PhaseFunction":
         """The phase sign*h, which has positive h'' on (0, pi)."""
@@ -296,8 +303,6 @@ def build_from_callable(
     tolerance work, so prefer an analytic builder when one exists.
     A winding_k that is not a finite integer raises DomainError.
     """
-    if not math.isfinite(winding_k) or winding_k != int(winding_k):
-        raise DomainError(f"winding_k must be an integer, got {winding_k!r}")
 
     def hv(t: Array) -> Array:
         return np.asarray(h(np.asarray(t, dtype=float)), dtype=float)
@@ -311,7 +316,7 @@ def build_from_callable(
     sign = 1 if float(d2(np.asarray([np.pi / 2.0]))[0]) >= 0.0 else -1
     odd = _symmetry_defect(hv) < _SYMMETRY_TOL
     return PhaseFunction(
-        h=hv, d1=d1, d2=d2, winding_k=int(winding_k), odd=odd, even=False, sign=sign, label=label
+        h=hv, d1=d1, d2=d2, winding_k=winding_k, odd=odd, even=False, sign=sign, label=label
     )
 
 

@@ -197,7 +197,7 @@ def compute_spectrum(
     ``numpy.fft`` is used rather than ``scipy.fft``, whose import alone
     costs more start-up time and memory than its faster transform saves.
 
-    A pinned ``grid_pow`` that is not an integer raises DomainError
+    A pinned ``grid_pow`` that is not an integer >= 0 raises DomainError
     before any sampling.  A window that does not fit the grid raises
     GridResolutionError, as does a Parseval defect above 1e-6 that
     widening cannot mend.  A grid above 2^24 points raises DomainError
@@ -209,8 +209,8 @@ def compute_spectrum(
     if window not in ("auto", "full"):
         raise DomainError(f"window must be 'auto' or 'full', got {window!r}")
     if grid_pow is not None:
-        if not math.isfinite(grid_pow) or grid_pow != int(grid_pow):
-            raise DomainError(f"grid_pow must be an integer, got {grid_pow!r}")
+        if not (math.isfinite(grid_pow) and grid_pow == int(grid_pow) and grid_pow >= 0):
+            raise DomainError(f"grid_pow must be an integer >= 0, got {grid_pow!r}")
         grid_pow = int(grid_pow)
     check_periodicity(phase, x)
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from wnl._table import Table
-from wnl.cli import RunConfig, build_parser, main, parse_phase
+from wnl.cli import build_parser, main, parse_phase
 from wnl.errors import DomainError
 from wnl.specfun import girard_value
 from wnl.stationary import fitted_calibration, stationary_comparison
@@ -37,22 +37,6 @@ class TestParsePhase:
             parse_phase(bad)
 
 
-class TestRunConfig:
-    def test_tol_window(self):
-        RunConfig(phase_spec="sine", param_list=(5.0,), quad_tol=1e-10)
-        for bad in (1e-15, 1e-3, 0.5):
-            with pytest.raises(DomainError):
-                RunConfig(phase_spec="sine", param_list=(5.0,), quad_tol=bad)
-
-    def test_params_positive(self):
-        with pytest.raises(DomainError):
-            RunConfig(phase_spec="sine", param_list=(5.0, -1.0))
-
-    def test_format_checked(self):
-        with pytest.raises(DomainError):
-            RunConfig(phase_spec="sine", param_list=(5.0,), fmt="yaml")
-
-
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit) as info:
         build_parser().parse_args(["frobnicate"])
@@ -65,6 +49,9 @@ def test_parser_rejects_unknown_command():
         ["bessel", "--params", "100", "--phase", "blaschke:0.5"],
         ["validate", "--phase", "sine", "--grid-pow", "3"],
         ["validate", "--phase", "sine", "--epsilon", "9"],
+        ["converge", "--phase", "sine", "--params", "150", "--tol", "1e-8"],
+        ["converge", "--phase", "sine", "--params", "150", "--epsilon", "0.2"],
+        ["explore-blaschke", "--phase", "blaschke:0.5", "--params", "20", "--tol", "1e-8"],
         ["stationary-compare", "--phase", "sine", "--params", "150", "--tol", "1e-8"],
         ["stationary-compare", "--phase", "sine", "--params", "150", "--epsilon", "0.2"],
         ["explore-blaschke", "--phase", "blaschke:0.5", "--params", "20", "--epsilon", "0.2"],
@@ -121,6 +108,20 @@ def test_non_finite_params_are_a_clean_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: --params must be finite")
     assert err.count("\n") == 1
+
+
+def test_non_positive_params_are_an_error(capsys):
+    negative = ["converge", "--phase", "sine", "--params", "100,-1"]
+    for argv in (negative, ["bessel", "--params", "0"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: params must be positive")
+
+
+def test_unknown_format_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["bessel", "--params", "10", "--format", "yaml"])
+    assert info.value.code == 2
+    assert "invalid choice: 'yaml'" in capsys.readouterr().err
 
 
 def test_unresolvable_scale_names_the_curvature_grid(capsys):

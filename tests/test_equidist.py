@@ -67,16 +67,13 @@ def test_weyl_sum_guards_and_empty():
 
 
 def test_van_der_corput_bound_values():
-    assert van_der_corput_bound(3.0, 3.0, 16.0, big_a=2.0) == pytest.approx(6.0)
-    assert van_der_corput_bound(3.0, 3.0, 16.0, big_a=0.0) == pytest.approx(2.0)
-    assert van_der_corput_bound(0.0, 4.0, 4.0, big_a=0.0) == pytest.approx(12.0)
+    assert van_der_corput_bound(3.0, 3.0, 16.0) == pytest.approx(6.0)
+    assert van_der_corput_bound(0.0, 4.0, 4.0) == pytest.approx(24.0)
 
 
 def test_van_der_corput_bound_guards():
     with pytest.raises(DomainError):
         van_der_corput_bound(1.0, 2.0, 0.0)
-    with pytest.raises(DomainError):
-        van_der_corput_bound(1.0, 2.0, 4.0, big_a=-1.0)
 
 
 def test_van_der_corput_dominates_parabola_sum():

@@ -1,5 +1,7 @@
 """The package as a whole: its public names and its frozen reference constants."""
 
+import argparse
+import dataclasses
 import inspect
 import math
 import runpy
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import wnl
+from wnl.cli import build_parser
 
 PUBLIC = [
     "CoefficientSpectrum",
@@ -86,12 +89,9 @@ OPTIONS = {
     "build_from_callable": ("winding_k", "label"),
     "coefficient_quadrature": ("tol",),
     "compute_spectrum": ("grid_pow", "window"),
-    "convergence_study": ("limit_tol",),
     "final_step_report": ("eps",),
     "fractional_array": ("j0",),
-    "full_circle_reference": ("tol",),
     "stationary_comparison": ("calib_c",),
-    "van_der_corput_bound": ("big_a",),
 }
 
 
@@ -106,6 +106,26 @@ def test_public_options_are_pinned():
             if defaults:
                 found[name] = defaults
     assert found == OPTIONS
+
+
+# Each wnl command's flags, 16 registrations in all.
+CLI_FLAGS = {
+    "validate": ("--phase",),
+    "converge": ("--phase", "--params", "--out", "--format"),
+    "stationary-compare": ("--phase", "--params", "--out", "--format"),
+    "bessel": ("--params", "--out", "--format"),
+    "explore-blaschke": ("--phase", "--params", "--out", "--format"),
+}
+
+
+def test_cli_flags_are_pinned():
+    """A new flag on a wnl command is a deliberate change, as a new option is."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: tuple(flag for a in sub._actions if a.dest != "help" for flag in a.option_strings)
+        for name, sub in commands.choices.items()
+    }
+    assert found == CLI_FLAGS
 
 
 NAN = float("nan")
@@ -126,7 +146,6 @@ NAN = float("nan")
         lambda: wnl.coefficient_quadrature(wnl.build_sine().normalized(), 100.0, 3, tol=NAN),
         lambda: wnl.asymptotic_limit(wnl.build_sine(), tol=NAN),
         lambda: wnl.asymptotic_limit_slope_route(wnl.build_sine(), tol=NAN),
-        lambda: wnl.full_circle_reference(wnl.build_sine(), tol=NAN),
         lambda: wnl.truncated_riemann(np.sqrt, 0.0, 1.0, NAN),
         lambda: wnl.fractional_array(np.sqrt, NAN),
         lambda: wnl.fractional_array(np.sqrt, math.inf),
@@ -141,6 +160,7 @@ NAN = float("nan")
         lambda: wnl.hyp2f1(0.5, 0.75, NAN, 0.3),
         lambda: wnl.hyp2f1(math.inf, 0.75, 1.5, 0.3),
         lambda: wnl.compute_spectrum(wnl.build_from_callable(np.sin, winding_k=NAN), 10.0),
+        lambda: wnl.check_periodicity(dataclasses.replace(wnl.build_sine(), winding_k=NAN), 10.0),
         lambda: wnl.compute_spectrum(wnl.build_sine(), 10.0, grid_pow=NAN),
         lambda: wnl.compute_spectrum(wnl.build_sine(), 10.0, grid_pow=NAN, window="full"),
     ],
@@ -148,10 +168,10 @@ NAN = float("nan")
         "psi", "legendre", "lemma1_var_bound", "lemma1_monotone_bound", "van_der_corput",
         "build_blaschke", "build_blaschke_general", "corollary2_integral", "weyl_sum",
         "coefficient_quadrature", "asymptotic_limit", "asymptotic_limit_slope_route",
-        "full_circle_reference", "truncated_riemann", "fractional_array",
+        "truncated_riemann", "fractional_array",
         "fractional_array_inf", "weyl_study", "weyl_sum_j", "coefficient_quadrature_nu",
         "bessel_j", "bessel_j_sequence", "build_linear", "build_linear_inf",
-        "hyp2f1_a", "hyp2f1_c", "hyp2f1_a_inf", "build_from_callable_winding",
+        "hyp2f1_a", "hyp2f1_c", "hyp2f1_a_inf", "build_from_callable_winding", "phase_winding",
         "compute_spectrum_grid_pow", "compute_spectrum_grid_pow_full",
     ],
 )
@@ -169,7 +189,6 @@ QUADRATURES = {
     "asymptotic_limit_slope_route": lambda tol: wnl.asymptotic_limit_slope_route(
         wnl.build_sine(), tol=tol
     ),
-    "full_circle_reference": lambda tol: wnl.full_circle_reference(wnl.build_sine(), tol=tol),
 }
 
 

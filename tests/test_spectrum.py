@@ -216,7 +216,7 @@ def test_window_sized_grid():
     assert compute_spectrum(build_sine(), 5.0).grid_pow == 8
 
 
-@pytest.mark.parametrize("grid_pow", [2.5, math.inf], ids=["fraction", "inf"])
+@pytest.mark.parametrize("grid_pow", [2.5, math.inf, -2], ids=["fraction", "inf", "negative"])
 def test_pinned_grid_pow_must_be_an_integer(grid_pow):
     """The check comes before any sampling: this phase refuses every evaluation."""
 
