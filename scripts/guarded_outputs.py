@@ -13,8 +13,9 @@ Each CLI run writes its CSV and JSON files and the stdout of the run
 and exit status (``validate_<name>.stdout``). The script works inside
 OUTDIR with relative paths, so the ``wrote <path>`` lines match across
 checkouts.
-The library writers follow: coefficient spectra, Weyl-sum reports
-and a convergence report in JSON.
+The library writers follow: coefficient spectra, Weyl-sum reports,
+a convergence report in JSON, and coefficients from the quadrature
+route on its odd half-circle and its full-circle branch.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import warnings
 from pathlib import Path
 
 import wnl
+from wnl._table import Table
 from wnl.cli import main as wnl_main
 
 # (output name, wnl arguments without --out and --format)
@@ -102,6 +104,16 @@ def run_validate(name: str, spec: str) -> None:
     Path(f"validate_{name}.stdout").write_text(f"{buf.getvalue()}exit status {code}\n")
 
 
+def quadrature_table() -> Table:
+    """coefficient_quadrature for sine (odd route) and a complex zero (full circle)."""
+    rows = []
+    for phase, x in [(wnl.build_sine(), 300.0), (wnl.build_blaschke_general([0.4 + 0.3j]), 256.0)]:
+        for nu in (-200, 0, 7, 150):
+            a = wnl.coefficient_quadrature(phase, x, nu)
+            rows.append((phase.label, x, nu, a.real, a.imag))
+    return Table("coefficient_quadrature", {}, ("phase", "x", "nu", "re", "im"), rows)
+
+
 def write_library_tables() -> None:
     reports = {
         "spectrum_sine_300.csv": wnl.compute_spectrum(wnl.build_sine(), 300.0),
@@ -114,8 +126,9 @@ def write_library_tables() -> None:
         "weyl_no_fit.csv": wnl.weyl_study(lambda u: 0.5 * u * u, 1, (0.0, 1.0), [1000]),
         "study_sine.json": wnl.convergence_study(wnl.build_sine(), [100, 400]),
     }
-    for name, report in reports.items():
-        table = report.table()
+    tables = {name: report.table() for name, report in reports.items()}
+    tables["quadrature.csv"] = quadrature_table()
+    for name, table in tables.items():
         Path(name).write_text(table.json_text() if name.endswith(".json") else table.csv_text())
 
 

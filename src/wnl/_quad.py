@@ -31,17 +31,6 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def panel_nodes(
-    breakpoints: Sequence[float] | np.ndarray, order: int = 16
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of a composite GL rule over consecutive panels.
-
-    ``breakpoints`` must be increasing; each adjacent pair becomes one
-    panel carrying an ``order``-point rule.
-    """
-    return _rule(_checked(breakpoints), order)
-
-
 def _checked(breakpoints: Sequence[float] | np.ndarray) -> np.ndarray:
     bp = np.asarray(breakpoints, dtype=float)
     if bp.ndim != 1 or bp.size < 2 or np.any(np.diff(bp) <= 0.0):
@@ -50,6 +39,7 @@ def _checked(breakpoints: Sequence[float] | np.ndarray) -> np.ndarray:
 
 
 def _rule(bp: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of an ``order``-point rule on each panel of ``bp``."""
     x, w = _gl_rule(order)
     a = bp[:-1][:, None]
     b = bp[1:][:, None]
@@ -84,27 +74,16 @@ def integrate_panels(
     return complex(np.sum(terms))
 
 
-def integrate_uniform(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    panels: int,
-    order: int = 16,
-) -> complex:
-    return integrate_panels(f, np.linspace(a, b, panels + 1), order)
-
-
 def integrate_adaptive(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     panels0: int,
     tol: float,
-    order: int = 16,
     max_doublings: int = 12,
     what: str = "the integrand",
 ) -> tuple[complex, float]:
-    """Composite GL with panel doubling until two refinements agree.
+    """Composite 16-point GL on uniform panels, doubled until two refinements agree.
 
     Returns ``(value, err_estimate)`` where the estimate is the last
     inter-level difference.  Raises :class:`QuadratureBudgetError`, with
@@ -114,7 +93,7 @@ def integrate_adaptive(
     """
 
     def level(panels: int) -> complex:
-        value = integrate_uniform(f, a, b, panels, order)
+        value = integrate_panels(f, np.linspace(a, b, panels + 1), 16)
         if not cmath.isfinite(value):
             raise DomainError(f"{what} is not finite on {panels} panels over [{a!r}, {b!r}]")
         return value

@@ -34,6 +34,7 @@ from .stationary import _stationary_points
 
 _LIMIT_PREFACTOR = (2.0 / math.pi) ** 1.5
 _REFERENCE_TOL = 1e-10  # the full-circle quadrature's stopping tolerance
+_SLOPE_ROUTE_TOL = 1e-9
 
 
 def _geometric_breakpoints(a: float, b: float, levels: int) -> np.ndarray:
@@ -139,14 +140,13 @@ def full_circle_reference(phase: PhaseFunction) -> float:
     return _refine_until_stable(total, _REFERENCE_TOL, 0.5 * _LIMIT_PREFACTOR, failure)
 
 
-def asymptotic_limit_slope_route(phase: PhaseFunction, tol: float = 1e-8) -> float:
-    """L(h) again, integrating (h'' o psi)^(-1/2) in the slope variable.
+def asymptotic_limit_slope_route(phase: PhaseFunction) -> float:
+    """L(h) again, to 1e-9, integrating (h'' o psi)^(-1/2) in the slope variable.
 
     Substituting u = h'(t) turns the sqrt-curvature integral into one
     over the slope interval [h'(0), h'(pi)]; nothing is shared with the
     t-route but the phase itself, so agreement is a real check.
     """
-    require_tolerance(tol)
     norm = require_valid(phase)
     alpha = float(norm.d1(np.asarray(0.0)))
     beta = float(norm.d1(np.asarray(np.pi)))
@@ -162,7 +162,7 @@ def asymptotic_limit_slope_route(phase: PhaseFunction, tol: float = 1e-8) -> flo
         return float(integrate_panels(integrand, bp, 32).real)
 
     failure = f"slope-route limit integral did not stabilize for {phase.label!r}"
-    return _refine_until_stable(total, tol, _LIMIT_PREFACTOR, failure)
+    return _refine_until_stable(total, _SLOPE_ROUTE_TOL, _LIMIT_PREFACTOR, failure)
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +275,12 @@ def truncated_riemann(
     """(b-a)/n times the sum of f at a + j(b-a)/n for j = 2 .. n.
 
     The j = 0, 1 nodes are dropped, which is what makes the sum usable
-    for integrands blowing up at the left endpoint.  Non-finite values
-    raise DomainError.
+    for integrands blowing up at the left endpoint.  An n that is not an
+    integer >= 2 (an integral float is taken), or a non-finite value of
+    f, raises DomainError.
     """
-    if not (2 <= n < math.inf):
-        raise DomainError(f"n must be at least 2 and finite, got {n!r}")
+    if not (2 <= n < math.inf and n == int(n)):
+        raise DomainError(f"n must be an integer >= 2, got {n!r}")
     if not b > a:
         raise DomainError(f"need b > a, got [{a!r}, {b!r}]")
     j = np.arange(2, n + 1)
@@ -307,10 +308,6 @@ class FinalStepReport:
     middle: float
     edge_right: float
     limit_piece: float
-
-    @property
-    def total(self) -> float:
-        return self.edge_left + self.middle + self.edge_right
 
 
 def final_step_report(phase: PhaseFunction, n: int, eps: float = 0.1) -> FinalStepReport:

@@ -560,30 +560,27 @@ def _newton_step(
     return t_next, lo, hi, done
 
 
-def psi(phase: PhaseFunction, x: float | Array) -> float | Array:
-    """Inverse of the raw slope h' on [0, pi].
+def psi(phase: PhaseFunction, x: float) -> float:
+    """Inverse of the raw slope h' on [0, pi], at one slope x.
 
     h' is strictly monotone there (h'' has one sign), increasing when
     sign = +1 and decreasing when sign = -1; both orientations are
     handled.  For h = sin this is arccos.  The slope is attained on the
     open interval only, so x must lie strictly between h'(0) and h'(pi);
-    anything else raises DomainError.
+    anything else, nan included, raises DomainError.
     """
     norm = phase.normalized()
-    xs = np.atleast_1d(np.asarray(x, dtype=float)) * phase.sign
+    u = float(x) * phase.sign
     lo_val = float(norm.d1(np.asarray(0.0)))
     hi_val = float(norm.d1(np.asarray(np.pi)))
-    if not np.all((lo_val < xs) & (xs < hi_val)):
+    if not lo_val < u < hi_val:
         a = float(phase.d1(np.asarray(0.0)))
         b = float(phase.d1(np.asarray(np.pi)))
         raise DomainError(
             f"slope target {x!r} not strictly between h'(0) = {a!r} and "
             f"h'(pi) = {b!r} for {phase.label!r}"
         )
-    t = _invert_increasing_slope(norm, xs)
-    if np.asarray(x).ndim == 0:
-        return float(t[0])
-    return t
+    return float(_invert_increasing_slope(norm, np.array([u]))[0])
 
 
 def legendre(phase: PhaseFunction, x: float) -> float:
@@ -593,7 +590,7 @@ def legendre(phase: PhaseFunction, x: float) -> float:
     exponent at index nu is n times this transform of the normalized
     phase at nu/n, negated (see :mod:`wnl.stationary`).
     """
-    t = psi(phase, float(x))
+    t = psi(phase, x)
     return float(x * t - float(phase.h(np.asarray(t))))
 
 

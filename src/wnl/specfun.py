@@ -131,7 +131,7 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
 
 
 def _miller_pass(nmax: int, x: float, start: int) -> np.ndarray:
-    """One backward-recurrence sweep from index ``start`` down to 0.
+    """One backward-recurrence sweep from index ``start`` > ``nmax`` down to 0.
 
     Returns the unnormalized trial values scaled by the Bessel sum rule
     f_0 + 2 f_2 + 2 f_4 + ... = 1.  Rescales mid-flight to dodge
@@ -140,11 +140,7 @@ def _miller_pass(nmax: int, x: float, start: int) -> np.ndarray:
     out = np.zeros(nmax + 1)
     fkp1 = 0.0
     fk = 1e-30
-    norm = 0.0
-    if start % 2 == 0:
-        norm = 2.0 * fk if start > 0 else fk
-    if start <= nmax:
-        out[start] = fk
+    norm = 2.0 * fk if start % 2 == 0 else 0.0
     for k in range(start, 0, -1):
         fkm1 = (2.0 * k / x) * fk - fkp1
         fkp1 = fk

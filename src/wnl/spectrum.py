@@ -312,13 +312,13 @@ def coefficient_quadrature(
     (1/pi) integral over [0, pi] of cos(x h(t) - nu t) dt, so only that
     half is integrated; other phases integrate the complex exponential
     over [-pi, pi].  Completely independent of the FFT route.  A tol
-    that is nan or <= 0, a non-finite nu, or an integrand that is not
-    finite, raises DomainError.
+    that is nan or <= 0, a nu that is not an integer (an integral float
+    is taken), or an integrand that is not finite, raises DomainError.
     """
     require_tolerance(tol)
     check_periodicity(phase, x)
-    if not math.isfinite(nu):
-        raise DomainError(f"nu must be finite, got {nu!r}")
+    if not (math.isfinite(nu) and nu == int(nu)):
+        raise DomainError(f"nu must be an integer, got {nu!r}")
     slope = max(abs(v) for v in phase.slope_range())
     travel = x * slope + abs(nu)
     start = 0.0 if phase.odd else -math.pi
@@ -339,7 +339,6 @@ def coefficient_quadrature(
         math.pi,
         panels0,
         tol=0.5 * span * tol,  # tol/2 on the normalized coefficient
-        order=16,
         max_doublings=_QUAD_MAX_DOUBLINGS,
         what=f"e^(i x h) of {phase.label!r} at x = {x!r}",
     )
@@ -368,10 +367,6 @@ class PartitionSums(NamedTuple):
     external: float
     periphery: float
     central: float
-
-    @property
-    def total(self) -> float:
-        return self.external + self.periphery + self.central
 
 
 def partition_sums(spec: CoefficientSpectrum, part: TermPartition) -> PartitionSums:

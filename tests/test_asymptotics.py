@@ -74,7 +74,7 @@ def test_limit_frozen_values(phase, want):
 def test_two_quadrature_routes_agree():
     for phase in (build_sine(), build_blaschke([0.5]), build_blaschke([0.3, 0.7])):
         t_route = asymptotic_limit(phase, tol=1e-11)
-        u_route = asymptotic_limit_slope_route(phase, tol=1e-9)
+        u_route = asymptotic_limit_slope_route(phase)
         assert t_route == pytest.approx(u_route, abs=1e-8)
 
 
@@ -236,6 +236,9 @@ def test_truncated_riemann_guards():
         truncated_riemann(f, 0.0, 1.0, 1)
     with pytest.raises(DomainError):
         truncated_riemann(f, 1.0, 1.0, 10)
+    with pytest.raises(DomainError, match="integer"):
+        truncated_riemann(f, 0.0, 1.0, 2.5)  # would sample f at 1.2
+    assert truncated_riemann(f, 0.0, 1.0, 10.0) == truncated_riemann(f, 0.0, 1.0, 10)
     with np.errstate(invalid="ignore", divide="ignore"):
         with pytest.raises(DomainError):
             truncated_riemann(lambda u: 1.0 / np.sqrt(u - 0.5), 0.0, 1.0, 10)
@@ -305,3 +308,17 @@ def test_final_step_strips_cover_the_central_range(monkeypatch, phase, n, eps):
 def test_final_step_report_eps_too_small():
     with pytest.raises(DomainError, match="eps"):
         final_step_report(build_sine(), 400, eps=0.1)
+
+
+@pytest.mark.parametrize(
+    "n,eps,match",
+    [
+        (1, 0.1, "n must be at least 2"),
+        (6400, 0.0, "eps must lie"),
+        (6400, math.pi / 2, "eps must lie"),
+    ],
+    ids=["n-1", "eps-0", "eps-half-pi"],
+)
+def test_final_step_report_refuses_bad_arguments(n, eps, match):
+    with pytest.raises(DomainError, match=match):
+        final_step_report(build_sine(), n, eps=eps)

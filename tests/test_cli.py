@@ -110,6 +110,19 @@ def test_non_finite_params_are_a_clean_error(argv, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["converge", "--phase", "sine", "--params", "100,abc"], "error: unparseable --params"),
+        (["converge", "--phase", "abs", "--params", "2"], "error: log-growth mode needs"),
+    ],
+    ids=["unparseable", "abs-below-3"],
+)
+def test_bad_params_are_a_clean_error(argv, message, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(message)
+
+
 def test_non_positive_params_are_an_error(capsys):
     negative = ["converge", "--phase", "sine", "--params", "100,-1"]
     for argv in (negative, ["bessel", "--params", "0"]):

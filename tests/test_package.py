@@ -85,7 +85,6 @@ def test_public_surface_is_pinned():
 # Each public function's parameters that have defaults; functions absent here have none.
 OPTIONS = {
     "asymptotic_limit": ("tol",),
-    "asymptotic_limit_slope_route": ("tol",),
     "build_from_callable": ("winding_k", "label"),
     "coefficient_quadrature": ("tol",),
     "compute_spectrum": ("grid_pow", "window"),
@@ -145,7 +144,6 @@ NAN = float("nan")
         lambda: wnl.weyl_sum(np.array([0.1, NAN]), 1),
         lambda: wnl.coefficient_quadrature(wnl.build_sine().normalized(), 100.0, 3, tol=NAN),
         lambda: wnl.asymptotic_limit(wnl.build_sine(), tol=NAN),
-        lambda: wnl.asymptotic_limit_slope_route(wnl.build_sine(), tol=NAN),
         lambda: wnl.truncated_riemann(np.sqrt, 0.0, 1.0, NAN),
         lambda: wnl.fractional_array(np.sqrt, NAN),
         lambda: wnl.fractional_array(np.sqrt, math.inf),
@@ -167,8 +165,7 @@ NAN = float("nan")
     ids=[
         "psi", "legendre", "lemma1_var_bound", "lemma1_monotone_bound", "van_der_corput",
         "build_blaschke", "build_blaschke_general", "corollary2_integral", "weyl_sum",
-        "coefficient_quadrature", "asymptotic_limit", "asymptotic_limit_slope_route",
-        "truncated_riemann", "fractional_array",
+        "coefficient_quadrature", "asymptotic_limit", "truncated_riemann", "fractional_array",
         "fractional_array_inf", "weyl_study", "weyl_sum_j", "coefficient_quadrature_nu",
         "bessel_j", "bessel_j_sequence", "build_linear", "build_linear_inf",
         "hyp2f1_a", "hyp2f1_c", "hyp2f1_a_inf", "build_from_callable_winding", "phase_winding",
@@ -186,9 +183,6 @@ QUADRATURES = {
         wnl.build_sine().normalized(), 100.0, 3, tol=tol
     ),
     "asymptotic_limit": lambda tol: wnl.asymptotic_limit(wnl.build_sine(), tol=tol),
-    "asymptotic_limit_slope_route": lambda tol: wnl.asymptotic_limit_slope_route(
-        wnl.build_sine(), tol=tol
-    ),
 }
 
 
@@ -217,7 +211,7 @@ def test_frozen_constants_match_their_regeneration(monkeypatch, capsys):
 
 
 def test_guarded_library_tables_are_written(monkeypatch, tmp_path):
-    """The library step of scripts/guarded_outputs.py writes its seven tables,
+    """The library step of scripts/guarded_outputs.py writes its eight tables,
     so a renamed table writer fails here, not only in a byte-identity diff."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "guarded_outputs.py"
     write_library_tables = runpy.run_path(str(script))["write_library_tables"]
@@ -231,6 +225,7 @@ def test_guarded_library_tables_are_written(monkeypatch, tmp_path):
         "weyl_rational.csv",
         "weyl_no_fit.csv",
         "study_sine.json",
+        "quadrature.csv",
     ]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
     assert all((tmp_path / f).stat().st_size > 0 for f in files)

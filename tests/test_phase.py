@@ -180,6 +180,12 @@ def test_validate_checks_declared_parity():
     assert any(m.startswith("declared odd but h(-t)+h(t) reaches") for m in odd_abs.messages)
 
 
+def test_validate_checks_the_winding():
+    report = validate(dataclasses.replace(build_sine(), winding_k=1))
+    assert not report.periodicity_ok and not report.passed
+    assert any(m.startswith("h(t+2pi) - h(t) deviates from 2pi*1") for m in report.messages)
+
+
 def test_require_valid_raises_with_reasons():
     with pytest.raises(WnlError, match="fails validation"):
         require_valid(build_linear(1))
@@ -432,6 +438,12 @@ def test_modulus_monotone(d1, d2):
     phase = build_blaschke([0.5])
     lo, hi = sorted((d1, d2))
     assert modulus_of_continuity(phase, lo) <= modulus_of_continuity(phase, hi) + 1e-12
+
+
+@pytest.mark.parametrize("delta", [0.0, 4.0])
+def test_modulus_rejects_delta_outside_zero_pi(delta):
+    with pytest.raises(DomainError, match="delta must lie in"):
+        modulus_of_continuity(build_sine(), delta)
 
 
 def test_modulus_rejects_unresolvable_delta(monkeypatch):

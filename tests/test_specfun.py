@@ -103,6 +103,11 @@ class TestHyp2f1:
         with pytest.raises(DomainError):
             hyp2f1(0.5, 0.75, 1.5, bad)
 
+    @pytest.mark.parametrize("c", [0.0, -2.0])
+    def test_rejects_non_positive_integer_c(self, c):
+        with pytest.raises(DomainError, match="non-positive integer"):
+            hyp2f1(0.5, 0.75, c, 0.3)
+
 
 class TestBesselJ:
     @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from wnl.phase import (
     build_blaschke,
     build_blaschke_general,
     build_from_callable,
+    build_linear,
     build_piecewise_abs,
     build_sine,
     partition_terms,
@@ -228,6 +229,14 @@ def test_pinned_grid_pow_must_be_an_integer(grid_pow):
         compute_spectrum(phase, 10.0, grid_pow=grid_pow)
 
 
+@pytest.mark.parametrize("grid_pow, window", [(8, "auto"), (10, "full")])
+def test_pinned_grid_below_the_window_is_refused(grid_pow, window):
+    """Sine at x = 1000 needs 2253 window coefficients, and the full window
+    8 (x + 1) samples; a pinned grid short of either is a resolution error."""
+    with pytest.raises(GridResolutionError, match="raise grid_pow"):
+        compute_spectrum(build_sine(), 1000.0, grid_pow=grid_pow, window=window)
+
+
 @pytest.mark.parametrize("window", ["auto", "full"])
 def test_integral_float_grid_pow_is_the_integer(window):
     pinned = compute_spectrum(build_sine(), 10.0, grid_pow=9.0, window=window)
@@ -337,6 +346,13 @@ def test_scaled_norm_at_fractional_scale_is_bessel_sum():
     assert errs[351.5] > max(errs[351.0], errs[352.0])
 
 
+def test_linear_phase_is_one_spike():
+    """h = 3t has the one coefficient a_{3x} = 1, so nothing lies outside."""
+    spec = compute_spectrum(build_linear(3), 10.0)
+    assert spec.tail_bound == 0.0
+    assert spec.coeff(30) == 1
+
+
 def test_full_window_tail_is_uncertified():
     spec = compute_spectrum(build_piecewise_abs(), 64.0, window="full")
     assert spec.tail_bound == math.inf
@@ -412,16 +428,24 @@ def test_nan_phase_quadrature_is_a_domain_error(monkeypatch):
         sine, h=lambda t: np.where(np.abs(np.asarray(t) - 1.0) < 0.01, np.nan, sine.h(t))
     )
     levels = []
-    integrate_uniform = _quad.integrate_uniform
+    integrate_panels = _quad.integrate_panels
 
     def counted(*args):
-        levels.append(args[3])
-        return integrate_uniform(*args)
+        levels.append(args[1].size - 1)
+        return integrate_panels(*args)
 
-    monkeypatch.setattr(_quad, "integrate_uniform", counted)
+    monkeypatch.setattr(_quad, "integrate_panels", counted)
     with pytest.raises(DomainError, match="'sine' at x = 100.0 is not finite"):
         coefficient_quadrature(phase, 100.0, 3)
     assert len(levels) == 1
+
+
+def test_quadrature_nu_must_be_an_integer():
+    """A fractional nu is no Fourier index; an integral float is the integer."""
+    norm = build_sine().normalized()
+    with pytest.raises(DomainError, match="nu must be an integer"):
+        coefficient_quadrature(norm, 10.0, 2.5)
+    assert coefficient_quadrature(norm, 10.0, 7.0) == coefficient_quadrature(norm, 10.0, 7)
 
 
 def test_quadrature_leaves_the_nodes_of_an_identity_phase_alone():
@@ -468,7 +492,7 @@ def test_partition_sums_total_matches_norm():
     spec = compute_spectrum(norm, 400.0)
     part = partition_terms(build_sine(), 400.0)
     sums = partition_sums(spec, part)
-    assert sums.total == pytest.approx(spec.abs_sum(), abs=1e-12)
+    assert sum(sums) == pytest.approx(spec.abs_sum(), abs=1e-12)
     assert sums.central > sums.periphery > 0.0
     assert sums.external > 0.0
 
@@ -483,6 +507,9 @@ def test_partition_sums_alignment_checks():
     raw_spec = compute_spectrum(build_sine(), 400.0)
     with pytest.raises(MisalignedError):
         partition_sums(raw_spec, partition_terms(build_sine(), 400.0))
+    short = dataclasses.replace(spec, nu_min=0, coeffs=spec.coeffs[-spec.nu_min :])
+    with pytest.raises(MisalignedError, match="does not cover the partition interior"):
+        partition_sums(short, partition_terms(build_sine(), 400.0))
 
 
 def test_csv_round_trip(tmp_path):
