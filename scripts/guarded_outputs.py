@@ -14,8 +14,9 @@ and exit status (``validate_<name>.stdout``). The script works inside
 OUTDIR with relative paths, so the ``wrote <path>`` lines match across
 checkouts.
 The library writers follow: coefficient spectra, Weyl-sum reports,
-a convergence report in JSON, and coefficients from the quadrature
-route on its odd half-circle and its full-circle branch.
+a convergence report in JSON, coefficients from the quadrature
+route on its odd half-circle and its full-circle branch, and the limit
+L(h) on each of its quadrature routes.
 """
 
 from __future__ import annotations
@@ -114,6 +115,32 @@ def quadrature_table() -> Table:
     return Table("coefficient_quadrature", {}, ("phase", "x", "nu", "re", "im"), rows)
 
 
+def limits_table() -> Table:
+    """L(h) on each route: [0, pi] at the default tol and at 1e-11, the slope
+    variable, and the full circle.  The slope route refuses a phase that is
+    not odd; its cell then holds None."""
+    phases = [
+        wnl.build_sine(),
+        wnl.build_blaschke([0.5]),
+        wnl.build_blaschke([0.3, 0.7]),
+        wnl.build_blaschke([0.9]),
+        wnl.build_blaschke_general([0.4 + 0.3j]),
+        wnl.build_blaschke_general([0.4 + 0.3j, -0.6, 0.2 - 0.5j]),
+    ]
+    rows = []
+    for phase in phases:
+        slope = wnl.asymptotic_limit_slope_route(phase) if phase.odd else None
+        rows.append((
+            phase.label,
+            wnl.asymptotic_limit(phase),
+            wnl.asymptotic_limit(phase, tol=1e-11),
+            slope,
+            wnl.full_circle_reference(phase),
+        ))
+    columns = ("phase", "limit", "limit_1e-11", "slope_route", "full_circle")
+    return Table("limit routes", {}, columns, rows)
+
+
 def write_library_tables() -> None:
     reports = {
         "spectrum_sine_300.csv": wnl.compute_spectrum(wnl.build_sine(), 300.0),
@@ -128,6 +155,7 @@ def write_library_tables() -> None:
     }
     tables = {name: report.table() for name, report in reports.items()}
     tables["quadrature.csv"] = quadrature_table()
+    tables["limits.csv"] = limits_table()
     for name, table in tables.items():
         Path(name).write_text(table.json_text() if name.endswith(".json") else table.csv_text())
 

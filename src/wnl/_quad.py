@@ -1,16 +1,19 @@
-"""Gauss-Legendre panel quadrature used by the numeric modules.
+"""Gauss-Legendre panel quadrature and the one stopping rule of the package.
 
 Everything here is deliberately boring: fixed-order Gauss-Legendre rules
-composited over uniform or explicit panels, plus a doubling loop for
-oscillatory integrands where the panel count is the only knob worth
-turning.  Node/weight tables come from numpy and are cached per order.
+composited over explicit panels, and ``refine``, which decides when a
+quadrature has converged.  Every adaptive quadrature of the package (the
+limit L(h) on its three routes and the single Fourier coefficient) hands
+``refine`` its sequence of refinement levels and stops at the first
+level whose value lies within its tolerance of the previous level's.
+Node/weight tables come from numpy and are cached per order.
 """
 
 from __future__ import annotations
 
 import cmath
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -74,42 +77,27 @@ def integrate_panels(
     return complex(np.sum(terms))
 
 
-def integrate_adaptive(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    panels0: int,
+def refine(
+    value_at: Callable[[int], complex],
+    levels: Iterable[int],
     tol: float,
-    max_doublings: int = 12,
-    what: str = "the integrand",
-) -> tuple[complex, float]:
-    """Composite 16-point GL on uniform panels, doubled until two refinements agree.
+    what: str,
+    failure: str,
+    answer: Callable[[complex], complex],
+) -> complex:
+    """answer(value_at(level)) at the first level within tol of the one before.
 
-    Returns ``(value, err_estimate)`` where the estimate is the last
-    inter-level difference.  Raises :class:`QuadratureBudgetError`, with
-    the newest value attached, if the cap is reached first, and
-    :class:`DomainError` naming ``what`` as soon as a level's sum is not
-    finite, since no refinement can mend that.
+    The levels are evaluated in order.  A value that is not finite raises
+    :class:`DomainError` naming ``what`` at once, since no finer level can
+    mend it; running out of levels raises :class:`QuadratureBudgetError`
+    with the ``failure`` message and answer(last value) as its estimate.
     """
-
-    def level(panels: int) -> complex:
-        value = integrate_panels(f, np.linspace(a, b, panels + 1), 16)
+    prev = None
+    for level in levels:
+        value = value_at(level)
         if not cmath.isfinite(value):
-            raise DomainError(f"{what} is not finite on {panels} panels over [{a!r}, {b!r}]")
-        return value
-
-    panels = max(1, panels0)
-    prev = level(panels)
-    delta = float("inf")
-    for _ in range(max_doublings):
-        panels *= 2
-        cur = level(panels)
-        delta = abs(cur - prev)
-        if delta <= tol:
-            return cur, delta
-        prev = cur
-    raise QuadratureBudgetError(
-        f"panel doubling cap ({max_doublings}) reached at {panels} panels; "
-        f"last difference {delta:.3e} > tol {tol:.3e}",
-        estimate=prev,
-    )
+            raise DomainError(f"{what} is not finite at refinement level {level}")
+        if prev is not None and abs(value - prev) <= tol:
+            return answer(value)
+        prev = value
+    raise QuadratureBudgetError(failure, estimate=answer(prev))

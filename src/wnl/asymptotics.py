@@ -20,9 +20,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._quad import integrate_panels, require_tolerance
+from ._quad import integrate_panels, refine, require_tolerance
 from ._table import Table
-from .errors import DomainError, QuadratureBudgetError
+from .errors import DomainError
 from .phase import (
     PhaseFunction,
     _invert_increasing_slope,
@@ -35,6 +35,7 @@ from .stationary import _stationary_points
 _LIMIT_PREFACTOR = (2.0 / math.pi) ** 1.5
 _REFERENCE_TOL = 1e-10  # the full-circle quadrature's stopping tolerance
 _SLOPE_ROUTE_TOL = 1e-9
+_LEVELS = range(10, 49, 2)  # geometric refinement levels of the limit routes
 
 
 def _geometric_breakpoints(a: float, b: float, levels: int) -> np.ndarray:
@@ -50,46 +51,43 @@ def _geometric_breakpoints(a: float, b: float, levels: int) -> np.ndarray:
     return np.concatenate(([a], left, right, [b]))
 
 
-def _refine_until_stable(
-    total: Callable[[int], float], tol: float, scale: float, failure: str
+def _root_curvature_integral(
+    phase: PhaseFunction, edges: Sequence[float], tol: float, scale: float, name: str
 ) -> float:
-    """scale * total(levels) once two successive levels agree to tol/2.
+    """scale times the integral of sqrt(|h''|) over the pieces between edges.
 
-    Levels run 10, 12, ..., 48; if none settles, QuadratureBudgetError
-    carries the failure message and the last scaled total.
+    Each piece refines geometrically toward both of its ends, where
+    sqrt(|h''|) typically vanishes like a fractional power and uniform
+    panels stall.  Levels are added two at a time until successive totals
+    agree to tol/2.
     """
-    prev = None
-    for levels in range(10, 49, 2):
-        value = total(levels)
-        if prev is not None and abs(value - prev) <= 0.5 * tol:
-            return scale * value
-        prev = value
-    raise QuadratureBudgetError(failure, estimate=scale * prev)
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.abs(phase.d2(t)))
+
+    def total(levels: int) -> float:
+        value = 0.0
+        for lo, hi in zip(edges, edges[1:]):
+            bp = _geometric_breakpoints(lo, hi, levels)
+            value += float(integrate_panels(integrand, bp, 32).real)
+        return value
+
+    what = f"sqrt|h''| of {phase.label!r}"
+    failure = f"{name} did not stabilize to {tol:g} for {phase.label!r}"
+    return refine(total, _LEVELS, 0.5 * tol, what, failure, lambda value: scale * value)
 
 
 def asymptotic_limit(phase: PhaseFunction, tol: float = 1e-10) -> float:
-    """L(h) by quadrature of sqrt(|h''|) over [0, pi].
-
-    sqrt(|h''|) typically vanishes like a fractional power at the
-    endpoints, so uniform panels stall; geometric refinement toward 0
-    and pi restores fast convergence.  Levels are added two at a time
-    until successive totals agree to tol/2.
+    """L(h) by quadrature of sqrt(|h''|) over [0, pi], to tol.
 
     Validation is the caller's business here: the integral itself only
     needs |h''| on (0, pi), which lets the quadrature be self-tested on
     synthetic curvature profiles that are not phases at all.
     """
     require_tolerance(tol)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.abs(phase.d2(t)))
-
-    def total(levels: int) -> float:
-        bp = _geometric_breakpoints(0.0, math.pi, levels)
-        return float(integrate_panels(integrand, bp, 32).real)
-
-    failure = f"limit integral did not stabilize to {tol:g} for {phase.label!r}"
-    return _refine_until_stable(total, tol, _LIMIT_PREFACTOR, failure)
+    return _root_curvature_integral(
+        phase, (0.0, math.pi), tol, _LIMIT_PREFACTOR, "limit integral"
+    )
 
 
 def full_circle_reference(phase: PhaseFunction) -> float:
@@ -107,9 +105,6 @@ def full_circle_reference(phase: PhaseFunction) -> float:
 
     def d2_at(t: float) -> float:
         return float(phase.d2(np.asarray(t)))
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.abs(phase.d2(t)))
 
     grid = np.linspace(0.0, two_pi, 1 << 14)
     vals = phase.d2(grid)
@@ -129,15 +124,9 @@ def full_circle_reference(phase: PhaseFunction) -> float:
             edges.append(kink)
     edges.append(two_pi)
 
-    def total(levels: int) -> float:
-        value = 0.0
-        for lo, hi in zip(edges, edges[1:]):
-            bp = _geometric_breakpoints(lo, hi, levels)
-            value += float(integrate_panels(integrand, bp, 32).real)
-        return value
-
-    failure = f"full-circle reference did not stabilize to {_REFERENCE_TOL:g} for {phase.label!r}"
-    return _refine_until_stable(total, _REFERENCE_TOL, 0.5 * _LIMIT_PREFACTOR, failure)
+    return _root_curvature_integral(
+        phase, edges, _REFERENCE_TOL, 0.5 * _LIMIT_PREFACTOR, "full-circle reference"
+    )
 
 
 def asymptotic_limit_slope_route(phase: PhaseFunction) -> float:
@@ -161,8 +150,10 @@ def asymptotic_limit_slope_route(phase: PhaseFunction) -> float:
         bp[-1] = beta - (beta - alpha) * 2.0 ** (-levels - 20)
         return float(integrate_panels(integrand, bp, 32).real)
 
+    what = f"(h'' o psi)^(-1/2) of {phase.label!r}"
     failure = f"slope-route limit integral did not stabilize for {phase.label!r}"
-    return _refine_until_stable(total, _SLOPE_ROUTE_TOL, _LIMIT_PREFACTOR, failure)
+    tol = 0.5 * _SLOPE_ROUTE_TOL
+    return refine(total, _LEVELS, tol, what, failure, lambda value: _LIMIT_PREFACTOR * value)
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,11 @@ def fractional_array(
 ) -> np.ndarray:
     """Fractional parts of n*varphi(k/n) for integers k with k/n in j0.
 
-    The window j0 is closed on both ends; results lie in [0, 1).
+    The window j0 is closed on both ends; results lie in [0, 1).  n must
+    be an integer >= 1; an integral float is taken.
     """
-    if not (1 <= n < math.inf):
-        raise DomainError(f"n must be at least 1 and finite, got {n!r}")
+    if not (1 <= n < math.inf and n == int(n)):
+        raise DomainError(f"n must be an integer >= 1, got {n!r}")
     lo, hi = j0
     if not (0.0 <= lo < hi <= 1.0):
         raise DomainError(f"j0 must be a subinterval of [0, 1], got {j0!r}")
@@ -120,16 +121,14 @@ def weyl_study(
     interval: tuple[float, float],
     n_values: Sequence[int],
 ) -> WeylReport:
-    """Weyl sums of the fractional arrays of varphi over an n ladder."""
+    """Weyl sums of the fractional arrays of varphi over a ladder of integers n >= 1."""
     if len(n_values) == 0:
         raise DomainError("n_values must be non-empty")
-    if not all(map(math.isfinite, n_values)):
-        raise DomainError(f"n_values must be finite, got {list(n_values)!r}")
     if any(b <= a for a, b in zip(n_values, list(n_values)[1:])):
         raise DomainError(f"n_values must be strictly increasing, got {list(n_values)!r}")
     vals = []
     for n in n_values:
-        svals = fractional_array(varphi, int(n), interval)
+        svals = fractional_array(varphi, n, interval)
         vals.append((int(n), weyl_sum(svals, j)))
     return WeylReport(
         j=int(j), interval=(float(interval[0]), float(interval[1])), values=tuple(vals)

@@ -30,7 +30,7 @@ class GridResolutionError(WnlError):
 
 
 class QuadratureBudgetError(WnlError):
-    """Adaptive refinement hit its doubling cap before reaching tolerance.
+    """Adaptive refinement ran out of levels before reaching tolerance.
 
     Carries the best available estimate so callers can decide whether the
     partial answer is still useful.

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._quad import integrate_adaptive, require_tolerance
+from ._quad import integrate_panels, refine, require_tolerance
 from ._table import Table
 from .errors import (
     DomainError,
@@ -50,6 +50,13 @@ def check_periodicity(phase: PhaseFunction, x: float) -> None:
         )
 
 
+def _index(nu: int) -> int:
+    """nu as an int: an integral float is taken, any other value raises DomainError."""
+    if not (math.isfinite(nu) and nu == int(nu)):
+        raise DomainError(f"nu must be an integer, got {nu!r}")
+    return int(nu)
+
+
 @dataclass(frozen=True)
 class CoefficientSpectrum:
     """Windowed Fourier coefficients of e^{i x h(t)} with certificates."""
@@ -67,6 +74,8 @@ class CoefficientSpectrum:
         return np.arange(self.nu_min, self.nu_max + 1)
 
     def coeff(self, nu: int) -> complex:
+        """a_nu; a nu that is not an integer (an integral float is taken) raises DomainError."""
+        nu = _index(nu)
         if not (self.nu_min <= nu <= self.nu_max):
             raise DomainError(
                 f"nu = {nu} outside the computed window [{self.nu_min}, {self.nu_max}]"
@@ -317,8 +326,7 @@ def coefficient_quadrature(
     """
     require_tolerance(tol)
     check_periodicity(phase, x)
-    if not (math.isfinite(nu) and nu == int(nu)):
-        raise DomainError(f"nu must be an integer, got {nu!r}")
+    nu = _index(nu)
     slope = max(abs(v) for v in phase.slope_range())
     travel = x * slope + abs(nu)
     start = 0.0 if phase.odd else -math.pi
@@ -333,16 +341,14 @@ def coefficient_quadrature(
         z = 1j * arg
         return np.exp(z, out=z)
 
-    value, _ = integrate_adaptive(
-        integrand,
-        start,
-        math.pi,
-        panels0,
-        tol=0.5 * span * tol,  # tol/2 on the normalized coefficient
-        max_doublings=_QUAD_MAX_DOUBLINGS,
-        what=f"e^(i x h) of {phase.label!r} at x = {x!r}",
-    )
-    return value / span
+    def level(panels: int) -> complex:
+        return integrate_panels(integrand, np.linspace(start, math.pi, panels + 1), 16)
+
+    levels = (panels0 << k for k in range(_QUAD_MAX_DOUBLINGS + 1))
+    what = f"e^(i x h) of {phase.label!r} at x = {x!r}"
+    failure = f"panel doubling cap ({_QUAD_MAX_DOUBLINGS}) reached for {what}"
+    tol_raw = 0.5 * span * tol  # tol/2 on the normalized coefficient
+    return refine(level, levels, tol_raw, what, failure, lambda value: value / span)
 
 
 def scaled_norm(spec: CoefficientSpectrum) -> float:

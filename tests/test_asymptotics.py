@@ -1,5 +1,6 @@
 """Limit integrals, convergence studies, and the closing Riemann-sum pieces."""
 
+import dataclasses
 import json
 import math
 
@@ -107,6 +108,24 @@ def test_full_circle_is_rotation_invariant():
         z = 0.5 * complex(math.cos(angle), math.sin(angle))
         rotated = full_circle_reference(build_blaschke_general([z]))
         assert rotated == pytest.approx(base, abs=1e-8)
+
+
+@pytest.mark.parametrize("route", [asymptotic_limit, full_circle_reference])
+def test_nan_curvature_is_a_domain_error(monkeypatch, route):
+    """h'' = nan makes the first level's total nan; the limit routes name
+    the phase after that one level instead of spending all twenty."""
+    phase = dataclasses.replace(build_sine(), d2=lambda t: np.full(np.shape(t), np.nan))
+    levels = []
+    integrate_panels = wnl.asymptotics.integrate_panels
+
+    def counted(*args):
+        levels.append(args[1].size - 1)
+        return integrate_panels(*args)
+
+    monkeypatch.setattr(wnl.asymptotics, "integrate_panels", counted)
+    with pytest.raises(DomainError, match="of 'sine' is not finite"):
+        route(phase)
+    assert len(levels) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,8 @@ def test_fractional_array_range(n):
 def test_fractional_array_guards():
     with pytest.raises(DomainError):
         fractional_array(lambda u: u, 0)
+    with pytest.raises(DomainError, match="n must be an integer"):
+        fractional_array(lambda u: u, 10.5)
     with pytest.raises(DomainError):
         fractional_array(lambda u: u, 10, j0=(0.7, 0.3))
 
@@ -113,6 +115,21 @@ def test_weyl_study_guards():
         weyl_study(lambda u: u, 1, (0.0, 1.0), [])
     with pytest.raises(DomainError):
         weyl_study(lambda u: u, 1, (0.0, 1.0), [100, 100])
+
+
+@pytest.mark.parametrize("n_values", [[10.5, 20.5], [2.2, 2.7], [100, 250.5]])
+def test_weyl_study_refuses_a_fractional_n(n_values):
+    """A fractional n is no grid size; it is refused, not truncated."""
+    with pytest.raises(DomainError, match="n must be an integer"):
+        weyl_study(lambda u: 0.5 * u * u, 1, (0.0, 1.0), n_values)
+
+
+def test_integral_float_n_is_the_integer():
+    varphi = lambda u: 0.5 * u * u
+    assert fractional_array(varphi, 100.0).tobytes() == fractional_array(varphi, 100).tobytes()
+    assert weyl_study(varphi, 1, (0.0, 1.0), [10.0, 20.0]) == weyl_study(
+        varphi, 1, (0.0, 1.0), [10, 20]
+    )
 
 
 def test_weyl_report_shape_and_csv(tmp_path):

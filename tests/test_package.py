@@ -195,7 +195,7 @@ def test_unreachable_tolerance_is_refused_up_front(monkeypatch, name, tol):
         raise AssertionError(f"{name} integrated with tol={tol!r}")
 
     monkeypatch.setattr(wnl.asymptotics, "integrate_panels", refuse)
-    monkeypatch.setattr(wnl.spectrum, "integrate_adaptive", refuse)
+    monkeypatch.setattr(wnl.spectrum, "integrate_panels", refuse)
     with pytest.raises(wnl.DomainError, match="tol must be positive"):
         QUADRATURES[name](tol)
 
@@ -211,7 +211,7 @@ def test_frozen_constants_match_their_regeneration(monkeypatch, capsys):
 
 
 def test_guarded_library_tables_are_written(monkeypatch, tmp_path):
-    """The library step of scripts/guarded_outputs.py writes its eight tables,
+    """The library step of scripts/guarded_outputs.py writes its nine tables,
     so a renamed table writer fails here, not only in a byte-identity diff."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "guarded_outputs.py"
     write_library_tables = runpy.run_path(str(script))["write_library_tables"]
@@ -226,6 +226,7 @@ def test_guarded_library_tables_are_written(monkeypatch, tmp_path):
         "weyl_no_fit.csv",
         "study_sine.json",
         "quadrature.csv",
+        "limits.csv",
     ]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
     assert all((tmp_path / f).stat().st_size > 0 for f in files)

@@ -1,4 +1,4 @@
-"""Panel quadrature basics: exactness, adaptivity, failure modes."""
+"""Panel quadrature basics: exactness, the stopping rule, failure modes."""
 
 import math
 
@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wnl import _quad
-from wnl._quad import _rule, integrate_adaptive, integrate_panels
-from wnl.errors import QuadratureBudgetError
+from wnl._quad import _rule, integrate_panels, refine
+from wnl.errors import DomainError, QuadratureBudgetError
 
 
 def test_weights_sum_to_length():
@@ -30,9 +30,23 @@ def test_sin_integral():
     assert val.real == pytest.approx(2.0, abs=1e-14)
 
 
+def doubling(f, panels0, doublings, tol):
+    """refine over uniform panels panels0 * 2^k on [0, pi], k = 0..doublings,
+    returning the answer and the last difference between levels."""
+    values = []
+
+    def level(panels):
+        values.append(integrate_panels(f, np.linspace(0.0, math.pi, panels + 1), 16))
+        return values[-1]
+
+    levels = (panels0 << k for k in range(doublings + 1))
+    val = refine(level, levels, tol, "f", "cap reached", lambda v: v)
+    return val, abs(values[-1] - values[-2])
+
+
 def test_oscillatory_adaptive():
     f = lambda t: np.exp(1j * 51.0 * t)
-    val, err = integrate_adaptive(f, 0.0, math.pi, panels0=4, tol=1e-12)
+    val, err = doubling(f, 4, 12, 1e-12)
     exact = 2j / 51.0
     assert abs(val - exact) < 1e-12
     assert err < 1e-12
@@ -41,8 +55,43 @@ def test_oscillatory_adaptive():
 def test_adaptive_budget_error_carries_estimate():
     f = lambda t: np.exp(1j * 4000.0 * t)
     with pytest.raises(QuadratureBudgetError) as info:
-        integrate_adaptive(f, 0.0, math.pi, panels0=1, tol=1e-15, max_doublings=3)
+        doubling(f, 1, 3, 1e-15)
     assert info.value.estimate is not None
+
+
+def test_refine_stops_at_the_first_settled_level():
+    """The answer is taken at the first level within tol of the previous
+    one, and no later level is evaluated."""
+    values = {1: 1.0, 2: 0.5, 3: 0.25, 4: 0.2, 5: 0.0}
+    seen = []
+
+    def value_at(level):
+        seen.append(level)
+        return values[level]
+
+    assert refine(value_at, range(1, 6), 0.1, "v", "cap", lambda v: 10.0 * v) == 2.0
+    assert seen == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, math.nan)])
+def test_refine_refuses_a_non_finite_level_at_once(bad):
+    seen = []
+
+    def value_at(level):
+        seen.append(level)
+        return bad if level == 2 else 1.0
+
+    with pytest.raises(DomainError, match="the integrand is not finite at refinement level 2"):
+        refine(value_at, range(1, 10), 1e-3, "the integrand", "cap", lambda v: v)
+    assert seen == [1, 2]
+
+
+def test_refine_budget_estimate_is_the_last_level_in_answer_units():
+    """A sequence that never settles spends every level; the error carries
+    the failure message and answer(last value)."""
+    with pytest.raises(QuadratureBudgetError, match="^never settled$") as info:
+        refine(lambda k: float(k), [1, 3, 7, 15], 1.0, "v", "never settled", lambda v: v / 2.0)
+    assert info.value.estimate == 7.5
 
 
 @pytest.mark.parametrize("bad", [[0.0], [0.0, 0.0, 1.0], [0.0, 2.0, 1.0]])

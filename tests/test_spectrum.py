@@ -421,20 +421,18 @@ def test_nan_phase_is_a_domain_error(monkeypatch):
 def test_nan_phase_quadrature_is_a_domain_error(monkeypatch):
     """h = nan near t = 1 with h' finite: the first level's sum is nan, and
     the quadrature names the phase instead of spending its doubling budget."""
-    from wnl import _quad
-
     sine = build_sine()
     phase = dataclasses.replace(
         sine, h=lambda t: np.where(np.abs(np.asarray(t) - 1.0) < 0.01, np.nan, sine.h(t))
     )
     levels = []
-    integrate_panels = _quad.integrate_panels
+    integrate_panels = spectrum.integrate_panels
 
     def counted(*args):
         levels.append(args[1].size - 1)
         return integrate_panels(*args)
 
-    monkeypatch.setattr(_quad, "integrate_panels", counted)
+    monkeypatch.setattr(spectrum, "integrate_panels", counted)
     with pytest.raises(DomainError, match="'sine' at x = 100.0 is not finite"):
         coefficient_quadrature(phase, 100.0, 3)
     assert len(levels) == 1
@@ -475,6 +473,17 @@ def test_coeff_outside_window_raises():
     spec = compute_spectrum(build_sine(), 5.0)
     with pytest.raises(DomainError):
         spec.coeff(10**6)
+
+
+def test_coeff_nu_must_be_an_integer():
+    """coeff reads an integral float as its integer and refuses any other nu
+    with DomainError, as coefficient_quadrature does."""
+    spec = compute_spectrum(build_sine(), 5.0)
+    assert spec.coeff(3.0) == spec.coeff(3)
+    assert spec.coeff(-2.0) == spec.coeff(-2)
+    for bad in (2.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="nu must be an integer"):
+            spec.coeff(bad)
 
 
 @given(x=st.floats(3.0, 60.0))
