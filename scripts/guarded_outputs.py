@@ -15,8 +15,9 @@ OUTDIR with relative paths, so the ``wrote <path>`` lines match across
 checkouts.
 The library writers follow: coefficient spectra, Weyl-sum reports,
 a convergence report in JSON, coefficients from the quadrature
-route on its odd half-circle and its full-circle branch, and the limit
-L(h) on each of its quadrature routes.
+route on its odd half-circle and its full-circle branch, the limit
+L(h) on each of its quadrature routes, and the partition sums of four
+partitions.
 """
 
 from __future__ import annotations
@@ -141,6 +142,27 @@ def limits_table() -> Table:
     return Table("limit routes", {}, columns, rows)
 
 
+def partition_table() -> Table:
+    """partition_sums at four partitions: an empty central window with a split
+    periphery, crossed external seams (every index external), a tiny integer
+    scale and a fractional one."""
+    cases = [
+        (wnl.build_blaschke([0.9]), 2.0),
+        (wnl.build_blaschke_general([-0.05]), 2.0),
+        (wnl.build_blaschke([0.3, 0.7]), 3.0),
+        (wnl.build_sine(), 350.5),
+    ]
+    rows = []
+    for phase, n in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # Phi clamps at n = 2
+            part = wnl.partition_terms(phase, n)
+        sums = wnl.partition_sums(wnl.compute_spectrum(phase.normalized(), n), part)
+        rows.append((part.label, n, *part.cuts, *sums))
+    columns = ("phase", "n", "first", "lo", "hi", "last", "external", "periphery", "central")
+    return Table("partition_sums", {}, columns, rows)
+
+
 def write_library_tables() -> None:
     reports = {
         "spectrum_sine_300.csv": wnl.compute_spectrum(wnl.build_sine(), 300.0),
@@ -156,6 +178,7 @@ def write_library_tables() -> None:
     tables = {name: report.table() for name, report in reports.items()}
     tables["quadrature.csv"] = quadrature_table()
     tables["limits.csv"] = limits_table()
+    tables["partition_sums.csv"] = partition_table()
     for name, table in tables.items():
         Path(name).write_text(table.json_text() if name.endswith(".json") else table.csv_text())
 

@@ -84,6 +84,7 @@ def refine(
     what: str,
     failure: str,
     answer: Callable[[complex], complex],
+    confirm: Callable[[int], tuple[complex, float]] | None = None,
 ) -> complex:
     """answer(value_at(level)) at the first level within tol of the one before.
 
@@ -91,6 +92,9 @@ def refine(
     :class:`DomainError` naming ``what`` at once, since no finer level can
     mend it; running out of levels raises :class:`QuadratureBudgetError`
     with the ``failure`` message and answer(last value) as its estimate.
+    ``confirm`` maps the settled level to its value on a mesh refined
+    where the levels are not, and that value's rounding noise; a move past
+    both tol and the noise raises QuadratureBudgetError with its answer.
     """
     prev = None
     for level in levels:
@@ -98,6 +102,10 @@ def refine(
         if not cmath.isfinite(value):
             raise DomainError(f"{what} is not finite at refinement level {level}")
         if prev is not None and abs(value - prev) <= tol:
+            check, noise = confirm(level) if confirm else (value, 0.0)
+            if not abs(check - value) <= max(tol, noise):  # a nan check fails too
+                message = f"{failure}: a finer mesh moves level {level} by {abs(check - value):.3g}"
+                raise QuadratureBudgetError(message, estimate=answer(value))
             return answer(value)
         prev = value
     raise QuadratureBudgetError(failure, estimate=answer(prev))

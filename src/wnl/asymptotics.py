@@ -25,6 +25,7 @@ from ._table import Table
 from .errors import DomainError
 from .phase import (
     PhaseFunction,
+    _curvature_sign_changes,
     _invert_increasing_slope,
     _partition,
     require_valid,
@@ -51,30 +52,70 @@ def _geometric_breakpoints(a: float, b: float, levels: int) -> np.ndarray:
     return np.concatenate(([a], left, right, [b]))
 
 
-def _root_curvature_integral(
-    phase: PhaseFunction, edges: Sequence[float], tol: float, scale: float, name: str
+def _settle(
+    f: Callable, pieces: Callable, span: tuple, tol: float, scale: float, what: str, failure: str
 ) -> float:
-    """scale times the integral of sqrt(|h''|) over the pieces between edges.
+    """scale times the integral of f over the panels of pieces(level), to tol.
 
-    Each piece refines geometrically toward both of its ends, where
-    sqrt(|h''|) typically vanishes like a fractional power and uniform
-    panels stall.  Levels are added two at a time until successive totals
-    agree to tol/2.
+    Only end panels shrink from level to level, so the settled total must
+    hold with every other panel halved too: within tol, or within the
+    rounding noise of f, the integral of |f(t') - f(t)| for t' = t + 2^-46
+    (t - lo)(hi - t)/(hi - lo) on span = (lo, hi).  That noise is ~1e-14
+    for analytic curvature and ~1e-6 for central differences.
     """
+    lo, hi = span
+
+    def noise(t: np.ndarray) -> np.ndarray:
+        return np.abs(f(t + 2.0**-46 * (t - lo) * (hi - t) / (hi - lo)) - f(t))
+
+    def total(level: int, halve: bool = False, g: Callable = f) -> float:
+        value = 0.0
+        for bp in pieces(level):
+            if halve:  # split every panel but the two end ones
+                bp = np.insert(bp, np.arange(2, bp.size - 1), 0.5 * (bp[1:-2] + bp[2:-1]))
+            value += float(integrate_panels(g, bp, 32).real)
+        return value
+
+    def confirm(level: int) -> tuple[float, float]:
+        return total(level, True), total(level, True, noise)
+
+    return refine(total, _LEVELS, tol, what, failure, lambda v: scale * v, confirm)
+
+
+def _root_curvature_integral(
+    phase: PhaseFunction, end: float, tol: float, scale: float, name: str
+) -> float:
+    """scale times the integral of sqrt(|h''|) over [0, end], split at the zeros of h''.
+
+    The brackets of :func:`wnl.phase._curvature_sign_changes` that start
+    before end, bisected all at once, give the zeros; one more than 1e-9
+    past the edge before it and short of end is an edge.  Pieces refine
+    toward both ends, where sqrt(|h''|) typically vanishes like a power.
+    """
+    edges = [0.0]
+    scan = _curvature_sign_changes(phase)
+    brackets = np.empty((0, 2)) if scan is None else scan[0]
+    a, b = brackets[brackets[:, 0] < end].T
+    if a.size:
+        left_neg = phase.d2(a) < 0.0
+        for _ in range(60):
+            m = 0.5 * (a + b)
+            stays = (phase.d2(m) < 0.0) == left_neg
+            a, b = np.where(stays, m, a), np.where(stays, b, m)
+        for kink in (0.5 * (a + b)).tolist():
+            if kink - edges[-1] > 1e-9 and end - kink > 1e-9:
+                edges.append(kink)
+    edges.append(end)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.sqrt(np.abs(phase.d2(t)))
 
-    def total(levels: int) -> float:
-        value = 0.0
-        for lo, hi in zip(edges, edges[1:]):
-            bp = _geometric_breakpoints(lo, hi, levels)
-            value += float(integrate_panels(integrand, bp, 32).real)
-        return value
+    def pieces(level: int) -> list[np.ndarray]:
+        return [_geometric_breakpoints(lo, hi, level) for lo, hi in zip(edges, edges[1:])]
 
     what = f"sqrt|h''| of {phase.label!r}"
     failure = f"{name} did not stabilize to {tol:g} for {phase.label!r}"
-    return refine(total, _LEVELS, 0.5 * tol, what, failure, lambda value: scale * value)
+    return _settle(integrand, pieces, (0.0, end), 0.5 * tol, scale, what, failure)
 
 
 def asymptotic_limit(phase: PhaseFunction, tol: float = 1e-10) -> float:
@@ -82,12 +123,11 @@ def asymptotic_limit(phase: PhaseFunction, tol: float = 1e-10) -> float:
 
     Validation is the caller's business here: the integral itself only
     needs |h''| on (0, pi), which lets the quadrature be self-tested on
-    synthetic curvature profiles that are not phases at all.
+    synthetic curvature profiles that are not phases at all.  A zero of
+    h'' inside (0, pi), which no admissible phase has, is a panel edge.
     """
     require_tolerance(tol)
-    return _root_curvature_integral(
-        phase, (0.0, math.pi), tol, _LIMIT_PREFACTOR, "limit integral"
-    )
+    return _root_curvature_integral(phase, math.pi, tol, _LIMIT_PREFACTOR, "limit integral")
 
 
 def full_circle_reference(phase: PhaseFunction) -> float:
@@ -98,34 +138,11 @@ def full_circle_reference(phase: PhaseFunction) -> float:
     natural conjectural value, since rotating a zero shifts the phase
     along the circle without touching coefficient magnitudes, while the
     [0, pi] integral alone is not rotation invariant.  h'' may change
-    sign inside the circle here, so its zeros are located first and the
-    panel edges pinned to them, keeping each sqrt kink on a breakpoint.
+    sign anywhere on the circle here; each of its zeros is a panel edge,
+    unless h'' vanishes on most of the circle and the sign scan gives None.
     """
-    two_pi = 2.0 * math.pi
-
-    def d2_at(t: float) -> float:
-        return float(phase.d2(np.asarray(t)))
-
-    grid = np.linspace(0.0, two_pi, 1 << 14)
-    vals = phase.d2(grid)
-    flips = np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]
-    edges = [0.0]
-    for i in flips:
-        a, b = float(grid[i]), float(grid[i + 1])
-        fa = d2_at(a)
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            if (d2_at(m) < 0.0) == (fa < 0.0):
-                a = m
-            else:
-                b = m
-        kink = 0.5 * (a + b)
-        if kink - edges[-1] > 1e-9 and two_pi - kink > 1e-9:
-            edges.append(kink)
-    edges.append(two_pi)
-
     return _root_curvature_integral(
-        phase, edges, _REFERENCE_TOL, 0.5 * _LIMIT_PREFACTOR, "full-circle reference"
+        phase, 2.0 * math.pi, _REFERENCE_TOL, 0.5 * _LIMIT_PREFACTOR, "full-circle reference"
     )
 
 
@@ -144,16 +161,16 @@ def asymptotic_limit_slope_route(phase: PhaseFunction) -> float:
         t = _invert_increasing_slope(norm, u)
         return 1.0 / np.sqrt(norm.d2(t))
 
-    def total(levels: int) -> float:
+    def pieces(levels: int) -> list[np.ndarray]:
         bp = _geometric_breakpoints(alpha, beta, levels)
         bp[0] = alpha + (beta - alpha) * 2.0 ** (-levels - 20)  # stay off the edge
         bp[-1] = beta - (beta - alpha) * 2.0 ** (-levels - 20)
-        return float(integrate_panels(integrand, bp, 32).real)
+        return [bp]
 
     what = f"(h'' o psi)^(-1/2) of {phase.label!r}"
     failure = f"slope-route limit integral did not stabilize for {phase.label!r}"
     tol = 0.5 * _SLOPE_ROUTE_TOL
-    return refine(total, _LEVELS, tol, what, failure, lambda value: _LIMIT_PREFACTOR * value)
+    return _settle(integrand, pieces, (alpha, beta), tol, _LIMIT_PREFACTOR, what, failure)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ _SYMMETRY_TOL = 1e-8  # largest |h(-t) -+ h(t)| of a phase taken as odd or even
 _DOUBLING_LIMIT = 64.0  # largest accepted |h''(2s)| / |h''(s)| near an endpoint
 _DOUBLING_CORNER = math.pi / 8.0  # the largest s of the dyadic ladder
 _CURVATURE_GRID = 16384  # samples of h'' on [0, pi] behind Phi and omega
+_SIGN_SCAN_GRID = 4097  # samples of h'' on [0, 2 pi] behind its sign changes
 
 
 @dataclass(frozen=True)
@@ -421,6 +422,22 @@ def require_valid(phase: PhaseFunction) -> PhaseFunction:
     return norm
 
 
+def _curvature_sign_changes(phase: PhaseFunction) -> tuple[Array, bool] | None:
+    """Where h'' changes sign around the circle: (brackets, seam), or None.
+
+    Rows of brackets are neighbouring samples, of ``_SIGN_SCAN_GRID`` on
+    [0, 2 pi], whose sign bits differ; seam is whether the two ends (one
+    point of the circle) do.  None when fewer than half the samples are
+    nonzero: h'' then mostly vanishes and its signs say nothing.
+    """
+    t = np.linspace(0.0, 2.0 * np.pi, _SIGN_SCAN_GRID)
+    neg = np.signbit(vals := phase.d2(t))
+    if 2 * np.count_nonzero(vals) < vals.size:
+        return None
+    flips = np.flatnonzero(neg[:-1] != neg[1:])
+    return np.stack([t[flips], t[flips + 1]], axis=1), bool(neg[0] != neg[-1])
+
+
 # ---------------------------------------------------------------------------
 # Inverse slope and Legendre transform
 # ---------------------------------------------------------------------------
@@ -567,9 +584,9 @@ def psi(phase: PhaseFunction, x: float) -> float:
     sign = +1 and decreasing when sign = -1; both orientations are
     handled.  For h = sin this is arccos.  The slope is attained on the
     open interval only, so x must lie strictly between h'(0) and h'(pi);
-    anything else, nan included, raises DomainError.
+    anything else, nan included, raises DomainError, as does an invalid phase.
     """
-    norm = phase.normalized()
+    norm = require_valid(phase)
     u = float(x) * phase.sign
     lo_val = float(norm.d1(np.asarray(0.0)))
     hi_val = float(norm.d1(np.asarray(np.pi)))
@@ -588,7 +605,7 @@ def legendre(phase: PhaseFunction, x: float) -> float:
 
     For h = sin this is x*arccos(x) - sqrt(1 - x^2); the stationary
     exponent at index nu is n times this transform of the normalized
-    phase at nu/n, negated (see :mod:`wnl.stationary`).
+    phase at nu/n, negated (see :mod:`wnl.stationary`).  It raises where psi does.
     """
     t = psi(phase, x)
     return float(x * t - float(phase.h(np.asarray(t))))
@@ -752,8 +769,8 @@ class TermPartition:
     nu >= beta*n - 1), left periphery (alpha*n + 1 < nu < alpha_n * n),
     central (alpha_n * n <= nu <= beta_n * n) and right periphery
     (beta_n * n < nu < beta*n - 1).  Every integer lands in exactly one
-    class; when the central window holds no integer (tiny n) the
-    periphery is split at the midpoint so the cover stays disjoint.
+    class, the runs between the integer ``cuts``; when the central
+    window holds none (tiny n) the periphery is split at its midpoint.
 
     n is usually an integer but any real scale >= 2 is accepted; the
     seams are derived from real arithmetic either way.  omega is the
@@ -822,16 +839,6 @@ class TermPartition:
     def central_range(self) -> range:
         _, lo, hi, _ = self.cuts
         return range(lo, hi)
-
-    def masks(self, nu: np.ndarray) -> dict[str, np.ndarray]:
-        """Boolean masks over an integer index array, one per class."""
-        cls = np.searchsorted(self.cuts, np.asarray(nu), side="right")
-        return {
-            "external": (cls == 0) | (cls == 4),
-            "periphery_left": cls == 1,
-            "central": cls == 2,
-            "periphery_right": cls == 3,
-        }
 
 
 def partition_terms(phase: PhaseFunction, n: float) -> TermPartition:

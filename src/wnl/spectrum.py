@@ -30,12 +30,11 @@ from .errors import (
     MisalignedError,
     PeriodicityError,
 )
-from .phase import PhaseFunction, TermPartition
+from .phase import PhaseFunction, TermPartition, _curvature_sign_changes
 
 _PARSEVAL_GATE = 1e-6  # a window missing this much square mass is rejected
 _QUAD_MAX_DOUBLINGS = 10  # panel doublings coefficient_quadrature may spend
-_SAMPLE_BUDGET = 2**24  # largest FFT grid compute_spectrum will allocate
-_PIECES_GRID = 4096  # samples of h'' around the circle in _monotone_pieces
+_SAMPLE_BUDGET = 2**24  # largest FFT grid, or quadrature level in nodes, to allocate
 
 
 def check_periodicity(phase: PhaseFunction, x: float) -> None:
@@ -103,24 +102,6 @@ class CoefficientSpectrum:
         return Table(header, fields, ("nu", "re", "im", "abs"), rows)
 
 
-def _monotone_pieces(phase: PhaseFunction) -> int | None:
-    """Number of monotone segments of h' around the circle, or None.
-
-    Counted as sign changes of h'' over [-pi, pi); zero samples are
-    dropped first.  Returns None when h'' vanishes on most of the
-    circle, in which case no variation certificate is available.
-    """
-    t = np.linspace(-np.pi, np.pi, _PIECES_GRID, endpoint=False)
-    s = np.sign(phase.d2(t))
-    s = s[s != 0.0]
-    if s.size < _PIECES_GRID // 2:
-        return None
-    flips = int(np.sum(s[1:] != s[:-1]))
-    if s[0] != s[-1]:
-        flips += 1  # wraparound seam
-    return max(flips, 2)
-
-
 def _tail_bound(
     phase: PhaseFunction, x: float, m1: float, m2: float, lo: int, hi: int
 ) -> float:
@@ -130,15 +111,17 @@ def _tail_bound(
     per monotone piece of h' the variation of 1/phi' is at most
     B / (d (d + B)) with B the band width and d the distance to the
     band.  Summing the resulting coefficient bound over the excluded
-    indices gives a log; pieces/2 scales it for phases whose slope is
-    not a single hump.  Exact for the degenerate single-spike case.
+    indices gives a log, scaled by pieces/2: the sign changes of h'' (at
+    least 2) that :func:`wnl.phase._curvature_sign_changes` counts, or
+    inf when it gives None.  Exact for the degenerate single-spike case.
     """
     band = x * (m2 - m1)
     if band == 0.0:
         return 0.0  # single spike at nu = x * slope; nothing outside
-    pieces = _monotone_pieces(phase)
-    if pieces is None:
+    scan = _curvature_sign_changes(phase)
+    if scan is None:
         return math.inf
+    pieces = max(len(scan[0]) + scan[1], 2)
     dl = x * m1 - lo
     dr = hi - x * m2
     if dl <= 1.0 or dr <= 1.0:
@@ -323,6 +306,7 @@ def coefficient_quadrature(
     over [-pi, pi].  Completely independent of the FFT route.  A tol
     that is nan or <= 0, a nu that is not an integer (an integral float
     is taken), or an integrand that is not finite, raises DomainError.
+    So does a first level over 2^24 nodes; no level over it is evaluated.
     """
     require_tolerance(tol)
     check_periodicity(phase, x)
@@ -332,6 +316,9 @@ def coefficient_quadrature(
     start = 0.0 if phase.odd else -math.pi
     span = math.pi - start
     panels0 = max(4, math.ceil(0.75 * travel * (span / math.pi)))  # same density
+    doublings = min(_QUAD_MAX_DOUBLINGS, (_SAMPLE_BUDGET // (16 * panels0)).bit_length() - 1)
+    if doublings < 0:  # 16 nodes per panel
+        raise DomainError(f"x={x!r} needs {16 * panels0} nodes, above the budget {_SAMPLE_BUDGET}")
 
     def integrand(t: np.ndarray) -> np.ndarray:
         arg = x * phase.h(t)  # a new array: h may return t itself
@@ -344,9 +331,9 @@ def coefficient_quadrature(
     def level(panels: int) -> complex:
         return integrate_panels(integrand, np.linspace(start, math.pi, panels + 1), 16)
 
-    levels = (panels0 << k for k in range(_QUAD_MAX_DOUBLINGS + 1))
+    levels = (panels0 << k for k in range(doublings + 1))
     what = f"e^(i x h) of {phase.label!r} at x = {x!r}"
-    failure = f"panel doubling cap ({_QUAD_MAX_DOUBLINGS}) reached for {what}"
+    failure = f"panel doubling cap ({doublings}) reached for {what}"
     tol_raw = 0.5 * span * tol  # tol/2 on the normalized coefficient
     return refine(level, levels, tol_raw, what, failure, lambda value: value / span)
 
@@ -381,7 +368,8 @@ def partition_sums(spec: CoefficientSpectrum, part: TermPartition) -> PartitionS
     The spectrum must be the normalized phase's spectrum at x = n: the
     partition seams live on the normalized index line.  Labels and
     scales are checked, and the window must cover every non-external
-    index so no interior mass is silently dropped.
+    index so no interior mass is silently dropped; each class is a run
+    of the window (the external class two) between the partition's cuts.
     """
     if spec.label != part.label:
         raise MisalignedError(
@@ -394,14 +382,10 @@ def partition_sums(spec: CoefficientSpectrum, part: TermPartition) -> PartitionS
             f"window [{spec.nu_min}, {spec.nu_max}] does not cover the partition "
             f"interior ({part.ext_left_max}, {part.ext_right_min})"
         )
-    nu = spec.nu_values()
     absa = np.abs(spec.coeffs)
-    masks = part.masks(nu)
-    periphery = float(
-        np.sum(absa[masks["periphery_left"]]) + np.sum(absa[masks["periphery_right"]])
-    )
+    first, lo, hi, last = (cut - spec.nu_min for cut in part.cuts)  # each >= 1, as checked
     return PartitionSums(
-        external=float(np.sum(absa[masks["external"]])),
-        periphery=periphery,
-        central=float(np.sum(absa[masks["central"]])),
+        external=float(np.sum(np.concatenate([absa[:first], absa[last:]]))),
+        periphery=float(np.sum(absa[first:lo]) + np.sum(absa[hi:last])),
+        central=float(np.sum(absa[lo:hi])),
     )

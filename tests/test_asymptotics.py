@@ -16,7 +16,7 @@ from wnl.asymptotics import (
     full_circle_reference,
     truncated_riemann,
 )
-from wnl.errors import DomainError, WnlError
+from wnl.errors import DomainError, QuadratureBudgetError, WnlError
 from wnl.phase import (
     build_blaschke,
     build_blaschke_general,
@@ -108,6 +108,57 @@ def test_full_circle_is_rotation_invariant():
         z = 0.5 * complex(math.cos(angle), math.sin(angle))
         rotated = full_circle_reference(build_blaschke_general([z]))
         assert rotated == pytest.approx(base, abs=1e-8)
+
+
+def test_limit_splits_at_a_zero_of_curvature_inside_the_half_circle():
+    """The zero 0.4+0.3j = 0.5 e^{i theta} shifts the phase of the real
+    zero 0.5 by theta along the circle, so h'' vanishes at t = theta,
+    inside (0, pi).  The route puts a panel edge there and meets scipy's
+    quad split at the same theta.  Without the edge, successive levels
+    agree while the total misses the kink by 4.8e-4."""
+    from scipy.integrate import quad
+
+    theta = math.atan2(0.3, 0.4)
+    phase = build_blaschke_general([0.4 + 0.3j])
+
+    def root_curvature(t):
+        return math.sqrt(abs(float(phase.d2(np.asarray(t)))))
+
+    pieces = [(0.0, theta), (theta, math.pi)]
+    ref = sum(quad(root_curvature, a, b, epsabs=1e-12, epsrel=1e-12)[0] for a, b in pieces)
+    assert asymptotic_limit(phase) == pytest.approx((2.0 / math.pi) ** 1.5 * ref, abs=1e-10)
+
+
+@pytest.mark.parametrize("route", [asymptotic_limit, full_circle_reference])
+def test_unresolved_interior_is_refused(route):
+    """h'' = 1 + sin(200 t)/2 oscillates inside panels a quarter of [0, pi]
+    wide, which the geometric levels never split: successive levels
+    agree to any tol while the total is 3.3e-3 off.  Halving the interior
+    panels of the settled level shows it, and the route refuses."""
+    phase = dataclasses.replace(build_sine(), d2=lambda t: 1.0 + 0.5 * np.sin(200.0 * t))
+    with pytest.raises(QuadratureBudgetError, match="finer mesh"):
+        route(phase)
+
+
+@pytest.mark.parametrize(
+    "route", [asymptotic_limit, full_circle_reference, asymptotic_limit_slope_route]
+)
+def test_central_difference_curvature_is_within_its_noise(route):
+    """build_from_callable differentiates by central differences, whose
+    rounding noise on h'' moves a total by up to ~1e-6 under any change
+    of mesh.  Halving the interior panels of sine's settled level moves
+    it by less than the noise the route measures, so the route returns,
+    close to the analytic sine's value."""
+    got = route(build_from_callable(np.sin, label="sin"))
+    assert got == pytest.approx(L_SINE, abs=1e-6)
+
+
+def test_study_takes_a_central_difference_phase():
+    """The study asks the limit to 1e-10, below the noise of a
+    central-difference h''; it completes with that noise in its limit."""
+    report = convergence_study(build_from_callable(np.sin, label="sin"), [50.0, 100.0])
+    assert report.limit == pytest.approx(L_SINE, abs=1e-6)
+    assert len(report.rows) == 2
 
 
 @pytest.mark.parametrize("route", [asymptotic_limit, full_circle_reference])

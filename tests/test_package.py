@@ -211,7 +211,7 @@ def test_frozen_constants_match_their_regeneration(monkeypatch, capsys):
 
 
 def test_guarded_library_tables_are_written(monkeypatch, tmp_path):
-    """The library step of scripts/guarded_outputs.py writes its nine tables,
+    """The library step of scripts/guarded_outputs.py writes its ten tables,
     so a renamed table writer fails here, not only in a byte-identity diff."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "guarded_outputs.py"
     write_library_tables = runpy.run_path(str(script))["write_library_tables"]
@@ -227,6 +227,7 @@ def test_guarded_library_tables_are_written(monkeypatch, tmp_path):
         "study_sine.json",
         "quadrature.csv",
         "limits.csv",
+        "partition_sums.csv",
     ]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
     assert all((tmp_path / f).stat().st_size > 0 for f in files)

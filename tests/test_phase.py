@@ -16,6 +16,7 @@ from wnl.phase import (
     PhaseFunction,
     TermPartition,
     _Curvature,
+    _curvature_sign_changes,
     _invert_increasing_slope,
     _partition,
     _slope_table,
@@ -191,6 +192,34 @@ def test_require_valid_raises_with_reasons():
         require_valid(build_linear(1))
 
 
+@pytest.mark.parametrize(
+    "phase, changes",
+    [
+        (build_blaschke_general([0.4 + 0.3j, -0.6, 0.2 - 0.5j]), 6),
+        (build_blaschke_general([0.5, 0.5j]), 4),
+        (build_blaschke_general([0.9, -0.9]), 4),
+        (build_sine(), 2),
+        (build_blaschke([0.3, 0.7]), 2),
+        (build_blaschke_general([0.4 + 0.3j]), 2),
+    ],
+    ids=lambda v: getattr(v, "label", v),
+)
+def test_curvature_sign_changes_are_counted(phase, changes):
+    """h'' changes sign len(brackets) + seam times around the circle, and
+    each bracket is two neighbouring samples whose sign bits differ."""
+    brackets, seam = _curvature_sign_changes(phase)
+    assert len(brackets) + seam == changes
+    a, b = brackets.T
+    assert np.allclose(b - a, 2.0 * np.pi / 4096)
+    assert np.all(np.signbit(phase.d2(a)) != np.signbit(phase.d2(b)))
+
+
+@pytest.mark.parametrize("phase", [build_piecewise_abs(), build_linear(2)], ids=lambda p: p.label)
+def test_curvature_sign_changes_need_curvature(phase):
+    """h'' vanishes on the whole circle: its signs say nothing."""
+    assert _curvature_sign_changes(phase) is None
+
+
 def test_psi_is_arccos_for_sine():
     phase = build_sine()
     for u in (-0.9, -0.25, 0.0, 0.6):
@@ -218,6 +247,20 @@ def test_psi_round_trip_blaschke(u):
     assume(-3.0 + 1e-3 < u < -1.0 / 3.0 - 1e-3)
     t = psi(phase, u)
     assert abs(float(phase.d1(np.asarray(t))) - u) < 1e-10
+
+
+@pytest.mark.parametrize("route", [psi, legendre])
+@pytest.mark.parametrize(
+    "phase",
+    [build_piecewise_abs(), build_blaschke_general([0.4 + 0.3j])],
+    ids=lambda p: p.label,
+)
+def test_slope_inverse_refuses_curvature_of_both_signs(phase, route):
+    """The sawtooth's h' is +-1 and never takes the slope 0.5; a complex
+    zero makes h'' change sign inside (0, pi), so h' takes some slopes
+    twice.  Neither phase has an inverse slope to read."""
+    with pytest.raises(DomainError, match="fails validation"):
+        route(phase, 0.5)
 
 
 def test_legendre_sine_closed_form():
@@ -605,13 +648,25 @@ def test_partition_rejects_small_n():
         partition_terms(build_sine(), 1.0)
 
 
+def _masks(part, nu):
+    """Boolean masks over an integer index array, one per class, read off
+    the partition's cuts."""
+    cls = np.searchsorted(part.cuts, np.asarray(nu), side="right")
+    return {
+        "external": (cls == 0) | (cls == 4),
+        "periphery_left": cls == 1,
+        "central": cls == 2,
+        "periphery_right": cls == 3,
+    }
+
+
 @given(n=st.one_of(st.integers(64, 4096), st.floats(64.0, 4096.0)))
 @settings(max_examples=30, deadline=None)
 def test_partition_masks_are_a_partition(n):
     """Every index lands in exactly one of the five mask classes."""
     part = partition_terms(build_sine(), float(n))
     nu = np.arange(-int(float(n)) - 80, int(float(n)) + 81)
-    masks = part.masks(nu)
+    masks = _masks(part, nu)
     stack = np.stack(list(masks.values()))
     counts = np.sum(stack, axis=0)
     assert np.all(counts == 1)
@@ -626,7 +681,7 @@ def _assert_classes_in_order(part):
     periphery and central runs may be empty), and the central run is
     exactly central_range()."""
     nu = np.arange(math.floor(part.a1) - 5, math.ceil(part.b1) + 6)
-    masks = part.masks(nu)
+    masks = _masks(part, nu)
     names = [next(k for k, m in masks.items() if m[i]) for i in range(nu.size)]
     runs = [k for i, k in enumerate(names) if i == 0 or names[i - 1] != k]
     assert names[0] == names[-1] == "external"
@@ -664,7 +719,7 @@ def test_partition_classes_come_in_order_with_empty_central_window(phase, left, 
     part = partition_terms(phase, 2.0)
     assert len(part.central_range()) == 0
     _assert_classes_in_order(part)
-    masks = part.masks(np.arange(-40, 41))
+    masks = _masks(part, np.arange(-40, 41))
     assert masks["periphery_left"].sum() == left
     assert masks["periphery_right"].sum() == right
 

@@ -94,6 +94,33 @@ def test_refine_budget_estimate_is_the_last_level_in_answer_units():
     assert info.value.estimate == 7.5
 
 
+@pytest.mark.parametrize(
+    "check, noise, settled",
+    [(0.5, 0.0, True), (0.6, 0.0, False), (0.6, 0.2, True), (math.nan, 0.0, False)],
+    ids=["near", "far", "noisy", "nan"],
+)
+def test_refine_confirms_the_settled_level(check, noise, settled):
+    """confirm is asked about the settled level only; a check value more
+    than tol and its noise away, nan included, refuses that level with
+    its answer as the estimate, and one within either lets the settled
+    answer through."""
+    values = {1: 1.0, 2: 0.5, 3: 0.48}
+    asked = []
+
+    def confirm(level):
+        asked.append(level)
+        return check, noise
+
+    args = (values.get, range(1, 4), 0.1, "v", "cap", lambda v: 10.0 * v, confirm)
+    if settled:
+        assert refine(*args) == 4.8
+    else:
+        with pytest.raises(QuadratureBudgetError, match="^cap: a finer mesh moves level 3") as info:
+            refine(*args)
+        assert info.value.estimate == 4.8
+    assert asked == [3]
+
+
 @pytest.mark.parametrize("bad", [[0.0], [0.0, 0.0, 1.0], [0.0, 2.0, 1.0]])
 def test_breakpoints_must_increase(bad):
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from wnl.errors import (
     GridResolutionError,
     MisalignedError,
     PeriodicityError,
+    QuadratureBudgetError,
 )
 from wnl.phase import (
     build_blaschke,
@@ -89,6 +90,26 @@ def test_half_route_matches_full_route(phase, xs):
         assert half.coeffs.dtype == complex
         assert np.max(np.abs(half.coeffs - full.coeffs)) <= 1e-12
         assert np.max(np.abs(full.coeffs.imag)) <= 1e-9
+
+
+@pytest.mark.parametrize("x", [1000.0, 4096.0])
+@pytest.mark.parametrize("theta", [0.7, math.pi / 2.0, 2.0])
+def test_rotated_zeros_keep_every_magnitude(theta, x):
+    """Rotating every zero by theta shifts h along the circle, t -> t -
+    theta, plus a constant, which leaves each |a_nu| alone.  The rotated
+    zeros are complex, so their spectrum takes the full complex FFT,
+    while build_blaschke([0.3, 0.7]) takes the odd Hermitian route: the
+    two routes must give the same window and the same magnitudes.  The
+    samples of x h carry rounding of about x |h| eps ~ 1e-11 (|h| <= 13
+    here), which averages over the N = 2^16 samples of a coefficient to
+    about 1e-11 / sqrt(N) ~ 4e-14, the largest gap measured; 1e-12
+    allows 20 times that."""
+    odd = compute_spectrum(build_blaschke([0.3, 0.7]), x)
+    rotated = compute_spectrum(
+        build_blaschke_general([0.3 * np.exp(1j * theta), 0.7 * np.exp(1j * theta)]), x
+    )
+    assert (rotated.nu_min, rotated.nu_max) == (odd.nu_min, odd.nu_max)
+    assert np.max(np.abs(np.abs(rotated.coeffs) - np.abs(odd.coeffs))) <= 1e-12
 
 
 def test_even_half_route_matches_full_route():
@@ -444,6 +465,44 @@ def test_quadrature_nu_must_be_an_integer():
     with pytest.raises(DomainError, match="nu must be an integer"):
         coefficient_quadrature(norm, 10.0, 2.5)
     assert coefficient_quadrature(norm, 10.0, 7.0) == coefficient_quadrature(norm, 10.0, 7)
+
+
+def test_quadrature_budget_checked_before_allocation(monkeypatch):
+    """x = 2e6 starts at 1.5e6 panels of 16 nodes, above the 2^24-sample
+    budget of compute_spectrum: refused before a panel edge is allocated
+    (the doubling levels would reach 1.5e9 panels, 12 GB of edges)."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("coefficient_quadrature integrated above the budget")
+
+    monkeypatch.setattr(spectrum, "integrate_panels", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="budget"):
+            coefficient_quadrature(build_sine(), 2e6, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_quadrature_levels_stop_at_the_budget(monkeypatch):
+    """At x = 1e6 the first level, 750,000 panels (12e6 nodes), fits the
+    budget and the next does not: refinement stops after that one level,
+    with its value as the estimate."""
+    levels = []
+
+    def unsettled(f, bp, order):
+        levels.append(bp.size - 1)
+        if (bp.size - 1) * order > 2**24:
+            raise AssertionError("a level above the budget was integrated")
+        return complex(len(levels))  # no two levels agree
+
+    monkeypatch.setattr(spectrum, "integrate_panels", unsettled)
+    with pytest.raises(QuadratureBudgetError) as refused:
+        coefficient_quadrature(build_sine(), 1e6, 0)
+    assert levels == [750_000]
+    assert refused.value.estimate == 1.0 / math.pi
 
 
 def test_quadrature_leaves_the_nodes_of_an_identity_phase_alone():
