@@ -25,7 +25,8 @@ class GridResolutionError(WnlError):
 
     The message names what failed: the last window tried and
     ``window='full'`` when the Parseval gate fails, or ``grid_pow`` when
-    a pinned grid is too small for its window.
+    a pinned grid of 2^grid_pow points is short of its window plus the
+    4W alias margin (auto) or of the 8x oversampling floor (full).
     """
 
 

@@ -1,11 +1,13 @@
 """Fourier coefficients of e^{i x h(t)} and the scaled coefficient norm.
 
 Two independent routes to the same numbers live here on purpose.
-``compute_spectrum`` samples the exponential on a power-of-two grid and
-reads coefficients off one FFT; ``coefficient_quadrature`` integrates a
-single coefficient by adaptive panel quadrature.  Tests hold them
-against each other, and the asymptotic claims are then checked against
-whichever route fits the problem size.
+``compute_spectrum`` samples the exponential on a grid of 5-smooth
+length, sized so that every alias of a kept coefficient lies well
+outside its window, and reads coefficients off one FFT;
+``coefficient_quadrature`` integrates a single coefficient by adaptive
+panel quadrature.  Tests hold them against each other, and the
+asymptotic claims are then checked against whichever route fits the
+problem size.
 
 A spectrum is trusted only as far as its certificates: the windowed
 Parseval defect measures the coefficient mass the window missed, and
@@ -66,8 +68,13 @@ class CoefficientSpectrum:
     coeffs: np.ndarray
     tail_bound: float
     parseval_defect: float
-    grid_pow: int
+    grid_size: int
     label: str
+
+    @property
+    def grid_pow(self) -> float:
+        """log2 of ``grid_size``; perfbench/tracer.py still reads the grid as 2**grid_pow."""
+        return math.log2(self.grid_size)
 
     def nu_values(self) -> np.ndarray:
         return np.arange(self.nu_min, self.nu_max + 1)
@@ -87,12 +94,12 @@ class CoefficientSpectrum:
     def table(self) -> Table:
         """One row per coefficient: nu, its real and imaginary parts and |a_nu|."""
         header = (
-            f"x={self.x!r} grid_pow={self.grid_pow} "
+            f"x={self.x!r} grid_size={self.grid_size} "
             f"parseval_defect={self.parseval_defect!r} tail_bound={self.tail_bound!r} "
             f"label={self.label}"
         )
         fields = {
-            "x": self.x, "grid_pow": self.grid_pow, "parseval_defect": self.parseval_defect,
+            "x": self.x, "grid_size": self.grid_size, "parseval_defect": self.parseval_defect,
             "tail_bound": self.tail_bound, "label": self.label,
         }
         rows = [
@@ -130,6 +137,25 @@ def _tail_bound(
     return (pieces / 2.0) * per_side / math.pi
 
 
+def _fft_size(n: float) -> int:
+    """The smallest even 2^a 3^b 5^c >= n.
+
+    pocketfft transforms these lengths about as fast per point as a power
+    of two.  Even, because the even-phase mirror in _grid_coefficients
+    fills the N/2 - 1 points past the N/2 + 1 samples of [0, pi].
+    """
+    n = math.ceil(n)
+    best = 2 ** max(1, (n - 1).bit_length())  # the power of two
+    five = 1
+    while five < best:
+        factor = five
+        while factor < best:  # factor = 3^b 5^c, times the least 2^a >= 2 reaching n
+            best = min(best, factor << max(1, (-(-n // factor) - 1).bit_length()))
+            factor *= 3
+        five *= 5
+    return best
+
+
 def _grid_coefficients(phase: PhaseFunction, x: float, n_grid: int) -> np.ndarray:
     """All N coefficients of e^{i x h(t)} on the N-point grid, from one FFT.
 
@@ -160,20 +186,23 @@ def compute_spectrum(
     The automatic window is [x m1 - W, x m2 + W] with (m1, m2) the slope
     range of h and W = max(64, 4 sqrt(x)); outside it the coefficients
     of a curvature-definite phase are negligible, and the Parseval gate
-    verifies that rather than assuming it.  Its grid is the smallest
-    power of two, at least 2^8, with N >= 2 max(-lo, hi + 1) points, so
-    that no kept index wraps.  Near a slope extreme where |h'''| is
-    large (a Blaschke zero close to the circle) the coefficients decay
-    only on the fold scale (x |h'''|)^(1/3), which W can miss; so when
-    the gate fails, W doubles and the window is cut again from the same
-    FFT.  A new FFT runs only when the wider window needs a larger
-    grid, and the widening stops at a pinned ``grid_pow`` or at the
-    sample budget.  ``window="full"`` keeps all N coefficients instead
-    (the right mode for phases whose spectrum decays too slowly to
-    window, at the price of an inf tail bound unless curvature
-    certifies one); its grid has at least 8 * (x * max|h'| + 64)
-    points, and a pinned ``grid_pow`` below the 8x oversampling floor
-    raises GridResolutionError.
+    verifies that rather than assuming it.  Its grid has N points, the
+    smallest even 2^a 3^b 5^c with N >= w + 4W, w = hi - lo + 1: every
+    alias nu +- N of a kept index then lies at least 4W beyond the
+    window, 5W from the slope band.  Near a slope extreme where |h'''|
+    is large (a Blaschke zero close to the circle) the coefficients
+    decay only on the fold scale (x |h'''|)^(1/3), which W can miss; so
+    when the gate fails, W doubles and the window is cut again from the
+    same FFT while N >= w' + 4W' still holds.  Otherwise the same rule
+    sizes a new grid, and the widening stops at a pinned ``grid_pow``
+    or at the sample budget.  A pinned grid has 2^grid_pow points and
+    must hold the window with the same margin.  ``window="full"`` keeps
+    all N coefficients instead (the right mode for phases whose
+    spectrum decays too slowly to window, at the price of an inf tail
+    bound unless curvature certifies one); its grid is the smallest
+    power of two with at least 8 * (x * max|h'| + 64) points, and a
+    pinned ``grid_pow`` below the 8x oversampling floor raises
+    GridResolutionError.
 
     For an odd phase e^{i x h(-t)} is the conjugate of e^{i x h(t)}, so
     every coefficient is real: h is sampled on [0, pi] only, N/2 + 1
@@ -183,7 +212,7 @@ def compute_spectrum(
     into the rest of the buffer before the complex FFT.  Other phases
     are sampled at all N points.  One complex buffer holds the samples,
     is exponentiated in place and, for the complex FFT, receives the
-    transform, with ``norm="forward"`` scaling by the exact 1/N; a
+    transform, with ``norm="forward"`` scaling by 1/N; a
     full-window spectrum thus holds at most two complex N-arrays
     (buffer and kept window) besides the FFT's own scratch.
     ``numpy.fft`` is used rather than ``scipy.fft``, whose import alone
@@ -210,19 +239,22 @@ def compute_spectrum(
     peak = x * max(abs(m1), abs(m2))
     w_pad = max(64.0, 4.0 * math.sqrt(x))
 
-    def auto_window(pad: float) -> tuple[int, int, int]:
+    def auto_window(pad: float) -> tuple[int, int, float]:
         """[x m1 - pad, x m2 + pad] and the grid size it needs."""
         lo, hi = math.ceil(x * m1 - pad), math.floor(x * m2 + pad)
-        return lo, hi, 2 * max(-lo, hi + 1)  # no kept index wraps
+        return lo, hi, hi - lo + 1 + 4.0 * pad  # each alias lands 4 pad past the window
 
     if window == "auto":
         lo, hi, need = auto_window(w_pad)
     else:
         need = 8.0 * (peak + 64.0)
     pinned = grid_pow is not None
-    if grid_pow is None:
-        grid_pow = max(8, math.ceil(math.log2(need)))
-    n_grid = 2**grid_pow
+    if pinned:
+        n_grid = 2**grid_pow
+    elif window == "auto":
+        n_grid = _fft_size(need)
+    else:
+        n_grid = 2 ** math.ceil(math.log2(need))
     if n_grid > _SAMPLE_BUDGET:
         raise DomainError(
             f"x={x!r} needs a {n_grid}-point grid, above the budget of "
@@ -238,7 +270,8 @@ def compute_spectrum(
         hi = n_grid // 2 - 1
     elif n_grid < need:
         raise GridResolutionError(
-            f"window [{lo}, {hi}] does not fit a {n_grid}-point grid; raise grid_pow"
+            f"window [{lo}, {hi}] and its alias margin do not fit a {n_grid}-point grid; "
+            "raise grid_pow"
         )
 
     fcoef = _grid_coefficients(phase, x, n_grid)
@@ -264,10 +297,10 @@ def compute_spectrum(
         w_pad *= 2.0
         wide_lo, wide_hi, need = auto_window(w_pad)
         if need > n_grid:
-            wide_pow = math.ceil(math.log2(need))
-            if pinned or 2**wide_pow > _SAMPLE_BUDGET:
+            wide_grid = _fft_size(need)
+            if pinned or wide_grid > _SAMPLE_BUDGET:
                 break
-            grid_pow, n_grid = wide_pow, 2**wide_pow
+            n_grid = wide_grid
             del fcoef, coeffs, sq
             fcoef = _grid_coefficients(phase, x, n_grid)
         lo, hi = wide_lo, wide_hi
@@ -285,7 +318,7 @@ def compute_spectrum(
         coeffs=coeffs,
         tail_bound=tail,
         parseval_defect=defect,
-        grid_pow=grid_pow,
+        grid_size=n_grid,
         label=phase.label,
     )
 

@@ -82,10 +82,10 @@ def test_half_route_matches_full_route(phase, xs):
     for x in xs:
         half = compute_spectrum(phase, x)
         full = compute_spectrum(dataclasses.replace(phase, odd=False), x)
-        assert (half.nu_min, half.nu_max, half.grid_pow) == (
+        assert (half.nu_min, half.nu_max, half.grid_size) == (
             full.nu_min,
             full.nu_max,
-            full.grid_pow,
+            full.grid_size,
         )
         assert half.coeffs.dtype == complex
         assert np.max(np.abs(half.coeffs - full.coeffs)) <= 1e-12
@@ -128,10 +128,10 @@ def test_even_half_route_matches_full_route():
         half = compute_spectrum(dataclasses.replace(phase, h=h), x, window="full")
         assert max(seen) <= np.pi  # the half route ran
         full = compute_spectrum(dataclasses.replace(phase, even=False), x, window="full")
-        assert (half.nu_min, half.nu_max, half.grid_pow) == (
+        assert (half.nu_min, half.nu_max, half.grid_size) == (
             full.nu_min,
             full.nu_max,
-            full.grid_pow,
+            full.grid_size,
         )
         assert np.max(np.abs(half.coeffs - full.coeffs)) <= 1e-12
 
@@ -149,35 +149,41 @@ def test_even_half_route_matches_full_route():
 )
 def test_buffer_route_is_the_reference_expression(phase, x, window):
     """compute_spectrum exponentiates in place and lets the FFT scale by
-    1/N; on a power-of-two grid that is the plain expression, byte for byte."""
+    1/N; that is the plain expression times 1 / N, byte for byte, on the
+    5-smooth auto grids as on the power-of-two full one."""
     spec = compute_spectrum(phase, x, window=window)
-    n = 2**spec.grid_pow
+    n = spec.grid_size
     if phase.odd:
         t = 2.0 * np.pi * np.arange(n // 2 + 1) / n
-        fcoef = np.fft.hfft(np.exp(1j * x * phase.h(t)), n) / n
+        fcoef = np.fft.hfft(np.exp(1j * x * phase.h(t)), n) * (1.0 / n)
     elif phase.even:
         t = 2.0 * np.pi * np.arange(n // 2 + 1) / n
         z = np.exp(1j * x * phase.h(t))
-        fcoef = np.fft.fft(np.concatenate([z, z[-2:0:-1]])) / n
+        fcoef = np.fft.fft(np.concatenate([z, z[-2:0:-1]])) * (1.0 / n)
     else:
         t = 2.0 * np.pi * np.arange(n) / n
-        fcoef = np.fft.fft(np.exp(1j * x * phase.h(t))) / n
+        fcoef = np.fft.fft(np.exp(1j * x * phase.h(t))) * (1.0 / n)
     expected = fcoef[spec.nu_values() % n].astype(complex)
     assert spec.coeffs.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
-    "phase, x, window, bound",
+    "phase, x, window, grid, bound",
     [
-        (build_piecewise_abs(), 4096.0, "full", 2.25),
-        (build_sine().normalized(), 16384.0, "auto", 1.6),
+        (build_piecewise_abs(), 4096.0, "full", 2**16, 2.25),
+        (build_sine().normalized(), 16384.0, "auto", 36000, 2.25),
     ],
     ids=["abs-full", "sine"],
 )
-def test_spectrum_peak_memory(phase, x, window, bound):
-    """One spectrum on 2^16 points peaks near two complex N-arrays for the
-    full window (samples and FFT in one buffer, plus the kept copy) and
-    1.5 for an odd phase; bounds in units of 16 N bytes."""
+def test_spectrum_peak_memory(phase, x, window, grid, bound):
+    """The full window on 2^16 points peaks near two complex N-arrays
+    (samples and FFT in one buffer, plus the kept copy).  The odd sine
+    keeps 33793 of its N = 36000 coefficients: the N real FFT outputs,
+    the kept complex window and its squared magnitudes come to 0.5 +
+    1.5 * 33793 / 36000 = 1.91 of the unit, and the tail bound's circle
+    scan runs beside them.  Bounds in units of 16 N bytes; in bytes the
+    sine bound, 2.25 * 16 * 36000, is below the 1.6 * 16 * 2^16 it had
+    on the power-of-two grid."""
     compute_spectrum(phase, x, window=window)  # warm-up: FFT plan caches
     tracemalloc.start()
     try:
@@ -185,8 +191,8 @@ def test_spectrum_peak_memory(phase, x, window, bound):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert spec.grid_pow == 16
-    assert peak <= bound * 16 * 2**16
+    assert spec.grid_size == grid
+    assert peak <= bound * 16 * grid
 
 
 @pytest.mark.parametrize(
@@ -231,11 +237,65 @@ def test_nearly_odd_callable_takes_the_full_route():
 
 
 def test_window_sized_grid():
-    """The auto grid is the smallest power of two holding the window."""
+    """The auto grid is the smallest even 5-smooth N >= w + 4W: at x = 1000
+    the 2253-coefficient window plus 4 * 4 sqrt(1000) = 506 asks for 2759
+    points and gets 2880 = 2^6 3^2 5; at x = 5 the 139-coefficient window
+    plus 4 * 64 gets 400 = 2^4 5^2."""
     spec = compute_spectrum(build_sine(), 1000.0)
     assert (spec.nu_min, spec.nu_max) == (-1126, 1126)
-    assert spec.grid_pow == 12
-    assert compute_spectrum(build_sine(), 5.0).grid_pow == 8
+    assert spec.grid_size == 2880
+    assert compute_spectrum(build_sine(), 5.0).grid_size == 400
+
+
+def test_fft_size_is_the_smallest_even_5_smooth_length():
+    """Held against every even 2^a 3^b 5^c listed by its exponents: each n
+    up to 2^14, and up to 1e5 both ends and a fraction inside each gap
+    between neighbours.  The size must be even: the even-phase mirror
+    z[m:] = z[m - 2 : 0 : -1] copies N/2 - 1 samples into the N - m
+    places past m = N // 2 + 1, which an odd N does not have."""
+    smooth = sorted(
+        2**a * 3**b * 5**c for a in range(1, 18) for b in range(11) for c in range(8)
+    )
+    smooth = [s for s in smooth if s <= 2**17]
+
+    def smallest(n):
+        return next(s for s in smooth if s >= n)
+
+    for n in range(1, 2**14 + 1):
+        assert spectrum._fft_size(n) == smallest(n)
+    for below, above in zip(smooth, smooth[1:]):
+        if above > 10**5:
+            break
+        for n in (below, below + 1, below + 0.25, above - 0.5, above):
+            assert spectrum._fft_size(n) == smallest(n)
+    with pytest.raises(ValueError, match="broadcast"):
+        spectrum._grid_coefficients(build_piecewise_abs(), 4.0, 375)  # 3 * 5^3
+
+
+@pytest.mark.parametrize("x", [2.0, 128.0, 2048.0])
+@pytest.mark.parametrize(
+    "phase",
+    [build_sine(), build_blaschke([0.3, 0.7]), build_blaschke([0.9])],
+    ids=lambda p: p.label,
+)
+def test_aliases_stay_clear_of_the_window(phase, x):
+    """Every alias nu +- N of a kept coefficient lies 4W past the auto
+    window, so the auto grid gives the coefficients of a pinned 2^20-point
+    grid (at least 26 times the window here) over the same window, to
+    rounding.  The samples of x h carry rounding of at most x max|h| eps,
+    and exp and the FFT add a few eps times log2 N; eps (x max|h| + 64)
+    covers both, per coefficient, and the window's length times it bounds
+    the gap in sum |a_nu|.  With aliases beside the window, as under the
+    power-of-two rule ([0.9] at x = 2 on 256 points), a coefficient was
+    1.2e-8 off and the sum 1.3e-7."""
+    norm = phase.normalized()
+    auto = compute_spectrum(norm, x)
+    fine = compute_spectrum(norm, x, grid_pow=20)
+    assert (auto.nu_min, auto.nu_max) == (fine.nu_min, fine.nu_max)
+    h_max = np.max(np.abs(norm.h(np.linspace(-np.pi, np.pi, 4097))))
+    tol = np.finfo(float).eps * (x * h_max + 64.0)
+    assert np.max(np.abs(auto.coeffs - fine.coeffs)) <= tol
+    assert abs(auto.abs_sum() - fine.abs_sum()) <= auto.coeffs.size * tol
 
 
 @pytest.mark.parametrize("grid_pow", [2.5, math.inf, -2], ids=["fraction", "inf", "negative"])
@@ -262,7 +322,7 @@ def test_pinned_grid_below_the_window_is_refused(grid_pow, window):
 def test_integral_float_grid_pow_is_the_integer(window):
     pinned = compute_spectrum(build_sine(), 10.0, grid_pow=9.0, window=window)
     same = compute_spectrum(build_sine(), 10.0, grid_pow=9, window=window)
-    assert type(pinned.grid_pow) is int and pinned.grid_pow == 9
+    assert type(pinned.grid_size) is int and pinned.grid_size == 2**9
     assert np.array_equal(pinned.coeffs, same.coeffs)
 
 
@@ -284,17 +344,23 @@ def test_parseval_defect_small():
 
 
 @pytest.mark.parametrize(
-    "grid_pow, budget", [(None, 2**19), (19, spectrum._SAMPLE_BUDGET)], ids=["auto", "pinned"]
+    "grid_pow, budget, match",
+    [
+        (None, 300_000, r"defect 2\.604e-06 .*window \[-259968, 4095\]"),
+        (18, spectrum._SAMPLE_BUDGET, r"defect 5\.902e-06 .*window \[-256896, 1023\]"),
+    ],
+    ids=["auto", "pinned"],
 )
-def test_parseval_failure_names_the_window(grid_pow, budget, monkeypatch):
-    """Widening stops once the window outgrows the sample budget (lowered
-    to 2^19 here, which this phase reaches after six doublings) or a
+def test_parseval_failure_names_the_window(grid_pow, budget, match, monkeypatch):
+    """Widening stops once the window outgrows the sample budget or a
     pinned grid; the error then names the last window and
-    window='full', not a finer grid.  Under the real budget it passes
-    (test_auto_window_widens_until_parseval_passes)."""
+    window='full', not a finer grid.  The budget is lowered to 300,000
+    here: six doublings fit a 281,250-point grid, the seventh needs
+    307,200.  A pinned 2^18 = 262,144 holds four doublings (262,016
+    points with the margin), not the fifth (268,160).  Under the real
+    budget it passes (test_auto_window_widens_until_parseval_passes)."""
     monkeypatch.setattr(spectrum, "_SAMPLE_BUDGET", budget)
-    match = r"defect 2\.605e-06 .*window \[-259968, 4095\].*window='full'"
-    with pytest.raises(GridResolutionError, match=match) as err:
+    with pytest.raises(GridResolutionError, match=match + ".*window='full'") as err:
         compute_spectrum(build_blaschke([0.999]), 128.0, grid_pow=grid_pow)
     assert "grid_pow" not in str(err.value)
 
@@ -302,17 +368,20 @@ def test_parseval_failure_names_the_window(grid_pow, budget, monkeypatch):
 @pytest.mark.parametrize(
     "alpha, x, doublings, ffts",
     [
-        (0.8, 128.0, 1, 1),
-        (0.9, 4096.0, 1, 1),
-        (0.9, 128.0, 2, 1),
-        (0.95, 1024.0, 3, 1),
-        (0.999, 128.0, 7, 2),
+        (0.8, 128.0, 1, 2),
+        (0.9, 4096.0, 1, 2),
+        (0.9, 128.0, 2, 3),
+        (0.95, 1024.0, 3, 4),
+        (0.999, 128.0, 7, 5),
     ],
 )
 def test_auto_window_widens_until_parseval_passes(alpha, x, doublings, ffts, monkeypatch):
     """A Blaschke zero near the circle fails the gate at W = max(64, 4 sqrt x);
     W doubles until it passes, re-cutting one FFT while the grid holds the
-    window.  Only 0.999 outgrows its first grid, 2^19 -> 2^20 points."""
+    window with its 4W margin.  Doubling W adds 2W to the window and 4W to
+    the margin, so most widenings need a new grid: 0.999 re-cuts its first
+    259,200-point grid three times, then samples 262,144, 270,000, 281,250
+    and 307,200 points."""
     grid_coefficients = spectrum._grid_coefficients
     calls = []
 
@@ -330,7 +399,7 @@ def test_auto_window_widens_until_parseval_passes(alpha, x, doublings, ffts, mon
         math.floor(x * m2 + w_pad),
     )
     assert spec.parseval_defect <= 1e-6
-    assert len(calls) == ffts and calls[-1] == 2**spec.grid_pow
+    assert len(calls) == ffts and calls[-1] == spec.grid_size
 
 
 def test_tail_bound_finite_and_honest():
