@@ -36,6 +36,7 @@ from .phase import PhaseFunction, TermPartition, _curvature_sign_changes
 
 _PARSEVAL_GATE = 1e-6  # a window missing this much square mass is rejected
 _QUAD_MAX_DOUBLINGS = 10  # panel doublings coefficient_quadrature may spend
+_PANEL_PHASE = 16.0  # most rad of phase per 16-node panel, first quadrature level
 _SAMPLE_BUDGET = 2**24  # largest FFT grid, or quadrature level in nodes, to allocate
 
 
@@ -331,9 +332,10 @@ def coefficient_quadrature(
 ) -> complex:
     """One coefficient (1/2pi) integral of e^{i(x h(t) - nu t)} dt, directly.
 
-    Composite Gauss-Legendre sized to a few radians of phase travel per
-    panel, then panel doubling until two refinements agree to tol/2 on
-    the normalized coefficient.  An odd phase makes the coefficient real,
+    16-point Gauss-Legendre panels, at most 16 rad of phase (bounded by
+    |x| max|h'| + |nu| per radian of t) on each at the first level, about
+    6 nodes per wavelength; then panel doubling until two levels agree to
+    tol/2 on the normalized coefficient.  An odd phase makes it real,
     (1/pi) integral over [0, pi] of cos(x h(t) - nu t) dt, so only that
     half is integrated; other phases integrate the complex exponential
     over [-pi, pi].  Completely independent of the FFT route.  A tol
@@ -345,10 +347,10 @@ def coefficient_quadrature(
     check_periodicity(phase, x)
     nu = _index(nu)
     slope = max(abs(v) for v in phase.slope_range())
-    travel = x * slope + abs(nu)
+    travel = abs(x) * slope + abs(nu)
     start = 0.0 if phase.odd else -math.pi
     span = math.pi - start
-    panels0 = max(4, math.ceil(0.75 * travel * (span / math.pi)))  # same density
+    panels0 = max(4, math.ceil(travel * span / _PANEL_PHASE))
     doublings = min(_QUAD_MAX_DOUBLINGS, (_SAMPLE_BUDGET // (16 * panels0)).bit_length() - 1)
     if doublings < 0:  # 16 nodes per panel
         raise DomainError(f"x={x!r} needs {16 * panels0} nodes, above the budget {_SAMPLE_BUDGET}")

@@ -508,6 +508,19 @@ def test_nan_phase_is_a_domain_error(monkeypatch):
     assert len(calls) == 1
 
 
+def _counted_levels(monkeypatch):
+    """Record the panel count of every level coefficient_quadrature integrates."""
+    levels = []
+    integrate_panels = spectrum.integrate_panels
+
+    def counted(f, bp, order):
+        levels.append(bp.size - 1)
+        return integrate_panels(f, bp, order)
+
+    monkeypatch.setattr(spectrum, "integrate_panels", counted)
+    return levels
+
+
 def test_nan_phase_quadrature_is_a_domain_error(monkeypatch):
     """h = nan near t = 1 with h' finite: the first level's sum is nan, and
     the quadrature names the phase instead of spending its doubling budget."""
@@ -515,14 +528,7 @@ def test_nan_phase_quadrature_is_a_domain_error(monkeypatch):
     phase = dataclasses.replace(
         sine, h=lambda t: np.where(np.abs(np.asarray(t) - 1.0) < 0.01, np.nan, sine.h(t))
     )
-    levels = []
-    integrate_panels = spectrum.integrate_panels
-
-    def counted(*args):
-        levels.append(args[1].size - 1)
-        return integrate_panels(*args)
-
-    monkeypatch.setattr(spectrum, "integrate_panels", counted)
+    levels = _counted_levels(monkeypatch)
     with pytest.raises(DomainError, match="'sine' at x = 100.0 is not finite"):
         coefficient_quadrature(phase, 100.0, 3)
     assert len(levels) == 1
@@ -537,9 +543,10 @@ def test_quadrature_nu_must_be_an_integer():
 
 
 def test_quadrature_budget_checked_before_allocation(monkeypatch):
-    """x = 2e6 starts at 1.5e6 panels of 16 nodes, above the 2^24-sample
-    budget of compute_spectrum: refused before a panel edge is allocated
-    (the doubling levels would reach 1.5e9 panels, 12 GB of edges)."""
+    """x = 8e6 starts at 1,570,797 panels of 16 nodes (25.1e6 nodes), above
+    the 2^24-sample budget of compute_spectrum: refused before a panel edge
+    is allocated (the doubling levels would reach 1.6e9 panels, 13 GB of
+    edges)."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("coefficient_quadrature integrated above the budget")
@@ -548,7 +555,7 @@ def test_quadrature_budget_checked_before_allocation(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(DomainError, match="budget"):
-            coefficient_quadrature(build_sine(), 2e6, 0)
+            coefficient_quadrature(build_sine(), 8e6, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -556,7 +563,7 @@ def test_quadrature_budget_checked_before_allocation(monkeypatch):
 
 
 def test_quadrature_levels_stop_at_the_budget(monkeypatch):
-    """At x = 1e6 the first level, 750,000 panels (12e6 nodes), fits the
+    """At x = 4e6 the first level, 785,399 panels (12.6e6 nodes), fits the
     budget and the next does not: refinement stops after that one level,
     with its value as the estimate."""
     levels = []
@@ -569,9 +576,63 @@ def test_quadrature_levels_stop_at_the_budget(monkeypatch):
 
     monkeypatch.setattr(spectrum, "integrate_panels", unsettled)
     with pytest.raises(QuadratureBudgetError) as refused:
-        coefficient_quadrature(build_sine(), 1e6, 0)
-    assert levels == [750_000]
+        coefficient_quadrature(build_sine(), 4e6, 0)
+    assert levels == [785_399]
     assert refused.value.estimate == 1.0 / math.pi
+
+
+@pytest.mark.parametrize("tol", [1e-11, 1e-12])
+@pytest.mark.parametrize(
+    "phase, x, nus",
+    [
+        (build_sine(), 9000.0, (-8550, 1, 8550)),
+        (build_blaschke([0.3, 0.7]), 1024.0, (-7110, -4219, -1327)),
+        (build_blaschke([0.9]), 64.0, (-1197, -610, -22)),
+        (build_blaschke_general([0.4 + 0.3j]), 256.0, (-751, -427, -102)),
+    ],
+    ids=["sine", "blaschke[0.3,0.7]", "blaschke[0.9]", "blaschke-complex"],
+)
+def test_quadrature_panels_carry_16_rad_and_settle_at_the_second_level(
+    monkeypatch, phase, x, nus, tol
+):
+    """The first level splits the span into panels of at most 16 rad of
+    phase, bounding the phase speed by x max|h'| + |nu|.  At that density
+    the second level already agrees with it, and the value lies within
+    1e-13 of the FFT coefficient, for nu near both ends and the middle of
+    the window."""
+    spec = compute_spectrum(phase, x)
+    slope = max(abs(v) for v in phase.slope_range())
+    span = math.pi if phase.odd else 2.0 * math.pi
+    levels = _counted_levels(monkeypatch)
+    for nu in nus:
+        levels.clear()
+        direct = coefficient_quadrature(phase, x, nu, tol=tol)
+        first = math.ceil((x * slope + abs(nu)) * span / 16.0)
+        assert levels == [first, 2 * first], nu
+        assert abs(direct - spec.coeff(nu)) < 1e-13, nu
+
+
+@pytest.mark.parametrize(
+    "phase, x, nu",
+    [
+        (build_sine().normalized(), 3e4, 0),
+        (build_sine().normalized(), 3e4, 1234),
+        (build_blaschke([0.3, 0.7]), 1024.0, 2000),
+        (build_blaschke_general([0.4 + 0.3j]), 1024.0, 2000),
+    ],
+    ids=["sine-0", "sine-1234", "blaschke[0.3,0.7]", "blaschke-complex"],
+)
+def test_quadrature_at_negative_x_is_the_conjugate(monkeypatch, phase, x, nu):
+    """For real h, a_nu(-x) = conj(a_{-nu}(x)).  The panels are sized by
+    |x|, so both sides settle at their second level; a negative x must not
+    shrink the first level to its floor of 4 panels."""
+    levels = _counted_levels(monkeypatch)
+    negative = coefficient_quadrature(phase, -x, nu)
+    assert len(levels) == 2
+    levels.clear()
+    positive = coefficient_quadrature(phase, x, -nu)
+    assert len(levels) == 2
+    assert abs(negative - positive.conjugate()) <= 1e-15
 
 
 def test_quadrature_leaves_the_nodes_of_an_identity_phase_alone():
