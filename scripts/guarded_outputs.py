@@ -16,8 +16,8 @@ checkouts.
 The library writers follow: coefficient spectra, Weyl-sum reports,
 a convergence report in JSON, coefficients from the quadrature
 route on its odd half-circle and its full-circle branch, the limit
-L(h) on each of its quadrature routes, and the partition sums of four
-partitions.
+L(h) on each of its quadrature routes and the Gauss-Jacobi twin, and
+the partition sums of four partitions.
 """
 
 from __future__ import annotations
@@ -118,18 +118,20 @@ def quadrature_table() -> Table:
 
 def limits_table() -> Table:
     """L(h) on each route: [0, pi] at the default tol and at 1e-11, the slope
-    variable, and the full circle.  The slope route refuses a phase that is
-    not odd; its cell then holds None."""
-    phases = [
-        wnl.build_sine(),
-        wnl.build_blaschke([0.5]),
-        wnl.build_blaschke([0.3, 0.7]),
-        wnl.build_blaschke([0.9]),
-        wnl.build_blaschke_general([0.4 + 0.3j]),
-        wnl.build_blaschke_general([0.4 + 0.3j, -0.6, 0.2 - 0.5j]),
+    variable, the full circle, and the Gauss-Jacobi twin of Girard's closed
+    form.  The slope route refuses a phase that is not odd, and the
+    Gauss-Jacobi twin takes real zeros up to about 0.865 only; their cells
+    then hold None."""
+    phases = [  # (phase, its zeros for the Gauss-Jacobi twin)
+        (wnl.build_sine(), None),
+        (wnl.build_blaschke([0.5]), [0.5]),
+        (wnl.build_blaschke([0.3, 0.7]), [0.3, 0.7]),
+        (wnl.build_blaschke([0.9]), None),
+        (wnl.build_blaschke_general([0.4 + 0.3j]), None),
+        (wnl.build_blaschke_general([0.4 + 0.3j, -0.6, 0.2 - 0.5j]), None),
     ]
     rows = []
-    for phase in phases:
+    for phase, zeros in phases:
         slope = wnl.asymptotic_limit_slope_route(phase) if phase.odd else None
         rows.append((
             phase.label,
@@ -137,8 +139,9 @@ def limits_table() -> Table:
             wnl.asymptotic_limit(phase, tol=1e-11),
             slope,
             wnl.full_circle_reference(phase),
+            wnl.corollary2_integral(zeros) if zeros else None,
         ))
-    columns = ("phase", "limit", "limit_1e-11", "slope_route", "full_circle")
+    columns = ("phase", "limit", "limit_1e-11", "slope_route", "full_circle", "jacobi")
     return Table("limit routes", {}, columns, rows)
 
 

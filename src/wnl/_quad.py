@@ -2,16 +2,16 @@
 
 Everything here is deliberately boring: fixed-order Gauss-Legendre rules
 composited over explicit panels, and ``refine``, which decides when a
-quadrature has converged.  Every adaptive quadrature of the package (the
-limit L(h) on its three routes and the single Fourier coefficient) hands
-``refine`` its sequence of refinement levels and stops at the first
-level whose value lies within its tolerance of the previous level's.
+refinement has converged.  Every loop of the package that evaluates
+levels until two agree hands ``refine`` its levels (the limit L(h) on
+its three routes and the final step's share of it, the single Fourier
+coefficient, the Gauss-Jacobi rule pair, the Miller sweeps of Bessel J)
+and stops at the first level within its tolerance of the one before.
 Node/weight tables come from numpy and are cached per order.
 """
 
 from __future__ import annotations
 
-import cmath
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
@@ -78,20 +78,22 @@ def integrate_panels(
 
 
 def refine(
-    value_at: Callable[[int], complex],
+    value_at: Callable[[int], complex | np.ndarray],
     levels: Iterable[int],
     tol: float,
     what: str,
     failure: str,
-    answer: Callable[[complex], complex],
+    answer: Callable = lambda value: value,
     confirm: Callable[[int], tuple[complex, float]] | None = None,
-) -> complex:
+):
     """answer(value_at(level)) at the first level within tol of the one before.
 
-    The levels are evaluated in order.  A value that is not finite raises
-    :class:`DomainError` naming ``what`` at once, since no finer level can
-    mend it; running out of levels raises :class:`QuadratureBudgetError`
-    with the ``failure`` message and answer(last value) as its estimate.
+    A value is a number or an array; two levels are compared by their
+    largest entrywise difference.  The levels are evaluated in order.  A
+    value with an entry that is not finite raises :class:`DomainError`
+    naming ``what`` at once, since no finer level can mend it; running
+    out of levels raises :class:`QuadratureBudgetError` with the
+    ``failure`` message and answer(last value) as its estimate.
     ``confirm`` maps the settled level to its value on a mesh refined
     where the levels are not, and that value's rounding noise; a move past
     both tol and the noise raises QuadratureBudgetError with its answer.
@@ -99,13 +101,19 @@ def refine(
     prev = None
     for level in levels:
         value = value_at(level)
-        if not cmath.isfinite(value):
+        if not np.all(np.isfinite(value)):
             raise DomainError(f"{what} is not finite at refinement level {level}")
-        if prev is not None and abs(value - prev) <= tol:
+        if prev is not None and _gap(value, prev) <= tol:
             check, noise = confirm(level) if confirm else (value, 0.0)
-            if not abs(check - value) <= max(tol, noise):  # a nan check fails too
-                message = f"{failure}: a finer mesh moves level {level} by {abs(check - value):.3g}"
+            moved = _gap(check, value)
+            if not moved <= max(tol, noise):  # a nan check fails too
+                message = f"{failure}: a finer mesh moves level {level} by {moved:.3g}"
                 raise QuadratureBudgetError(message, estimate=answer(value))
             return answer(value)
         prev = value
     raise QuadratureBudgetError(failure, estimate=answer(prev))
+
+
+def _gap(a, b) -> float:
+    """The largest entrywise |a - b|; nan if any entry is nan."""
+    return float(np.max(np.abs(np.subtract(a, b))))

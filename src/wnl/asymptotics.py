@@ -34,7 +34,7 @@ from .spectrum import compute_spectrum, partition_sums, scaled_norm
 from .stationary import _stationary_points
 
 _LIMIT_PREFACTOR = (2.0 / math.pi) ** 1.5
-_REFERENCE_TOL = 1e-10  # the full-circle quadrature's stopping tolerance
+_REFERENCE_TOL = 1e-10  # stopping tolerance of the full-circle reference and the limit piece
 _SLOPE_ROUTE_TOL = 1e-9
 _LEVELS = range(10, 49, 2)  # geometric refinement levels of the limit routes
 
@@ -83,19 +83,19 @@ def _settle(
 
 
 def _root_curvature_integral(
-    phase: PhaseFunction, end: float, tol: float, scale: float, name: str
+    phase: PhaseFunction, lo: float, hi: float, tol: float, scale: float, name: str
 ) -> float:
-    """scale times the integral of sqrt(|h''|) over [0, end], split at the zeros of h''.
+    """scale times the integral of sqrt(|h''|) over [lo, hi], split at the zeros of h''.
 
     The brackets of :func:`wnl.phase._curvature_sign_changes` that start
-    before end, bisected all at once, give the zeros; one more than 1e-9
-    past the edge before it and short of end is an edge.  Pieces refine
+    before hi, bisected all at once, give the zeros; one more than 1e-9
+    past the edge before it and short of hi is an edge.  Pieces refine
     toward both ends, where sqrt(|h''|) typically vanishes like a power.
     """
-    edges = [0.0]
+    edges = [lo]
     scan = _curvature_sign_changes(phase)
     brackets = np.empty((0, 2)) if scan is None else scan[0]
-    a, b = brackets[brackets[:, 0] < end].T
+    a, b = brackets[brackets[:, 0] < hi].T
     if a.size:
         left_neg = phase.d2(a) < 0.0
         for _ in range(60):
@@ -103,9 +103,9 @@ def _root_curvature_integral(
             stays = (phase.d2(m) < 0.0) == left_neg
             a, b = np.where(stays, m, a), np.where(stays, b, m)
         for kink in (0.5 * (a + b)).tolist():
-            if kink - edges[-1] > 1e-9 and end - kink > 1e-9:
+            if kink - edges[-1] > 1e-9 and hi - kink > 1e-9:
                 edges.append(kink)
-    edges.append(end)
+    edges.append(hi)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.sqrt(np.abs(phase.d2(t)))
@@ -115,7 +115,7 @@ def _root_curvature_integral(
 
     what = f"sqrt|h''| of {phase.label!r}"
     failure = f"{name} did not stabilize to {tol:g} for {phase.label!r}"
-    return _settle(integrand, pieces, (0.0, end), 0.5 * tol, scale, what, failure)
+    return _settle(integrand, pieces, (lo, hi), 0.5 * tol, scale, what, failure)
 
 
 def asymptotic_limit(phase: PhaseFunction, tol: float = 1e-10) -> float:
@@ -127,7 +127,7 @@ def asymptotic_limit(phase: PhaseFunction, tol: float = 1e-10) -> float:
     h'' inside (0, pi), which no admissible phase has, is a panel edge.
     """
     require_tolerance(tol)
-    return _root_curvature_integral(phase, math.pi, tol, _LIMIT_PREFACTOR, "limit integral")
+    return _root_curvature_integral(phase, 0.0, math.pi, tol, _LIMIT_PREFACTOR, "limit integral")
 
 
 def full_circle_reference(phase: PhaseFunction) -> float:
@@ -142,7 +142,7 @@ def full_circle_reference(phase: PhaseFunction) -> float:
     unless h'' vanishes on most of the circle and the sign scan gives None.
     """
     return _root_curvature_integral(
-        phase, 2.0 * math.pi, _REFERENCE_TOL, 0.5 * _LIMIT_PREFACTOR, "full-circle reference"
+        phase, 0.0, 2.0 * math.pi, _REFERENCE_TOL, 0.5 * _LIMIT_PREFACTOR, "full-circle reference"
     )
 
 
@@ -307,7 +307,8 @@ class FinalStepReport:
     epsilon, weighted by 1 (a bound, since |cos| <= 1);  ``middle`` is
     the cosine-weighted sum over the remaining bulk, and
     ``limit_piece`` is the portion of L(h) over [epsilon, pi - epsilon]
-    that the middle tracks as n grows.
+    that the middle tracks as n grows, from the sqrt|h''| quadrature of
+    :func:`asymptotic_limit` on that interval, to 1e-10.
     """
 
     n: int
@@ -361,14 +362,8 @@ def final_step_report(phase: PhaseFunction, n: int, eps: float = 0.1) -> FinalSt
     edge_left = float(pref * np.sum(vals[:cut_lo]) / n)
     middle = float(pref * np.sum(vals[mid]) / n)
     edge_right = float(pref * np.sum(vals[cut_hi:]) / n)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.maximum(norm.d2(t), 0.0))
-
-    limit_piece = _LIMIT_PREFACTOR * float(
-        integrate_panels(
-            integrand, np.linspace(eps, math.pi - eps, 65), 32
-        ).real
+    limit_piece = _root_curvature_integral(
+        norm, eps, math.pi - eps, _REFERENCE_TOL, _LIMIT_PREFACTOR, "final-step limit piece"
     )
     return FinalStepReport(
         n=n,

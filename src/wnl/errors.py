@@ -25,8 +25,8 @@ class GridResolutionError(WnlError):
 
     The message names what failed: the last window tried and
     ``window='full'`` when the Parseval gate fails, or ``grid_pow`` when
-    a pinned grid of 2^grid_pow points is short of its window plus the
-    4W alias margin (auto) or of the 8x oversampling floor (full).
+    a pinned full-window grid of 2^grid_pow points is short of the 8x
+    oversampling floor.
     """
 
 
@@ -43,7 +43,11 @@ class QuadratureBudgetError(WnlError):
 
 
 class ConvergenceError(WnlError):
-    """A series or iteration failed to converge within its hard cap."""
+    """The hypergeometric series failed to converge within its term cap.
+
+    Refinements that run out of levels, the Miller sweeps of Bessel J
+    among them, raise QuadratureBudgetError instead.
+    """
 
 
 class MisalignedError(WnlError):

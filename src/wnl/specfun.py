@@ -22,7 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, QuadratureBudgetError
+from ._quad import refine
+from .errors import ConvergenceError, DomainError
 
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -190,12 +191,13 @@ def bessel_j_sequence(nmax: int, x: float) -> np.ndarray:
     """J_0(x) .. J_nmax(x) for x >= 0.
 
     Small arguments (x <= 2) go through the ascending series entry by
-    entry; larger ones use Miller's backward recurrence, whose starting
-    index begins at nmax + 20 + ceil(x) and whose margin doubles until
-    two consecutive sweeps agree to 1e-14 on every entry.  A fixed
-    offset is not enough once x grows, because the entries near nu ~ x
-    are suppressed only polynomially while the recurrence needs room
-    for the solution to decay into dominance.
+    entry; larger ones use Miller's backward recurrence, started at
+    nmax + margin.  :func:`wnl._quad.refine` doubles the margin from
+    20 + ceil(x) up to 2^24 until two consecutive sweeps agree to 1e-14
+    on every entry; if none do, QuadratureBudgetError carries the last
+    sweep.  A fixed offset is not enough once x grows, because the
+    entries near nu ~ x are suppressed only polynomially while the
+    recurrence needs room for the solution to decay into dominance.
     """
     if not (0 <= nmax <= _ORDER_CAP and nmax == int(nmax)):
         raise DomainError(f"nmax must be an integer in [0, {_ORDER_CAP}], got {nmax!r}")
@@ -214,18 +216,11 @@ def bessel_j_sequence(nmax: int, x: float) -> np.ndarray:
             if vals[n] == 0.0:
                 break
         return vals
-    margin = 20 + math.ceil(x)
-    prev_vals: np.ndarray | None = None
-    while margin <= 2**24:
-        start = nmax + margin
-        vals = _miller_pass(nmax, x, start)
-        if prev_vals is not None and np.max(np.abs(vals - prev_vals)) <= 1e-14:
-            return vals
-        prev_vals = vals
-        margin *= 2
-    raise ConvergenceError(
-        f"backward recurrence failed to stabilize for nmax={nmax}, x={x}"
-    )
+    first = 20 + math.ceil(x)
+    margins = (first << k for k in range((2**24 // first).bit_length()))
+    what = f"J_0..J_{nmax}({x!r})"
+    failure = f"backward recurrence failed to stabilize for nmax={nmax}, x={x}"
+    return refine(lambda m: _miller_pass(nmax, x, nmax + m), margins, 1e-14, what, failure)
 
 
 def bessel_j(nu: int, x: float) -> float:
@@ -296,9 +291,10 @@ def corollary2_integral(alphas: Sequence[float]) -> float:
     [0, pi] gives the weight (1-u)^(-1/4) (1+u)^(-1/4) times the smooth
     factor sqrt(sum_j 2 a_j (1-a_j^2) / (1+a_j^2-2 a_j u)^2), which a
     Gauss-Jacobi rule with exponents (-1/4, -1/4) integrates without
-    seeing the endpoint singularity.  The rule has _JACOBI_NODES nodes;
-    a second rule 32 nodes larger must confirm the value to 1e-11 or
-    QuadratureBudgetError is raised.
+    seeing the endpoint singularity.  :func:`wnl._quad.refine` takes the
+    rules of _JACOBI_NODES and _JACOBI_NODES + 32 nodes as its two
+    levels: their sums (before the prefactor) must agree to 1e-11
+    absolute, or QuadratureBudgetError carries the larger rule's value.
 
     This route never touches the hypergeometric series, so it serves as
     an independent check of :func:`girard_value`.
@@ -319,12 +315,8 @@ def corollary2_integral(alphas: Sequence[float]) -> float:
         nodes, weights = roots_jacobi(n, -0.25, -0.25)
         return float(np.sum(weights * smooth(nodes)))
 
+    levels = (_JACOBI_NODES, _JACOBI_NODES + 32)
+    what = f"the Gauss-Jacobi sum for {alphas!r}"
+    failure = "Gauss-Jacobi rules of %d and %d nodes disagree" % levels
     pref = (2.0 / math.pi) ** 1.5
-    v1 = rule(_JACOBI_NODES)
-    v2 = rule(_JACOBI_NODES + 32)
-    if abs(v1 - v2) > 1e-11 * max(1.0, abs(v2)):
-        raise QuadratureBudgetError(
-            f"Gauss-Jacobi values disagree: {v1!r} vs {v2!r} at {_JACOBI_NODES} nodes",
-            estimate=pref * v2,
-        )
-    return pref * v2
+    return refine(rule, levels, 1e-11, what, failure, lambda v: pref * v)

@@ -195,15 +195,13 @@ def compute_spectrum(
     decay only on the fold scale (x |h'''|)^(1/3), which W can miss; so
     when the gate fails, W doubles and the window is cut again from the
     same FFT while N >= w' + 4W' still holds.  Otherwise the same rule
-    sizes a new grid, and the widening stops at a pinned ``grid_pow``
-    or at the sample budget.  A pinned grid has 2^grid_pow points and
-    must hold the window with the same margin.  ``window="full"`` keeps
-    all N coefficients instead (the right mode for phases whose
-    spectrum decays too slowly to window, at the price of an inf tail
-    bound unless curvature certifies one); its grid is the smallest
-    power of two with at least 8 * (x * max|h'| + 64) points, and a
-    pinned ``grid_pow`` below the 8x oversampling floor raises
-    GridResolutionError.
+    sizes a new grid, and the widening stops at the sample budget.
+    ``window="full"`` keeps all N coefficients instead (the right mode
+    for phases whose spectrum decays too slowly to window, at the price
+    of an inf tail bound unless curvature certifies one); its grid is
+    the smallest power of two with at least 8 * (x * max|h'| + 64)
+    points, or 2^grid_pow points when ``grid_pow`` pins it.  A pinned
+    grid below the 8x oversampling floor raises GridResolutionError.
 
     For an odd phase e^{i x h(-t)} is the conjugate of e^{i x h(t)}, so
     every coefficient is real: h is sampled on [0, pi] only, N/2 + 1
@@ -219,12 +217,13 @@ def compute_spectrum(
     ``numpy.fft`` is used rather than ``scipy.fft``, whose import alone
     costs more start-up time and memory than its faster transform saves.
 
-    A pinned ``grid_pow`` that is not an integer >= 0 raises DomainError
-    before any sampling.  A window that does not fit the grid raises
-    GridResolutionError, as does a Parseval defect above 1e-6 that
-    widening cannot mend.  A grid above 2^24 points raises DomainError
-    before any sample is allocated, and so does a phase whose h' or
-    e^{i x h} is not finite on the grid.
+    A ``grid_pow`` that is not an integer >= 0, or one given with the
+    auto window (whose grid is a function of the window, so a pin could
+    only fall short or be wasted), raises DomainError before any
+    sampling.  A Parseval defect above 1e-6 that widening cannot mend
+    raises GridResolutionError.  A grid above 2^24 points raises
+    DomainError before any sample is allocated, and so does a phase
+    whose h' or e^{i x h} is not finite on the grid.
     """
     if x <= 0.0:
         raise DomainError(f"x must be positive, got {x!r}")
@@ -233,7 +232,8 @@ def compute_spectrum(
     if grid_pow is not None:
         if not (math.isfinite(grid_pow) and grid_pow == int(grid_pow) and grid_pow >= 0):
             raise DomainError(f"grid_pow must be an integer >= 0, got {grid_pow!r}")
-        grid_pow = int(grid_pow)
+        if window == "auto":
+            raise DomainError("grid_pow pins the grid of window='full' only; auto sizes its own")
     check_periodicity(phase, x)
 
     m1, m2 = phase.slope_range()
@@ -247,15 +247,11 @@ def compute_spectrum(
 
     if window == "auto":
         lo, hi, need = auto_window(w_pad)
-    else:
-        need = 8.0 * (peak + 64.0)
-    pinned = grid_pow is not None
-    if pinned:
-        n_grid = 2**grid_pow
-    elif window == "auto":
         n_grid = _fft_size(need)
+    elif grid_pow is None:
+        n_grid = 2 ** math.ceil(math.log2(8.0 * (peak + 64.0)))
     else:
-        n_grid = 2 ** math.ceil(math.log2(need))
+        n_grid = 2 ** int(grid_pow)
     if n_grid > _SAMPLE_BUDGET:
         raise DomainError(
             f"x={x!r} needs a {n_grid}-point grid, above the budget of "
@@ -269,11 +265,6 @@ def compute_spectrum(
             )
         lo = -(n_grid // 2)
         hi = n_grid // 2 - 1
-    elif n_grid < need:
-        raise GridResolutionError(
-            f"window [{lo}, {hi}] and its alias margin do not fit a {n_grid}-point grid; "
-            "raise grid_pow"
-        )
 
     fcoef = _grid_coefficients(phase, x, n_grid)
     while True:
@@ -299,7 +290,7 @@ def compute_spectrum(
         wide_lo, wide_hi, need = auto_window(w_pad)
         if need > n_grid:
             wide_grid = _fft_size(need)
-            if pinned or wide_grid > _SAMPLE_BUDGET:
+            if wide_grid > _SAMPLE_BUDGET:
                 break
             n_grid = wide_grid
             del fcoef, coeffs, sq
@@ -338,7 +329,8 @@ def coefficient_quadrature(
     tol/2 on the normalized coefficient.  An odd phase makes it real,
     (1/pi) integral over [0, pi] of cos(x h(t) - nu t) dt, so only that
     half is integrated; other phases integrate the complex exponential
-    over [-pi, pi].  Completely independent of the FFT route.  A tol
+    over [-pi, pi], on an even number of panels so that t = 0 is a panel
+    edge.  Completely independent of the FFT route.  A tol
     that is nan or <= 0, a nu that is not an integer (an integral float
     is taken), or an integrand that is not finite, raises DomainError.
     So does a first level over 2^24 nodes; no level over it is evaluated.
@@ -351,6 +343,8 @@ def coefficient_quadrature(
     start = 0.0 if phase.odd else -math.pi
     span = math.pi - start
     panels0 = max(4, math.ceil(travel * span / _PANEL_PHASE))
+    if not phase.odd:
+        panels0 += panels0 % 2  # t = 0, where abs has its kink, on a panel edge
     doublings = min(_QUAD_MAX_DOUBLINGS, (_SAMPLE_BUDGET // (16 * panels0)).bit_length() - 1)
     if doublings < 0:  # 16 nodes per panel
         raise DomainError(f"x={x!r} needs {16 * panels0} nodes, above the budget {_SAMPLE_BUDGET}")

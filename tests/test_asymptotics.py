@@ -333,6 +333,24 @@ def test_final_step_report_frozen_pieces(phase):
     assert got == pytest.approx(pieces, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.2])
+@pytest.mark.parametrize(
+    "phase, n",
+    [(build_sine(), 6400), (build_blaschke([0.3, 0.7]), 65536)],
+    ids=["sine", "blaschke[0.3,0.7]"],
+)
+def test_final_step_limit_piece_is_the_curvature_integral(phase, n, eps):
+    """limit_piece is (2/pi)^(3/2) times the integral of sqrt(g'') over
+    [eps, pi - eps], within 1e-10 of scipy's adaptive quad."""
+    from scipy.integrate import quad
+
+    norm = require_valid(phase)
+    root = lambda t: math.sqrt(float(norm.d2(np.array([t]))[0]))
+    ref, _ = quad(root, eps, math.pi - eps, epsabs=1e-13, epsrel=1e-13)
+    got = final_step_report(phase, n, eps=eps).limit_piece
+    assert abs(got - (2.0 / math.pi) ** 1.5 * ref) <= 1e-10
+
+
 
 @pytest.mark.parametrize(
     "phase,n,eps",

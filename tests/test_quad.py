@@ -73,7 +73,9 @@ def test_refine_stops_at_the_first_settled_level():
     assert seen == [1, 2, 3, 4]
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, math.nan)])
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, complex(1.0, math.nan), np.array([1.0, math.nan])]
+)
 def test_refine_refuses_a_non_finite_level_at_once(bad):
     seen = []
 
@@ -84,6 +86,21 @@ def test_refine_refuses_a_non_finite_level_at_once(bad):
     with pytest.raises(DomainError, match="the integrand is not finite at refinement level 2"):
         refine(value_at, range(1, 10), 1e-3, "the integrand", "cap", lambda v: v)
     assert seen == [1, 2]
+
+
+def test_refine_compares_array_levels_by_their_largest_difference():
+    """Level 2 is within tol of level 1 in its first entry only; level 3 is
+    the first within tol in every entry, and its answer comes back."""
+    values = {1: [1.0, 0.0], 2: [0.95, 0.5], 3: [0.9, 0.45], 4: [0.9, 0.45]}
+    seen = []
+
+    def value_at(level):
+        seen.append(level)
+        return np.array(values[level])
+
+    got = refine(value_at, range(1, 5), 0.1, "v", "cap", lambda v: 2.0 * v)
+    assert got.tolist() == [1.8, 0.9]
+    assert seen == [1, 2, 3]
 
 
 def test_refine_budget_estimate_is_the_last_level_in_answer_units():

@@ -165,6 +165,21 @@ class TestBesselJ:
         rhs = 2.0 * n / x * bessel_j(n, x)
         assert lhs == pytest.approx(rhs, abs=1e-11)
 
+    def test_unsettled_sweeps_raise_with_the_last_one(self, monkeypatch):
+        """Sweeps that never agree spend every margin (20 + ceil(x)) 2^k up
+        to 2^24; the error carries the last sweep as its estimate."""
+        starts = []
+
+        def unsettled(nmax, x, start):
+            starts.append(start)
+            return np.full(nmax + 1, float(start))
+
+        monkeypatch.setattr(wnl.specfun, "_miller_pass", unsettled)
+        with pytest.raises(QuadratureBudgetError, match="failed to stabilize") as info:
+            bessel_j_sequence(5, 100.0)
+        assert starts == [5 + 120 * 2**k for k in range(18)]  # 120 * 2^17 <= 2^24 < 120 * 2^18
+        assert info.value.estimate.tolist() == [float(starts[-1])] * 6
+
     def test_caps(self):
         with pytest.raises(DomainError):
             bessel_j(10_001, 5.0)

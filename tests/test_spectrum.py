@@ -280,7 +280,7 @@ def test_fft_size_is_the_smallest_even_5_smooth_length():
 )
 def test_aliases_stay_clear_of_the_window(phase, x):
     """Every alias nu +- N of a kept coefficient lies 4W past the auto
-    window, so the auto grid gives the coefficients of a pinned 2^20-point
+    window, so the auto grid gives the coefficients of a full 2^20-point
     grid (at least 26 times the window here) over the same window, to
     rounding.  The samples of x h carry rounding of at most x max|h| eps,
     and exp and the FFT add a few eps times log2 N; eps (x max|h| + 64)
@@ -290,12 +290,12 @@ def test_aliases_stay_clear_of_the_window(phase, x):
     1.2e-8 off and the sum 1.3e-7."""
     norm = phase.normalized()
     auto = compute_spectrum(norm, x)
-    fine = compute_spectrum(norm, x, grid_pow=20)
-    assert (auto.nu_min, auto.nu_max) == (fine.nu_min, fine.nu_max)
+    full = compute_spectrum(norm, x, grid_pow=20, window="full")
+    fine = full.coeffs[auto.nu_min - full.nu_min : auto.nu_max - full.nu_min + 1]
     h_max = np.max(np.abs(norm.h(np.linspace(-np.pi, np.pi, 4097))))
     tol = np.finfo(float).eps * (x * h_max + 64.0)
-    assert np.max(np.abs(auto.coeffs - fine.coeffs)) <= tol
-    assert abs(auto.abs_sum() - fine.abs_sum()) <= auto.coeffs.size * tol
+    assert np.max(np.abs(auto.coeffs - fine)) <= tol
+    assert abs(auto.abs_sum() - np.sum(np.abs(fine))) <= auto.coeffs.size * tol
 
 
 @pytest.mark.parametrize("grid_pow", [2.5, math.inf, -2], ids=["fraction", "inf", "negative"])
@@ -310,15 +310,27 @@ def test_pinned_grid_pow_must_be_an_integer(grid_pow):
         compute_spectrum(phase, 10.0, grid_pow=grid_pow)
 
 
-@pytest.mark.parametrize("grid_pow, window", [(8, "auto"), (10, "full")])
+def test_auto_window_refuses_a_pinned_grid():
+    """The auto grid is sized by its window, so a pinned one could only fall
+    short or be wasted; it is refused before any sampling."""
+
+    def refuse(t):
+        raise AssertionError("compute_spectrum sampled the phase")
+
+    phase = dataclasses.replace(build_sine(), h=refuse, d1=refuse, d2=refuse)
+    with pytest.raises(DomainError, match="window='full' only"):
+        compute_spectrum(phase, 10.0, grid_pow=12)
+
+
+@pytest.mark.parametrize("grid_pow, window", [(10, "full")])
 def test_pinned_grid_below_the_window_is_refused(grid_pow, window):
-    """Sine at x = 1000 needs 2253 window coefficients, and the full window
-    8 (x + 1) samples; a pinned grid short of either is a resolution error."""
+    """Sine at x = 1000 needs 8 (x + 1) samples in the full window; a pinned
+    grid short of them is a resolution error."""
     with pytest.raises(GridResolutionError, match="raise grid_pow"):
         compute_spectrum(build_sine(), 1000.0, grid_pow=grid_pow, window=window)
 
 
-@pytest.mark.parametrize("window", ["auto", "full"])
+@pytest.mark.parametrize("window", ["full"])
 def test_integral_float_grid_pow_is_the_integer(window):
     pinned = compute_spectrum(build_sine(), 10.0, grid_pow=9.0, window=window)
     same = compute_spectrum(build_sine(), 10.0, grid_pow=9, window=window)
@@ -326,12 +338,14 @@ def test_integral_float_grid_pow_is_the_integer(window):
     assert np.array_equal(pinned.coeffs, same.coeffs)
 
 
-@pytest.mark.parametrize("grid_pow", [None, 25], ids=["auto", "pinned"])
-def test_sample_budget_checked_before_allocation(grid_pow):
+@pytest.mark.parametrize(
+    "grid_pow, window", [(None, "auto"), (25, "full")], ids=["auto", "pinned"]
+)
+def test_sample_budget_checked_before_allocation(grid_pow, window):
     tracemalloc.start()
     try:
         with pytest.raises(DomainError, match="budget"):
-            compute_spectrum(build_sine(), 1e12, grid_pow=grid_pow)
+            compute_spectrum(build_sine(), 1e12, grid_pow=grid_pow, window=window)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -344,24 +358,19 @@ def test_parseval_defect_small():
 
 
 @pytest.mark.parametrize(
-    "grid_pow, budget, match",
-    [
-        (None, 300_000, r"defect 2\.604e-06 .*window \[-259968, 4095\]"),
-        (18, spectrum._SAMPLE_BUDGET, r"defect 5\.902e-06 .*window \[-256896, 1023\]"),
-    ],
-    ids=["auto", "pinned"],
+    "budget, match",
+    [(300_000, r"defect 2\.604e-06 .*window \[-259968, 4095\]")],
+    ids=["auto"],
 )
-def test_parseval_failure_names_the_window(grid_pow, budget, match, monkeypatch):
-    """Widening stops once the window outgrows the sample budget or a
-    pinned grid; the error then names the last window and
-    window='full', not a finer grid.  The budget is lowered to 300,000
-    here: six doublings fit a 281,250-point grid, the seventh needs
-    307,200.  A pinned 2^18 = 262,144 holds four doublings (262,016
-    points with the margin), not the fifth (268,160).  Under the real
+def test_parseval_failure_names_the_window(budget, match, monkeypatch):
+    """Widening stops once the window outgrows the sample budget; the
+    error then names the last window and window='full', not a finer
+    grid.  The budget is lowered to 300,000 here: six doublings fit a
+    281,250-point grid, the seventh needs 307,200.  Under the real
     budget it passes (test_auto_window_widens_until_parseval_passes)."""
     monkeypatch.setattr(spectrum, "_SAMPLE_BUDGET", budget)
     with pytest.raises(GridResolutionError, match=match + ".*window='full'") as err:
-        compute_spectrum(build_blaschke([0.999]), 128.0, grid_pow=grid_pow)
+        compute_spectrum(build_blaschke([0.999]), 128.0)
     assert "grid_pow" not in str(err.value)
 
 
@@ -608,8 +617,25 @@ def test_quadrature_panels_carry_16_rad_and_settle_at_the_second_level(
         levels.clear()
         direct = coefficient_quadrature(phase, x, nu, tol=tol)
         first = math.ceil((x * slope + abs(nu)) * span / 16.0)
+        if not phase.odd:
+            first += first % 2  # an even count, so t = 0 is a panel edge
         assert levels == [first, 2 * first], nu
         assert abs(direct - spec.coeff(nu)) < 1e-13, nu
+
+
+@pytest.mark.parametrize("n, nu", [(7, 21), (10, 1), (33, 0), (64, 65), (101, -100)])
+def test_abs_quadrature_puts_the_kink_on_a_panel_edge(monkeypatch, n, nu):
+    """|t| has its kink at t = 0.  Each of these first levels rounds up from
+    an odd panel count, which would put the kink inside a panel and cost a
+    third level; with t = 0 on a panel edge the second level settles, on the
+    closed form 2 i n / (pi (n^2 - nu^2)) for odd n + nu and 0 for even."""
+    levels = _counted_levels(monkeypatch)
+    got = coefficient_quadrature(build_piecewise_abs(), float(n), nu)
+    first = math.ceil((n + abs(nu)) * 2.0 * math.pi / 16.0)
+    assert first % 2 == 1
+    assert levels == [first + 1, 2 * first + 2]
+    want = 2j * n / (math.pi * (n * n - nu * nu)) if (n + nu) % 2 else 0.0
+    assert abs(got - want) < 1e-15
 
 
 @pytest.mark.parametrize(
@@ -679,8 +705,8 @@ def test_coeff_nu_must_be_an_integer():
 @settings(max_examples=20, deadline=None)
 def test_window_growth_is_monotone(x):
     """Widening the grid must not change windowed coefficients much."""
-    lo = compute_spectrum(build_sine(), x, grid_pow=12)
-    hi = compute_spectrum(build_sine(), x, grid_pow=15)
+    lo = compute_spectrum(build_sine(), x, grid_pow=12, window="full")
+    hi = compute_spectrum(build_sine(), x, grid_pow=15, window="full")
     for nu in (-1, 0, 3):
         assert abs(lo.coeff(nu) - hi.coeff(nu)) < 1e-10
 
