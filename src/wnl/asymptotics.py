@@ -30,7 +30,7 @@ from .phase import (
     _partition,
     require_valid,
 )
-from .spectrum import compute_spectrum, partition_sums, scaled_norm
+from .spectrum import check_periodicity, compute_spectrum, partition_sums, scaled_norm
 from .stationary import _stationary_points
 
 _LIMIT_PREFACTOR = (2.0 / math.pi) ** 1.5
@@ -183,7 +183,8 @@ class StudyRow:
     """Everything measured at one scale.
 
     The parameter is a float so integer ladders (Theorem-1 style) and
-    real ladders (Theorem-2 style, winding zero only) share one shape.
+    real ladders (Theorem-2 style: any real x with x * winding_k an
+    integer) share one shape.
     parseval_defect and tail_bound ride along as diagnostics; the
     exported schema carries the six analysis fields only.
     """
@@ -229,9 +230,10 @@ def convergence_study(phase: PhaseFunction, params: Sequence[float]) -> Converge
     """Measure the scaled norm and partition sums at each scale in params.
 
     The limit L is :func:`asymptotic_limit` at its default tolerance, 1e-10.
-    Parameters must be an increasing ladder of reals >= 2.  Non-integer
-    entries require winding zero, since e^{ixh} stops being periodic at
-    non-integer x otherwise; integer ladders work for any winding.
+    Parameters must be an increasing ladder of reals >= 2, each passing
+    :func:`wnl.spectrum.check_periodicity` (x * winding_k an integer):
+    integer ladders work for any winding, and a phase of winding zero
+    takes any real scale.  Every scale is checked before any is measured.
 
     The scales are measured one after another, in the order of params.
     """
@@ -244,13 +246,8 @@ def convergence_study(phase: PhaseFunction, params: Sequence[float]) -> Converge
         raise DomainError(f"all params must be >= 2, got {params!r}")
     if any(b <= a for a, b in zip(params, params[1:])):
         raise DomainError(f"params must be strictly increasing, got {params!r}")
-    if phase.winding_k != 0:
-        fractional = [p for p in params if abs(p - round(p)) > 1e-9]
-        if fractional:
-            raise DomainError(
-                f"non-integer params {fractional!r} need winding 0, but "
-                f"{phase.label!r} has winding {phase.winding_k}"
-            )
+    for p in params:
+        check_periodicity(phase, p)
     norm = require_valid(phase)
     limit = asymptotic_limit(phase)
 

@@ -47,27 +47,35 @@ class PhaseFunction:
     """A phase h bundled with its first two derivatives.
 
     All three callables must accept and return numpy arrays (scalars are
-    promoted).  ``sign`` is +1 when h'' > 0 on (0, pi) and -1 when
-    h'' < 0.  ``odd`` declares h(-t) = -h(t) and ``even`` declares
+    promoted).  ``odd`` declares h(-t) = -h(t) and ``even`` declares
     h(-t) = h(t); the spectrum takes a half route on either.  Builders
-    set all three, ``validate`` checks them.  A ``winding_k`` that is not a
-    finite integer raises DomainError; an integral float is stored as its int.
+    declare both, ``validate`` checks them.  The winding number and the
+    orientation are facts of h, so they are read off it rather than
+    declared: see ``winding_k`` and ``sign``.
     """
 
     h: PhaseCallable
     d1: PhaseCallable
     d2: PhaseCallable
-    winding_k: int
     odd: bool
     even: bool
-    sign: int
     label: str
 
-    def __post_init__(self) -> None:
-        k = self.winding_k
-        if not math.isfinite(k) or k != int(k):
-            raise DomainError(f"winding_k must be an integer, got {k!r}")
-        object.__setattr__(self, "winding_k", int(k))
+    @property
+    def winding_k(self) -> int:
+        """k of h(t + 2 pi) = h(t) + 2 pi k: the nearest integer to
+        (h(pi) - h(-pi)) / 2 pi.  A non-finite read raises DomainError; a
+        shift that is no multiple of 2 pi is left to ``validate``."""
+        shift = float(self.h(np.asarray(np.pi))) - float(self.h(np.asarray(-np.pi)))
+        if not math.isfinite(shift):
+            raise DomainError(f"h(pi) - h(-pi) of {self.label!r} is not finite")
+        return round(shift / (2.0 * np.pi))
+
+    @property
+    def sign(self) -> int:
+        """+1 when h''(pi/2) >= 0, else -1: the sign of h'' on (0, pi) for
+        an admissible phase, which ``validate`` checks."""
+        return 1 if float(self.d2(np.asarray(np.pi / 2.0))) >= 0.0 else -1
 
     def normalized(self) -> "PhaseFunction":
         """The phase sign*h, which has positive h'' on (0, pi)."""
@@ -78,10 +86,8 @@ class PhaseFunction:
             h=lambda t: -h(t),
             d1=lambda t: -d1(t),
             d2=lambda t: -d2(t),
-            winding_k=-self.winding_k,
             odd=self.odd,
             even=self.even,
-            sign=1,
             label=f"-({self.label})",
         )
 
@@ -140,21 +146,19 @@ class ValidationReport:
 
 
 def build_sine() -> PhaseFunction:
-    """h(t) = sin t.  Coefficients of e^{ix sin t} are Bessel J_nu(x)."""
+    """h(t) = sin t, declared odd.  Coefficients of e^{ix sin t} are Bessel J_nu(x)."""
     return PhaseFunction(
         h=np.sin,
         d1=np.cos,
         d2=lambda t: -np.sin(t),
-        winding_k=0,
         odd=True,
         even=False,
-        sign=-1,
         label="sine",
     )
 
 
 def build_linear(k: int) -> PhaseFunction:
-    """h(t) = k*t for integer k.  Degenerate: h'' = 0 everywhere."""
+    """h(t) = k*t for integer k, declared odd, of winding k.  Degenerate: h'' = 0."""
     if not math.isfinite(k) or k != int(k):
         raise DomainError(f"linear phase needs an integer slope, got {k!r}")
     k = int(k)
@@ -162,10 +166,8 @@ def build_linear(k: int) -> PhaseFunction:
         h=lambda t: k * np.asarray(t, dtype=float),
         d1=lambda t: np.full_like(np.asarray(t, dtype=float), float(k)),
         d2=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        winding_k=k,
         odd=True,
         even=False,
-        sign=1,
         label=f"linear[{k}]",
     )
 
@@ -173,9 +175,9 @@ def build_linear(k: int) -> PhaseFunction:
 def build_piecewise_abs() -> PhaseFunction:
     """h(t) = |t| on [-pi, pi], extended periodically.
 
-    Not smooth at 0 and pi, second derivative vanishes in between; this
-    phase exists to exercise the failure modes, and its Fourier side is
-    known in closed form.
+    Declared even.  Not smooth at 0 and pi, second derivative vanishes in
+    between; this phase exists to exercise the failure modes, and its
+    Fourier side is known in closed form.
     """
 
     def wrap(t: Array) -> Array:
@@ -186,10 +188,8 @@ def build_piecewise_abs() -> PhaseFunction:
         h=lambda t: np.abs(wrap(t)),
         d1=lambda t: np.sign(wrap(t)),
         d2=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        winding_k=0,
         odd=False,
         even=True,
-        sign=1,
         label="abs",
     )
 
@@ -200,7 +200,8 @@ def build_blaschke(alphas: Sequence[float]) -> PhaseFunction:
     One factor (e^{it} - alpha) / (1 - alpha e^{it}) contributes
     t + 2*atan(alpha sin t / (1 - alpha cos t)) to the argument.  The
     convention here takes h = -(sum of factor arguments), which makes
-    h'' > 0 on (0, pi); a product of J factors then has winding -J.
+    h'' > 0 on (0, pi); a product of J factors then has winding -J.  The
+    phase is declared odd; its winding and sign are read off h.
     Since Re(1 - alpha e^{it}) > 0, the atan never crosses a branch cut
     and h is smooth.  The formulas are those of
     :func:`build_blaschke_general` at argument zero.
@@ -243,10 +244,7 @@ def _digits(v: float) -> str:
 
 
 def _blaschke_phase(zeros: np.ndarray, odd: bool, label: str) -> PhaseFunction:
-    """The Blaschke phase for checked zeros: sums of shifted Poisson kernels.
-
-    The sign is that of h''(pi/2), as for :func:`build_from_callable`.
-    """
+    """The Blaschke phase for checked zeros: sums of shifted Poisson kernels."""
     r = np.abs(zeros)
     real = not np.any(np.imag(zeros))
 
@@ -280,29 +278,18 @@ def _blaschke_phase(zeros: np.ndarray, odd: bool, label: str) -> PhaseFunction:
     d1 = summed(lambda t, m, rc, rs: -(1.0 - m * m) / den(m, rc), reads_sin=False)
     d2 = summed(lambda t, m, rc, rs: 2.0 * (1.0 - m * m) * rs / den(m, rc) ** 2)
 
-    return PhaseFunction(
-        h=h,
-        d1=d1,
-        d2=d2,
-        winding_k=-int(np.size(zeros)),
-        odd=odd,
-        even=False,
-        sign=1 if float(d2(np.pi / 2.0)) >= 0.0 else -1,
-        label=label,
-    )
+    return PhaseFunction(h=h, d1=d1, d2=d2, odd=odd, even=False, label=label)
 
 
-def build_from_callable(
-    h: Callable[[Array], Array],
-    winding_k: int = 0,
-    label: str = "custom",
-) -> PhaseFunction:
+def build_from_callable(h: Callable[[Array], Array], label: str = "custom") -> PhaseFunction:
     """Wrap a plain callable, supplying derivatives by central differences.
 
     Good enough for exploration; the finite-difference noise floor
     (~1e-10 on d1, far worse on d2) makes this unsuitable for tight
     tolerance work, so prefer an analytic builder when one exists.
-    A winding_k that is not a finite integer raises DomainError.
+    The phase is declared odd when h(-t) + h(t) vanishes to 1e-8 on the
+    validation grid, and never even; its winding and sign are read off
+    h as for any phase.
     """
 
     def hv(t: Array) -> Array:
@@ -314,11 +301,8 @@ def build_from_callable(
     def d2(t: Array) -> Array:
         return (hv(t + _FD_STEP) - 2.0 * hv(t) + hv(t - _FD_STEP)) / _FD_STEP**2
 
-    sign = 1 if float(d2(np.asarray([np.pi / 2.0]))[0]) >= 0.0 else -1
     odd = _symmetry_defect(hv) < _SYMMETRY_TOL
-    return PhaseFunction(
-        h=hv, d1=d1, d2=d2, winding_k=winding_k, odd=odd, even=False, sign=sign, label=label
-    )
+    return PhaseFunction(h=hv, d1=d1, d2=d2, odd=odd, even=False, label=label)
 
 
 def _symmetry_defect(h: PhaseCallable, parity: int = -1) -> float:
@@ -560,7 +544,10 @@ def _newton_step(
     """One safeguarded Newton step of ``_invert_increasing_slope``.
 
     Returns the next iterate, the tightened bracket and whether each
-    target is done.
+    target is done.  A target is also done when its Newton step lands
+    exactly on an end of its bracket: that end is an earlier iterate,
+    and where the noise in g' exceeds its estimate the two ends then
+    map onto each other, a 2-cycle that no further step breaks.
     """
     f = norm.d1(t) - u
     df = norm.d2(t)
@@ -572,7 +559,8 @@ def _newton_step(
     newton = t - step
     inside = curved & (lo <= newton) & (newton <= hi)
     t_next = np.where(inside, newton, 0.5 * (lo + hi))
-    settled = inside & (np.abs(step) <= 2.0 * np.spacing(t) + noise / df)
+    small = np.abs(step) <= 2.0 * np.spacing(t) + noise / df
+    settled = inside & (small | (newton == lo) | (newton == hi))
     done = settled | (hi - lo <= 2.0 * np.spacing(hi))
     return t_next, lo, hi, done
 
@@ -703,9 +691,10 @@ def choose_phi(phase: PhaseFunction, n: float) -> float:
     the product already exceeds 1 at Phi = 1 the lower end is returned.
     A product that reaches 1 at a Phi_floor above 1 means the root lies
     below the grid's resolution, which raises DomainError.
-    h'' is sampled once into a doubling table of window extremes, and
-    each integer window width is read from it once, so the 80 bisection
-    steps cost about 20 passes rather than 160.
+    Bisection runs until its bracket ends are neighbouring floats, 49 to
+    58 midpoints.  h'' is sampled once into a doubling table of window
+    extremes, and each integer window width is read from it once, so
+    those steps cost about 20 passes rather than two per midpoint.
     """
     return _solve_phi(_Curvature(phase, _CURVATURE_GRID), n)
 
@@ -741,13 +730,12 @@ def _solve_phi(curvature: _Curvature, n: float) -> float:
             )
         return 1.0
     lo, hi = floor, upper
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):  # until lo and hi are neighbouring floats
         if product(mid) < 1.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return mid
 
 
 # ---------------------------------------------------------------------------

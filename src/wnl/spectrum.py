@@ -41,7 +41,11 @@ _SAMPLE_BUDGET = 2**24  # largest FFT grid, or quadrature level in nodes, to all
 
 
 def check_periodicity(phase: PhaseFunction, x: float) -> None:
-    """e^{i x h} is 2*pi periodic iff x * winding_k is an integer; x must be finite."""
+    """e^{i x h} is 2*pi periodic iff x * winding_k is an integer; x must be finite.
+
+    The one periodicity rule: the spectrum, its quadrature twin and
+    :func:`wnl.asymptotics.convergence_study` all apply it.
+    """
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
     xk = x * phase.winding_k
@@ -222,8 +226,9 @@ def compute_spectrum(
     only fall short or be wasted), raises DomainError before any
     sampling.  A Parseval defect above 1e-6 that widening cannot mend
     raises GridResolutionError.  A grid above 2^24 points raises
-    DomainError before any sample is allocated, and so does a phase
-    whose h' or e^{i x h} is not finite on the grid.
+    DomainError before any sample is allocated (a pinned one before
+    2**grid_pow is computed), and so does a phase whose h' or e^{i x h}
+    is not finite on the grid.
     """
     if x <= 0.0:
         raise DomainError(f"x must be positive, got {x!r}")
@@ -250,6 +255,8 @@ def compute_spectrum(
         n_grid = _fft_size(need)
     elif grid_pow is None:
         n_grid = 2 ** math.ceil(math.log2(8.0 * (peak + 64.0)))
+    elif grid_pow > _SAMPLE_BUDGET.bit_length() - 1:  # checked before 2**grid_pow is built
+        raise DomainError(f"grid_pow={grid_pow!r} pins a grid above the budget of {_SAMPLE_BUDGET}")
     else:
         n_grid = 2 ** int(grid_pow)
     if n_grid > _SAMPLE_BUDGET:

@@ -26,7 +26,7 @@ from wnl.phase import (
     require_valid,
 )
 from wnl.specfun import girard_value
-from wnl.spectrum import coefficient_quadrature, compute_spectrum
+from wnl.spectrum import coefficient_quadrature, compute_spectrum, scaled_norm
 from wnl.stationary import stationary_comparison
 
 L_SINE = 1.2171884777994833275  # 16 / Gamma(1/4)^2
@@ -250,6 +250,19 @@ def test_study_completes_for_a_zero_near_the_circle():
 def test_study_rejects_real_ladder_for_nonzero_winding():
     with pytest.raises(DomainError, match="winding"):
         convergence_study(build_blaschke([0.5]), [50.5, 100.0])
+
+
+def test_study_accepts_half_integer_scales_for_even_winding():
+    """[0.3, 0.7] has winding -2, so x * winding_k is an integer at every
+    half-integer x: e^{ixh} is 2 pi periodic there, as compute_spectrum
+    already accepts, and the study measures the same S(x)."""
+    phase = build_blaschke([0.3, 0.7])
+    params = [128.5, 256.0, 1024.5]
+    report = convergence_study(phase, params)
+    assert [r.param for r in report.rows] == params
+    for row, x, frozen in zip(report.rows, params, (1.9371, 1.9251, 1.9038)):
+        assert row.scaled_norm == scaled_norm(compute_spectrum(phase.normalized(), x))
+        assert row.scaled_norm == pytest.approx(frozen, abs=5e-5)
 
 
 def test_study_rejects_invalid_phase():

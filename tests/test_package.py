@@ -85,7 +85,7 @@ def test_public_surface_is_pinned():
 # Each public function's parameters that have defaults; functions absent here have none.
 OPTIONS = {
     "asymptotic_limit": ("tol",),
-    "build_from_callable": ("winding_k", "label"),
+    "build_from_callable": ("label",),
     "coefficient_quadrature": ("tol",),
     "compute_spectrum": ("grid_pow", "window"),
     "final_step_report": ("eps",),
@@ -105,6 +105,13 @@ def test_public_options_are_pinned():
             if defaults:
                 found[name] = defaults
     assert found == OPTIONS
+
+
+def test_phase_fields_are_pinned():
+    """A phase declares only what the code cannot read off h: winding_k
+    and sign are properties that read h and h'', not fields."""
+    fields = [f.name for f in dataclasses.fields(wnl.PhaseFunction)]
+    assert fields == ["h", "d1", "d2", "odd", "even", "label"]
 
 
 # Each wnl command's flags, 16 registrations in all.
@@ -128,6 +135,11 @@ def test_cli_flags_are_pinned():
 
 
 NAN = float("nan")
+
+
+def _nan_at_pi(t):
+    """sin t, except nan at -pi and pi, where the winding is read."""
+    return np.where(np.abs(t) == np.pi, NAN, np.sin(t))
 
 
 @pytest.mark.parametrize(
@@ -157,8 +169,8 @@ NAN = float("nan")
         lambda: wnl.hyp2f1(NAN, 0.75, 1.5, 0.3),
         lambda: wnl.hyp2f1(0.5, 0.75, NAN, 0.3),
         lambda: wnl.hyp2f1(math.inf, 0.75, 1.5, 0.3),
-        lambda: wnl.compute_spectrum(wnl.build_from_callable(np.sin, winding_k=NAN), 10.0),
-        lambda: wnl.check_periodicity(dataclasses.replace(wnl.build_sine(), winding_k=NAN), 10.0),
+        lambda: wnl.compute_spectrum(wnl.build_from_callable(_nan_at_pi), 10.0),
+        lambda: wnl.check_periodicity(wnl.build_from_callable(_nan_at_pi), 10.0),
         lambda: wnl.compute_spectrum(wnl.build_sine(), 10.0, grid_pow=NAN),
         lambda: wnl.compute_spectrum(wnl.build_sine(), 10.0, grid_pow=NAN, window="full"),
     ],
@@ -168,7 +180,8 @@ NAN = float("nan")
         "coefficient_quadrature", "asymptotic_limit", "truncated_riemann", "fractional_array",
         "fractional_array_inf", "weyl_study", "weyl_sum_j", "coefficient_quadrature_nu",
         "bessel_j", "bessel_j_sequence", "build_linear", "build_linear_inf",
-        "hyp2f1_a", "hyp2f1_c", "hyp2f1_a_inf", "build_from_callable_winding", "phase_winding",
+        "hyp2f1_a", "hyp2f1_c", "hyp2f1_a_inf", "build_from_callable_winding",
+        "phase_winding",
         "compute_spectrum_grid_pow", "compute_spectrum_grid_pow_full",
     ],
 )

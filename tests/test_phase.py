@@ -20,6 +20,7 @@ from wnl.phase import (
     _invert_increasing_slope,
     _partition,
     _slope_table,
+    _solve_phi,
     build_blaschke,
     build_blaschke_general,
     build_from_callable,
@@ -126,6 +127,48 @@ def test_blaschke_negative_real_zero_is_odd_and_normalizes():
     assert not complex_zero.odd and complex_zero.sign == 1
 
 
+# (phase, winding_k, sign) of every builder: the winding is read from
+# h(pi) - h(-pi), the sign from h''(pi/2).
+DECLARED = [
+    (build_sine(), 0, -1),
+    (build_piecewise_abs(), 0, 1),
+    (build_linear(0), 0, 1),
+    (build_linear(3), 3, 1),
+    (build_linear(-2), -2, 1),
+    (build_blaschke([0.5]), -1, 1),
+    (build_blaschke([0.3, 0.7]), -2, 1),
+    (build_blaschke([0.9]), -1, 1),
+    (build_blaschke([0.999]), -1, 1),
+    (build_blaschke([0.1, 0.2, 0.9]), -3, 1),
+    (build_blaschke_general([0.4 + 0.3j]), -1, 1),
+    (build_blaschke_general([0.4 + 0.3j, -0.6, 0.2 - 0.5j]), -3, 1),
+    (build_blaschke_general([-0.05]), -1, -1),
+    (build_blaschke_general([0.5, 0.5j]), -2, 1),
+    (build_blaschke_general([-0.999]), -1, -1),
+    (build_blaschke_general([0.999j]), -1, -1),
+    (build_from_callable(np.sin, label="sin"), 0, -1),
+    (build_from_callable(lambda t: t, label="identity"), 1, 1),
+    (build_from_callable(build_blaschke([0.9]).h, label="callable[0.9]"), -1, 1),
+]
+
+
+@pytest.mark.parametrize("phase, winding_k, sign", DECLARED, ids=[p.label for p, _, _ in DECLARED])
+def test_winding_and_sign_are_read_off_the_phase(phase, winding_k, sign):
+    """Each builder's phase, and its normalization, reads the winding and
+    sign of the table; normalizing negates the winding of a phase with
+    h'' < 0 and leaves any other alone."""
+    assert (phase.winding_k, phase.sign) == (winding_k, sign)
+    norm = phase.normalized()
+    assert (norm.winding_k, norm.sign) == (sign * winding_k, 1)
+    assert type(phase.winding_k) is int
+
+
+def test_winding_read_that_is_not_finite_names_the_phase():
+    phase = build_from_callable(lambda t: np.where(np.abs(t) == np.pi, np.nan, np.sin(t)))
+    with pytest.raises(DomainError, match=r"h\(pi\) - h\(-pi\) of 'custom' is not finite"):
+        phase.winding_k
+
+
 def test_blaschke_winding_matches_zero_count():
     assert build_blaschke([0.5]).winding_k == -1
     assert build_blaschke([0.3, 0.7]).winding_k == -2
@@ -182,9 +225,13 @@ def test_validate_checks_declared_parity():
 
 
 def test_validate_checks_the_winding():
-    report = validate(dataclasses.replace(build_sine(), winding_k=1))
+    """h(pi) - h(-pi) = pi rounds to winding 0, which h(t + 2 pi) - h(t) =
+    pi then misses: the read rounds, validate reports."""
+    phase = build_from_callable(lambda t: 0.5 * t)
+    assert phase.winding_k == 0
+    report = validate(phase)
     assert not report.periodicity_ok and not report.passed
-    assert any(m.startswith("h(t+2pi) - h(t) deviates from 2pi*1") for m in report.messages)
+    assert any(m.startswith("h(t+2pi) - h(t) deviates from 2pi*0") for m in report.messages)
 
 
 def test_require_valid_raises_with_reasons():
@@ -436,6 +483,40 @@ def test_inverse_slope_settles_early_on_final_step_targets(phase):
 
 
 @pytest.mark.parametrize(
+    "phase, n, calls",
+    [
+        (build_blaschke([0.3, 0.7]), 65536, 22),
+        (build_blaschke([0.3, 0.7]), 1000, 5),
+        (build_sine(), 9000, 2),
+    ],
+    ids=["blaschke[0.3,0.7]-65536", "blaschke[0.3,0.7]-1000", "sine-9000"],
+)
+def test_inverse_slope_ends_a_newton_2_cycle(monkeypatch, phase, n, calls):
+    """Some [0.3, 0.7] targets carry g' noise of twice the table's estimate;
+    from either end of their last bracket (1.5e-14 wide, f = +-1.4e-14)
+    the Newton step lands exactly on the other end.  Such a target is done
+    at the first landing instead of cycling to the 64-step cap: the
+    central targets take 22 calls of _newton_step at n = 65536 (14 blocks
+    in the first pass; 79 with the cycles) and 5 at n = 1000 (64 with
+    them).  Every root stays within 4 noise of its target in g'."""
+    norm = require_valid(phase)
+    central = _partition(norm, float(n)).central_range()
+    u = np.arange(central.start, central.stop) / n
+    steps = []
+    newton_step = wnl.phase._newton_step
+
+    def counted(*args):
+        steps.append(args[2].size)
+        return newton_step(*args)
+
+    monkeypatch.setattr(wnl.phase, "_newton_step", counted)
+    t = _invert_increasing_slope(norm, u)
+    assert len(steps) == calls
+    noise = _slope_table(norm)[3]
+    assert np.max(np.abs(norm.d1(t) - u)) <= 4.0 * noise
+
+
+@pytest.mark.parametrize(
     "phase", [build_sine(), build_blaschke([0.3, 0.7])], ids=lambda p: p.label
 )
 def test_inverse_slope_noise_floor_of_analytic_phases(phase):
@@ -588,6 +669,38 @@ def test_choose_phi_memo_is_bit_identical(phase, n):
     assert choose_phi(phase, n) == _plain_choose_phi(phase, n)
 
 
+@pytest.mark.parametrize(
+    "phase, bisected",
+    [(build_sine(), 60), (build_blaschke([0.3, 0.7]), 23), (build_blaschke([0.5]), 41)],
+    ids=lambda v: getattr(v, "label", str(v)),
+)
+def test_phi_bisection_stops_at_neighbouring_floats(phase, bisected):
+    """_solve_phi bisects until its bracket ends are neighbouring floats.
+    A fixed 80 midpoints, the reference here, gives the same Phi bit for
+    bit: past that point a midpoint is one of the ends, so neither moves.
+    Checked at every n of the ladder whose root lies inside [1, n^(1/4)]."""
+    curvature = _Curvature(require_valid(phase), wnl.phase._CURVATURE_GRID)
+    count = 0
+    for n in np.geomspace(2.0, 1.6e6, 60).tolist():
+        sqrt_n = math.sqrt(n)
+
+        def product(p):
+            return curvature.omega(p / sqrt_n) * p**4
+
+        lo, hi = 1.0, n**0.25
+        if product(hi) <= 1.0 or product(lo) >= 1.0:
+            continue  # a clamp, not a bisection
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if product(mid) < 1.0:
+                lo = mid
+            else:
+                hi = mid
+        assert _solve_phi(curvature, n) == 0.5 * (lo + hi)
+        count += 1
+    assert count == bisected
+
+
 def test_partition_samples_curvature_once():
     norm = require_valid(build_sine())
     sizes = []
@@ -722,12 +835,6 @@ def test_partition_classes_come_in_order_with_empty_central_window(phase, left, 
     masks = _masks(part, np.arange(-40, 41))
     assert masks["periphery_left"].sum() == left
     assert masks["periphery_right"].sum() == right
-
-
-@pytest.mark.parametrize("winding_k", [0.5, math.inf], ids=["half", "inf"])
-def test_build_from_callable_refuses_non_integer_winding(winding_k):
-    with pytest.raises(DomainError, match="winding_k must be an integer"):
-        build_from_callable(np.sin, winding_k=winding_k)
 
 
 def test_build_from_callable_detects_structure():
