@@ -88,9 +88,12 @@ def _root_curvature_integral(
     """scale times the integral of sqrt(|h''|) over [lo, hi], split at the zeros of h''.
 
     The brackets of :func:`wnl.phase._curvature_sign_changes` that start
-    before hi, bisected all at once, give the zeros; one more than 1e-9
-    past the edge before it and short of hi is an edge.  Pieces refine
-    toward both ends, where sqrt(|h''|) typically vanishes like a power.
+    before hi, bisected all at once until their ends are neighbouring
+    floats, give the zeros; one more than 1e-9 past the edge before it
+    and short of hi is an edge.  Each piece [a, b], 0 <= a < b, refines
+    toward both ends, where sqrt(|h''|) typically vanishes like a power,
+    but no deeper than the level whose end panels span 8 float spacings
+    at b: a narrow piece at 2 pi would otherwise run out of distinct edges.
     """
     edges = [lo]
     scan = _curvature_sign_changes(phase)
@@ -98,20 +101,21 @@ def _root_curvature_integral(
     a, b = brackets[brackets[:, 0] < hi].T
     if a.size:
         left_neg = phase.d2(a) < 0.0
-        for _ in range(60):
-            m = 0.5 * (a + b)
+        while np.any(((m := 0.5 * (a + b)) != a) & (m != b)):
             stays = (phase.d2(m) < 0.0) == left_neg
             a, b = np.where(stays, m, a), np.where(stays, b, m)
-        for kink in (0.5 * (a + b)).tolist():
+        for kink in m.tolist():
             if kink - edges[-1] > 1e-9 and hi - kink > 1e-9:
                 edges.append(kink)
     edges.append(hi)
+    caps = [int(math.log2((b - a) / (8.0 * np.spacing(b)))) for a, b in zip(edges, edges[1:])]
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.sqrt(np.abs(phase.d2(t)))
 
     def pieces(level: int) -> list[np.ndarray]:
-        return [_geometric_breakpoints(lo, hi, level) for lo, hi in zip(edges, edges[1:])]
+        spans = zip(edges, edges[1:], caps)
+        return [_geometric_breakpoints(a, b, min(level, cap)) for a, b, cap in spans]
 
     what = f"sqrt|h''| of {phase.label!r}"
     failure = f"{name} did not stabilize to {tol:g} for {phase.label!r}"

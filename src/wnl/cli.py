@@ -241,7 +241,7 @@ def cmd_explore_blaschke(args: argparse.Namespace) -> int:
     if not args.phase_spec.strip().lower().startswith("blaschke"):
         raise DomainError("explore-blaschke needs a blaschke:... phase spec")
     phase = parse_phase(args.phase_spec, allow_complex=True)
-    exploratory = not phase.odd
+    exploratory = not validate(phase).passed
     reference = full_circle_reference(phase)
     rows = []
     for p in args.params:

@@ -1,8 +1,9 @@
 """Phase functions h and the analytic machinery built on them.
 
-A phase is a real 2*pi-quasi-periodic function h with h(t + 2*pi) =
-h(t) + 2*pi*k for an integer winding number k, smooth on (0, pi) with
-h'' of one sign there.  The quantities everything downstream needs are
+A phase is a real odd function h with h(t + 2*pi) = h(t) + 2*pi*k for
+an integer winding number k, smooth on (0, pi) with h'' of one sign
+there; ``validate`` checks each of these.  The quantities everything
+downstream needs are
 
 * the inverse ``psi`` of h' on [0, pi],
 * the Legendre-type transform x*psi(x) - h(psi(x)),
@@ -44,22 +45,30 @@ _SIGN_SCAN_GRID = 4097  # samples of h'' on [0, 2 pi] behind its sign changes
 
 @dataclass(frozen=True)
 class PhaseFunction:
-    """A phase h bundled with its first two derivatives.
+    """A phase h bundled with its first two derivatives and a label.
 
     All three callables must accept and return numpy arrays (scalars are
-    promoted).  ``odd`` declares h(-t) = -h(t) and ``even`` declares
-    h(-t) = h(t); the spectrum takes a half route on either.  Builders
-    declare both, ``validate`` checks them.  The winding number and the
-    orientation are facts of h, so they are read off it rather than
-    declared: see ``winding_k`` and ``sign``.
+    promoted).  Everything else is a fact of h, read off it rather than
+    declared: the winding number and orientation (``winding_k``,
+    ``sign``) and the parities ``odd`` and ``even``, on either of which
+    the spectrum takes a half route.  Each is a property that evaluates
+    the callables, so a caller reads it once per call, never per sample.
     """
 
     h: PhaseCallable
     d1: PhaseCallable
     d2: PhaseCallable
-    odd: bool
-    even: bool
     label: str
+
+    @property
+    def odd(self) -> bool:
+        """h(-t) = -h(t): |h(-t) + h(t)| < 1e-8 on the validation grid."""
+        return _symmetry_defect(self.h, -1) < _SYMMETRY_TOL
+
+    @property
+    def even(self) -> bool:
+        """h(-t) = h(t): |h(-t) - h(t)| < 1e-8 on the validation grid."""
+        return _symmetry_defect(self.h, 1) < _SYMMETRY_TOL
 
     @property
     def winding_k(self) -> int:
@@ -86,8 +95,6 @@ class PhaseFunction:
             h=lambda t: -h(t),
             d1=lambda t: -d1(t),
             d2=lambda t: -d2(t),
-            odd=self.odd,
-            even=self.even,
             label=f"-({self.label})",
         )
 
@@ -146,19 +153,17 @@ class ValidationReport:
 
 
 def build_sine() -> PhaseFunction:
-    """h(t) = sin t, declared odd.  Coefficients of e^{ix sin t} are Bessel J_nu(x)."""
+    """h(t) = sin t, odd.  Coefficients of e^{ix sin t} are Bessel J_nu(x)."""
     return PhaseFunction(
         h=np.sin,
         d1=np.cos,
         d2=lambda t: -np.sin(t),
-        odd=True,
-        even=False,
         label="sine",
     )
 
 
 def build_linear(k: int) -> PhaseFunction:
-    """h(t) = k*t for integer k, declared odd, of winding k.  Degenerate: h'' = 0."""
+    """h(t) = k*t for integer k, odd, of winding k.  Degenerate: h'' = 0."""
     if not math.isfinite(k) or k != int(k):
         raise DomainError(f"linear phase needs an integer slope, got {k!r}")
     k = int(k)
@@ -166,8 +171,6 @@ def build_linear(k: int) -> PhaseFunction:
         h=lambda t: k * np.asarray(t, dtype=float),
         d1=lambda t: np.full_like(np.asarray(t, dtype=float), float(k)),
         d2=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        odd=True,
-        even=False,
         label=f"linear[{k}]",
     )
 
@@ -175,7 +178,7 @@ def build_linear(k: int) -> PhaseFunction:
 def build_piecewise_abs() -> PhaseFunction:
     """h(t) = |t| on [-pi, pi], extended periodically.
 
-    Declared even.  Not smooth at 0 and pi, second derivative vanishes in
+    Even.  Not smooth at 0 and pi, second derivative vanishes in
     between; this phase exists to exercise the failure modes, and its
     Fourier side is known in closed form.
     """
@@ -188,8 +191,6 @@ def build_piecewise_abs() -> PhaseFunction:
         h=lambda t: np.abs(wrap(t)),
         d1=lambda t: np.sign(wrap(t)),
         d2=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        odd=False,
-        even=True,
         label="abs",
     )
 
@@ -201,7 +202,7 @@ def build_blaschke(alphas: Sequence[float]) -> PhaseFunction:
     t + 2*atan(alpha sin t / (1 - alpha cos t)) to the argument.  The
     convention here takes h = -(sum of factor arguments), which makes
     h'' > 0 on (0, pi); a product of J factors then has winding -J.  The
-    phase is declared odd; its winding and sign are read off h.
+    phase is odd; its parity, winding and sign are read off h.
     Since Re(1 - alpha e^{it}) > 0, the atan never crosses a branch cut
     and h is smooth.  The formulas are those of
     :func:`build_blaschke_general` at argument zero.
@@ -212,18 +213,18 @@ def build_blaschke(alphas: Sequence[float]) -> PhaseFunction:
     if np.any(~((a > 0.0) & (a < 1.0))):  # nan fails too
         raise DomainError(f"zero moduli must lie in (0, 1), got {alphas!r}")
     levels = ",".join(map(_digits, a))
-    return _blaschke_phase(a, odd=True, label=f"blaschke[{levels}]")
+    return _blaschke_phase(a, label=f"blaschke[{levels}]")
 
 
 def build_blaschke_general(zeros: Sequence[complex]) -> PhaseFunction:
     """Blaschke phase for complex zeros a_j with 0 < |a_j| < 1.
 
     Same convention as :func:`build_blaschke`.  Real zeros of either
-    sign keep the phase odd; a negative zero turns h'' negative on
-    (0, pi), so the sign is read from h''(pi/2) as for any phase.  With
-    zeros off the real axis the phase loses its odd symmetry and h'' can
-    change sign, both of which ``validate`` will report.  Derivatives
-    are sums of shifted Poisson kernels.
+    sign keep the phase odd, and so does a set closed under conjugation;
+    a negative zero turns h'' negative on (0, pi).  Other zeros off the
+    real axis break the odd symmetry and can make h'' change sign, both
+    of which ``validate`` will report.  Derivatives are sums of shifted
+    Poisson kernels.
     """
     z = np.asarray(zeros, dtype=complex)
     if z.ndim != 1 or z.size == 0:
@@ -234,7 +235,7 @@ def build_blaschke_general(zeros: Sequence[complex]) -> PhaseFunction:
     levels = ",".join(
         f"{_digits(v.real)}{'' if np.signbit(v.imag) else '+'}{_digits(v.imag)}j" for v in z
     )
-    return _blaschke_phase(z, odd=bool(np.all(z.imag == 0.0)), label=f"blaschke*[{levels}]")
+    return _blaschke_phase(z, label=f"blaschke*[{levels}]")
 
 
 def _digits(v: float) -> str:
@@ -243,7 +244,7 @@ def _digits(v: float) -> str:
     return repr(float(v)).removesuffix(".0")
 
 
-def _blaschke_phase(zeros: np.ndarray, odd: bool, label: str) -> PhaseFunction:
+def _blaschke_phase(zeros: np.ndarray, label: str) -> PhaseFunction:
     """The Blaschke phase for checked zeros: sums of shifted Poisson kernels."""
     r = np.abs(zeros)
     real = not np.any(np.imag(zeros))
@@ -278,7 +279,7 @@ def _blaschke_phase(zeros: np.ndarray, odd: bool, label: str) -> PhaseFunction:
     d1 = summed(lambda t, m, rc, rs: -(1.0 - m * m) / den(m, rc), reads_sin=False)
     d2 = summed(lambda t, m, rc, rs: 2.0 * (1.0 - m * m) * rs / den(m, rc) ** 2)
 
-    return PhaseFunction(h=h, d1=d1, d2=d2, odd=odd, even=False, label=label)
+    return PhaseFunction(h=h, d1=d1, d2=d2, label=label)
 
 
 def build_from_callable(h: Callable[[Array], Array], label: str = "custom") -> PhaseFunction:
@@ -287,9 +288,7 @@ def build_from_callable(h: Callable[[Array], Array], label: str = "custom") -> P
     Good enough for exploration; the finite-difference noise floor
     (~1e-10 on d1, far worse on d2) makes this unsuitable for tight
     tolerance work, so prefer an analytic builder when one exists.
-    The phase is declared odd when h(-t) + h(t) vanishes to 1e-8 on the
-    validation grid, and never even; its winding and sign are read off
-    h as for any phase.
+    Parity, winding and sign are read off h as for any phase.
     """
 
     def hv(t: Array) -> Array:
@@ -301,11 +300,10 @@ def build_from_callable(h: Callable[[Array], Array], label: str = "custom") -> P
     def d2(t: Array) -> Array:
         return (hv(t + _FD_STEP) - 2.0 * hv(t) + hv(t - _FD_STEP)) / _FD_STEP**2
 
-    odd = _symmetry_defect(hv) < _SYMMETRY_TOL
-    return PhaseFunction(h=hv, d1=d1, d2=d2, odd=odd, even=False, label=label)
+    return PhaseFunction(h=hv, d1=d1, d2=d2, label=label)
 
 
-def _symmetry_defect(h: PhaseCallable, parity: int = -1) -> float:
+def _symmetry_defect(h: PhaseCallable, parity: int) -> float:
     """max |h(-t) - parity h(t)| over the validation grid; zero to rounding
     iff h is odd (parity -1) or even (parity +1)."""
     t = np.linspace(-np.pi + 1e-6, np.pi - 1e-6, _VALIDATE_GRID)
@@ -318,7 +316,8 @@ def _symmetry_defect(h: PhaseCallable, parity: int = -1) -> float:
 
 
 def validate(phase: PhaseFunction) -> ValidationReport:
-    """Structural checks: periodicity, symmetry, convexity, endpoint growth.
+    """Structural checks: periodicity, oddness (the theorem's, so even abs
+    fails it), convexity, endpoint growth.
 
     Regularity near the endpoints is probed through the doubling ratio
     |h''(2s)| / |h''(s)| on a dyadic ladder descending from s = pi/8; a
@@ -338,18 +337,10 @@ def validate(phase: PhaseFunction) -> ValidationReport:
             f"{np.max(np.abs(per)):.3e}"
         )
 
-    symmetry_ok = True
-    for declared, parity, name, expr in (
-        (phase.odd, -1, "odd", "h(-t)+h(t)"),
-        (phase.even, 1, "even", "h(-t)-h(t)"),
-    ):
-        if declared:
-            sym = _symmetry_defect(phase.h, parity)
-            if not sym < _SYMMETRY_TOL:  # a nan defect fails too
-                symmetry_ok = False
-                msgs.append(f"declared {name} but {expr} reaches {sym:.3e}")
-    if not (phase.odd or phase.even):
-        msgs.append("phase not declared odd; symmetry not required")
+    sym = _symmetry_defect(phase.h, -1)
+    symmetry_ok = sym < _SYMMETRY_TOL  # a nan defect fails too
+    if not symmetry_ok:
+        msgs.append(f"h is not odd: h(-t)+h(t) reaches {sym:.3e}")
 
     ti = np.linspace(_INTERIOR_MARGIN, np.pi - _INTERIOR_MARGIN, _VALIDATE_GRID)[1:-1]
     curv = phase.sign * phase.d2(ti)

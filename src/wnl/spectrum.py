@@ -164,18 +164,21 @@ def _fft_size(n: float) -> int:
 def _grid_coefficients(phase: PhaseFunction, x: float, n_grid: int) -> np.ndarray:
     """All N coefficients of e^{i x h(t)} on the N-point grid, from one FFT.
 
-    An odd or even phase is sampled on [0, pi] only, N/2 + 1 points.
+    An odd or even phase (read once, even only if not odd) is sampled on
+    [0, pi] only, N/2 + 1 points.
     """
-    m = n_grid // 2 + 1 if phase.odd or phase.even else n_grid
+    odd = phase.odd
+    even = not odd and phase.even
+    m = n_grid // 2 + 1 if odd or even else n_grid
     hv = phase.h(2.0 * np.pi * np.arange(m) / n_grid)  # before z: h's own peak comes first
-    z = np.empty(n_grid if phase.even else m, dtype=complex)
+    z = np.empty(n_grid if even else m, dtype=complex)
     head = z[:m]
     np.multiply(1j * x, hv, out=head)
     del hv
     np.exp(head, out=head)
-    if phase.odd:
+    if odd:
         return np.fft.hfft(z, n_grid, norm="forward")
-    if phase.even:
+    if even:
         z[m:] = z[m - 2 : 0 : -1]  # the sample at t_{N-j} is the one at t_j
     return np.fft.fft(z, norm="forward", out=z)
 
@@ -347,10 +350,11 @@ def coefficient_quadrature(
     nu = _index(nu)
     slope = max(abs(v) for v in phase.slope_range())
     travel = abs(x) * slope + abs(nu)
-    start = 0.0 if phase.odd else -math.pi
+    odd = phase.odd
+    start = 0.0 if odd else -math.pi
     span = math.pi - start
     panels0 = max(4, math.ceil(travel * span / _PANEL_PHASE))
-    if not phase.odd:
+    if not odd:
         panels0 += panels0 % 2  # t = 0, where abs has its kink, on a panel edge
     doublings = min(_QUAD_MAX_DOUBLINGS, (_SAMPLE_BUDGET // (16 * panels0)).bit_length() - 1)
     if doublings < 0:  # 16 nodes per panel
@@ -359,7 +363,7 @@ def coefficient_quadrature(
     def integrand(t: np.ndarray) -> np.ndarray:
         arg = x * phase.h(t)  # a new array: h may return t itself
         arg -= nu * t
-        if phase.odd:
+        if odd:
             return np.cos(arg, out=arg)
         z = 1j * arg
         return np.exp(z, out=z)

@@ -153,6 +153,21 @@ def test_central_difference_curvature_is_within_its_noise(route):
     assert got == pytest.approx(L_SINE, abs=1e-6)
 
 
+def test_full_circle_reference_refines_a_narrow_end_piece():
+    """Central-difference noise in h'' of the callable [0.9] puts a sign
+    change just short of 2 pi, and the piece it cuts off is too narrow
+    for the deepest geometric levels: their edges would fall below the
+    float spacing at 2 pi.  Each piece stops refining where its end
+    panels still span 8 floats, so the route ends in a value near the
+    analytic one, or a WnlError, never a bare ValueError."""
+    phase = build_from_callable(build_blaschke([0.9]).h)
+    try:
+        got = full_circle_reference(phase)
+    except WnlError:
+        return
+    assert got == pytest.approx(full_circle_reference(build_blaschke([0.9])), abs=1e-6)
+
+
 def test_study_takes_a_central_difference_phase():
     """The study asks the limit to 1e-10, below the noise of a
     central-difference h''; it completes with that noise in its limit."""
@@ -268,6 +283,16 @@ def test_study_accepts_half_integer_scales_for_even_winding():
 def test_study_rejects_invalid_phase():
     with pytest.raises(WnlError, match="validation"):
         convergence_study(build_linear(2), [50.0, 100.0])
+
+
+def test_study_refuses_a_phase_that_is_not_odd():
+    """-sin t - 0.025 cos 2t passes every check but oddness.  The theorem
+    does not cover it: its scaled norms head away from the [0, pi] limit
+    a study would print (S(16384) = 1.2296 against L = 1.2438), so the
+    study refuses it."""
+    phase = build_from_callable(lambda t: -np.sin(t) - 0.025 * np.cos(2.0 * t))
+    with pytest.raises(DomainError, match="h is not odd"):
+        convergence_study(phase, [64.0, 128.0])
 
 
 def test_report_csv_and_json(tmp_path):

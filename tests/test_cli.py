@@ -299,6 +299,19 @@ def test_explore_blaschke_complex_zero(tmp_path):
     assert "exploratory: no theorem applies" in out.read_text().splitlines()[0]
 
 
+def test_explore_blaschke_conjugate_zeros_stay_exploratory(tmp_path):
+    """The zeros 0.4 +- 0.3j make h odd, but h'' changes sign on (0, pi),
+    so validation fails and no theorem applies: the run is exploratory."""
+    out = tmp_path / "explore.csv"
+    with pytest.warns(UserWarning):
+        code = main(
+            ["explore-blaschke", "--phase", "blaschke:0.4+0.3j,0.4-0.3j",
+             "--params", "20", "--out", str(out)]
+        )
+    assert code == 0
+    assert "exploratory: no theorem applies" in out.read_text().splitlines()[0]
+
+
 def test_explore_blaschke_rejects_other_phases():
     assert main(["explore-blaschke", "--phase", "sine", "--params", "20"]) == 1
 

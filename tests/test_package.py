@@ -108,10 +108,10 @@ def test_public_options_are_pinned():
 
 
 def test_phase_fields_are_pinned():
-    """A phase declares only what the code cannot read off h: winding_k
-    and sign are properties that read h and h'', not fields."""
+    """A phase declares only what the code cannot read off h: winding_k,
+    sign, odd and even are properties that read h and h'', not fields."""
     fields = [f.name for f in dataclasses.fields(wnl.PhaseFunction)]
-    assert fields == ["h", "d1", "d2", "odd", "even", "label"]
+    assert fields == ["h", "d1", "d2", "label"]
 
 
 # Each wnl command's flags, 16 registrations in all.

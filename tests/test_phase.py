@@ -127,33 +127,36 @@ def test_blaschke_negative_real_zero_is_odd_and_normalizes():
     assert not complex_zero.odd and complex_zero.sign == 1
 
 
-# (phase, winding_k, sign) of every builder: the winding is read from
-# h(pi) - h(-pi), the sign from h''(pi/2).
+# (phase, winding_k, sign, odd, even) of every builder: the winding is
+# read from h(pi) - h(-pi), the sign from h''(pi/2), and the parity from
+# h(-t) -+ h(t) on the validation grid.  The parities are the values the
+# builders once declared, but for linear[0]: h = 0 is even as well as odd.
 DECLARED = [
-    (build_sine(), 0, -1),
-    (build_piecewise_abs(), 0, 1),
-    (build_linear(0), 0, 1),
-    (build_linear(3), 3, 1),
-    (build_linear(-2), -2, 1),
-    (build_blaschke([0.5]), -1, 1),
-    (build_blaschke([0.3, 0.7]), -2, 1),
-    (build_blaschke([0.9]), -1, 1),
-    (build_blaschke([0.999]), -1, 1),
-    (build_blaschke([0.1, 0.2, 0.9]), -3, 1),
-    (build_blaschke_general([0.4 + 0.3j]), -1, 1),
-    (build_blaschke_general([0.4 + 0.3j, -0.6, 0.2 - 0.5j]), -3, 1),
-    (build_blaschke_general([-0.05]), -1, -1),
-    (build_blaschke_general([0.5, 0.5j]), -2, 1),
-    (build_blaschke_general([-0.999]), -1, -1),
-    (build_blaschke_general([0.999j]), -1, -1),
-    (build_from_callable(np.sin, label="sin"), 0, -1),
-    (build_from_callable(lambda t: t, label="identity"), 1, 1),
-    (build_from_callable(build_blaschke([0.9]).h, label="callable[0.9]"), -1, 1),
+    (build_sine(), 0, -1, True, False),
+    (build_piecewise_abs(), 0, 1, False, True),
+    (build_linear(0), 0, 1, True, True),
+    (build_linear(3), 3, 1, True, False),
+    (build_linear(-2), -2, 1, True, False),
+    (build_blaschke([0.5]), -1, 1, True, False),
+    (build_blaschke([0.3, 0.7]), -2, 1, True, False),
+    (build_blaschke([0.9]), -1, 1, True, False),
+    (build_blaschke([0.999]), -1, 1, True, False),
+    (build_blaschke([0.1, 0.2, 0.9]), -3, 1, True, False),
+    (build_blaschke_general([0.4 + 0.3j]), -1, 1, False, False),
+    (build_blaschke_general([0.4 + 0.3j, -0.6, 0.2 - 0.5j]), -3, 1, False, False),
+    (build_blaschke_general([-0.05]), -1, -1, True, False),
+    (build_blaschke_general([0.5, 0.5j]), -2, 1, False, False),
+    (build_blaschke_general([-0.999]), -1, -1, True, False),
+    (build_blaschke_general([0.999j]), -1, -1, False, False),
+    (build_from_callable(np.sin, label="sin"), 0, -1, True, False),
+    (build_from_callable(lambda t: t, label="identity"), 1, 1, True, False),
+    (build_from_callable(build_blaschke([0.9]).h, label="callable[0.9]"), -1, 1, True, False),
 ]
+DECLARED_IDS = [p.label for p, *_ in DECLARED]
 
 
-@pytest.mark.parametrize("phase, winding_k, sign", DECLARED, ids=[p.label for p, _, _ in DECLARED])
-def test_winding_and_sign_are_read_off_the_phase(phase, winding_k, sign):
+@pytest.mark.parametrize("phase, winding_k, sign, odd, even", DECLARED, ids=DECLARED_IDS)
+def test_winding_and_sign_are_read_off_the_phase(phase, winding_k, sign, odd, even):
     """Each builder's phase, and its normalization, reads the winding and
     sign of the table; normalizing negates the winding of a phase with
     h'' < 0 and leaves any other alone."""
@@ -161,6 +164,22 @@ def test_winding_and_sign_are_read_off_the_phase(phase, winding_k, sign):
     norm = phase.normalized()
     assert (norm.winding_k, norm.sign) == (sign * winding_k, 1)
     assert type(phase.winding_k) is int
+
+
+@pytest.mark.parametrize("phase, winding_k, sign, odd, even", DECLARED, ids=DECLARED_IDS)
+def test_parity_is_read_off_the_phase(phase, winding_k, sign, odd, even):
+    """Each builder's phase, and its normalization, reads the parity of
+    the table: negating h keeps it."""
+    assert (phase.odd, phase.even) == (odd, even)
+    norm = phase.normalized()
+    assert (norm.odd, norm.even) == (odd, even)
+
+
+def test_conjugate_zeros_make_an_odd_phase():
+    """A zero set closed under conjugation gives h(-t) = -h(t), so its
+    phase reads odd and takes the half routes."""
+    phase = build_blaschke_general([0.4 + 0.3j, 0.4 - 0.3j])
+    assert phase.odd and not phase.even
 
 
 def test_winding_read_that_is_not_finite_names_the_phase():
@@ -209,19 +228,29 @@ def test_validate(phase, ok):
     assert validate(phase).passed is ok
 
 
-def test_validate_checks_declared_parity():
-    """Only abs is built even; a phase declared even must be, as one
-    declared odd must be odd, since the spectrum's half routes trust it."""
-    assert build_piecewise_abs().even and not build_piecewise_abs().odd
-    assert not any(p.even for p in (build_sine(), build_linear(2), build_blaschke([0.5])))
-    assert validate(build_piecewise_abs()).symmetry_ok
-    report = validate(dataclasses.replace(build_sine(), even=True))
+def test_validate_checks_oddness():
+    """The theorem assumes an odd h, so validate checks oddness on every
+    phase: the even abs fails it, with the defect in the note, while sine
+    and [0.3,0.7] pass it without a note."""
+    report = validate(build_piecewise_abs())
     assert not report.symmetry_ok and not report.passed
-    assert any(m.startswith("declared even but h(-t)-h(t) reaches") for m in report.messages)
-    assert not any(m.startswith("declared odd") for m in report.messages)
-    odd_abs = validate(dataclasses.replace(build_piecewise_abs(), odd=True))
-    assert not odd_abs.symmetry_ok
-    assert any(m.startswith("declared odd but h(-t)+h(t) reaches") for m in odd_abs.messages)
+    assert "h is not odd: h(-t)+h(t) reaches 6.283e+00" in report.messages
+    for phase in (build_sine(), build_blaschke([0.3, 0.7])):
+        report = validate(phase)
+        assert report.symmetry_ok and report.passed
+        assert not any("odd" in m for m in report.messages)
+
+
+def test_require_valid_refuses_a_phase_that_is_not_odd():
+    """-sin t - 0.025 cos 2t has winding 0 and h'' = sin t + 0.1 cos 2t > 0
+    on (0, pi), so oddness is the only check it fails."""
+    phase = build_from_callable(lambda t: -np.sin(t) - 0.025 * np.cos(2.0 * t))
+    report = validate(phase)
+    assert not report.symmetry_ok
+    assert report.periodicity_ok and report.sign_ok
+    assert report.regularity_0_ok and report.regularity_pi_ok
+    with pytest.raises(DomainError, match="h is not odd"):
+        require_valid(phase)
 
 
 def test_validate_checks_the_winding():

@@ -18,6 +18,7 @@ from wnl.errors import (
     QuadratureBudgetError,
 )
 from wnl.phase import (
+    PhaseFunction,
     build_blaschke,
     build_blaschke_general,
     build_from_callable,
@@ -67,6 +68,22 @@ def test_odd_phase_coefficients_are_real(phase):
     assert np.max(np.abs(spec.coeffs.imag)) < 1e-12
 
 
+class _FullRoute(PhaseFunction):
+    """A phase that reads neither odd nor even, whatever h is: the
+    spectrum and the quadrature take their full-circle routes."""
+
+    odd = False
+    even = False
+
+
+class _OddRoute(PhaseFunction):
+    """A phase that reads odd without sampling h, so an instrumented h
+    sees the nodes of the half route and nothing else."""
+
+    odd = True
+    even = False
+
+
 @pytest.mark.parametrize(
     "phase, xs",
     [
@@ -81,7 +98,7 @@ def test_half_route_matches_full_route(phase, xs):
     parts stay at rounding level, so the reality check still sees an FFT."""
     for x in xs:
         half = compute_spectrum(phase, x)
-        full = compute_spectrum(dataclasses.replace(phase, odd=False), x)
+        full = compute_spectrum(_FullRoute(phase.h, phase.d1, phase.d2, phase.label), x)
         assert (half.nu_min, half.nu_max, half.grid_size) == (
             full.nu_min,
             full.nu_max,
@@ -115,7 +132,8 @@ def test_rotated_zeros_keep_every_magnitude(theta, x):
 def test_even_half_route_matches_full_route():
     """The even abs phase samples h on [0, pi] only and mirrors; forcing
     the full N-point sample must give the same window, grid and
-    coefficients."""
+    coefficients.  The parity reads sample h inside (-pi, pi), under
+    the instrument's bound of pi."""
     phase = build_piecewise_abs()
     seen = []
 
@@ -127,7 +145,8 @@ def test_even_half_route_matches_full_route():
         seen.clear()
         half = compute_spectrum(dataclasses.replace(phase, h=h), x, window="full")
         assert max(seen) <= np.pi  # the half route ran
-        full = compute_spectrum(dataclasses.replace(phase, even=False), x, window="full")
+        full_phase = _FullRoute(phase.h, phase.d1, phase.d2, phase.label)
+        full = compute_spectrum(full_phase, x, window="full")
         assert (half.nu_min, half.nu_max, half.grid_size) == (
             full.nu_min,
             full.nu_max,
@@ -206,7 +225,8 @@ def test_quadrature_half_route_matches_full_route(phase, xs):
     own tol, at indices on both band edges, inside and outside the band.
     For sine both routes are also held against scipy's J_nu(x).  The
     instrument records node arrays only, not the 0-d reads of the
-    winding at -pi and pi."""
+    winding at -pi and pi, and the instrumented phase reads odd without
+    sampling h."""
     seen = []
 
     def h(t):
@@ -214,7 +234,8 @@ def test_quadrature_half_route_matches_full_route(phase, xs):
             seen.append(np.min(t))
         return phase.h(t)
 
-    half_phase = dataclasses.replace(phase, h=h)
+    half_phase = _OddRoute(h, phase.d1, phase.d2, phase.label)
+    full_phase = _FullRoute(phase.h, phase.d1, phase.d2, phase.label)
     for x in xs:
         m1, m2 = phase.slope_range()
         lo, hi = round(x * m1), round(x * m2)
@@ -222,7 +243,7 @@ def test_quadrature_half_route_matches_full_route(phase, xs):
             seen.clear()
             half = coefficient_quadrature(half_phase, x, nu)
             assert min(seen) >= 0.0  # the half route ran
-            full = coefficient_quadrature(dataclasses.replace(phase, odd=False), x, nu)
+            full = coefficient_quadrature(full_phase, x, nu)
             assert abs(half - full) <= 1e-11
             if phase.label == "sine":
                 assert abs(half - jv(nu, x)) <= 1e-11
