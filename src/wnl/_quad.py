@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureBudgetError
 
-_BLOCK_NODES = 32768  # nodes per integrand call: 256 KB temporaries beat full-size ones
+_BLOCK = 32768  # points per vectorized call, package-wide: 256 KB temporaries beat full-size ones
 
 
 def require_tolerance(tol: float) -> None:
@@ -59,14 +59,14 @@ def integrate_panels(
 ) -> complex:
     """Sum of weights * f(nodes) over the composite rule.
 
-    f runs on blocks of about ``_BLOCK_NODES`` nodes, so none of its
+    f runs on blocks of about ``_BLOCK`` nodes, so none of its
     temporaries is larger than a block; the weighted values go into one
     array that is summed once, which gives the sum of a single call on
     all nodes bit for bit.  f must act pointwise.
     """
     bp = _checked(breakpoints)
     panels = bp.size - 1
-    step = max(1, _BLOCK_NODES // order)
+    step = max(1, _BLOCK // order)
     terms = None
     for first in range(0, panels, step):
         nodes, weights = _rule(bp[first : first + step + 1], order)

@@ -23,14 +23,16 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
+from ._quad import _BLOCK
 from .errors import DomainError
 
 Array = np.ndarray
 PhaseCallable = Callable[[Array], Array]
+_T = TypeVar("_T")
 
 _INTERIOR_MARGIN = 1e-9  # keep evaluation strictly inside (0, pi)
 _SLOPE_RANGE_GRID = 4097  # samples of h' in PhaseFunction.slope_range
@@ -43,16 +45,39 @@ _CURVATURE_GRID = 16384  # samples of h'' on [0, pi] behind Phi and omega
 _SIGN_SCAN_GRID = 4097  # samples of h'' on [0, 2 pi] behind its sign changes
 
 
+def _once(f: Callable[[PhaseFunction], _T]) -> Callable[[PhaseFunction], _T]:
+    """f(phase), computed on the first call and kept in the phase's ``__dict__``.
+
+    Every fact f derives from a phase's callables alone is fixed for the
+    life of the frozen object, so each is derived once per phase object;
+    ``dataclasses.replace(phase)`` starts afresh.  A raise is not kept.
+    The value must not hold the phase itself: a phase that kept itself
+    would live until the garbage collector found the cycle.
+    """
+    key = f.__qualname__
+
+    @functools.wraps(f)
+    def once(phase: PhaseFunction) -> _T:
+        memo = phase.__dict__
+        if key not in memo:
+            memo[key] = f(phase)
+        return memo[key]
+
+    return once
+
+
 @dataclass(frozen=True)
 class PhaseFunction:
     """A phase h bundled with its first two derivatives and a label.
 
     All three callables must accept and return numpy arrays (scalars are
-    promoted).  Everything else is a fact of h, read off it rather than
-    declared: the winding number and orientation (``winding_k``,
-    ``sign``) and the parities ``odd`` and ``even``, on either of which
-    the spectrum takes a half route.  Each is a property that evaluates
-    the callables, so a caller reads it once per call, never per sample.
+    promoted), and must be pure: the same t always gives the same values.
+    Everything else is a fact of h, read off it rather than declared: the
+    winding number and orientation (``winding_k``, ``sign``) and the
+    parities ``odd`` and ``even``, on either of which the spectrum takes
+    a half route.  These, the slope range, the normalization, its
+    validation, the curvature profile, the sign scan of h'' and the
+    inverse-slope table are each derived once per phase object.
     """
 
     h: PhaseCallable
@@ -61,16 +86,19 @@ class PhaseFunction:
     label: str
 
     @property
+    @_once
     def odd(self) -> bool:
         """h(-t) = -h(t): |h(-t) + h(t)| < 1e-8 on the validation grid."""
         return _symmetry_defect(self.h, -1) < _SYMMETRY_TOL
 
     @property
+    @_once
     def even(self) -> bool:
         """h(-t) = h(t): |h(-t) - h(t)| < 1e-8 on the validation grid."""
         return _symmetry_defect(self.h, 1) < _SYMMETRY_TOL
 
     @property
+    @_once
     def winding_k(self) -> int:
         """k of h(t + 2 pi) = h(t) + 2 pi k: the nearest integer to
         (h(pi) - h(-pi)) / 2 pi.  A non-finite read raises DomainError; a
@@ -81,15 +109,20 @@ class PhaseFunction:
         return round(shift / (2.0 * np.pi))
 
     @property
+    @_once
     def sign(self) -> int:
         """+1 when h''(pi/2) >= 0, else -1: the sign of h'' on (0, pi) for
         an admissible phase, which ``validate`` checks."""
         return 1 if float(self.d2(np.asarray(np.pi / 2.0))) >= 0.0 else -1
 
     def normalized(self) -> "PhaseFunction":
-        """The phase sign*h, which has positive h'' on (0, pi)."""
-        if self.sign == 1:
-            return self
+        """The phase sign*h, which has positive h'' on (0, pi): this object
+        when sign is +1, else its negation, built once."""
+        return self if self.sign == 1 else self._negated()
+
+    @_once
+    def _negated(self) -> PhaseFunction:
+        """The phase -h, closing over the callables and not over this object."""
         h, d1, d2 = self.h, self.d1, self.d2
         return PhaseFunction(
             h=lambda t: -h(t),
@@ -98,6 +131,7 @@ class PhaseFunction:
             label=f"-({self.label})",
         )
 
+    @_once
     def slope_range(self) -> tuple[float, float]:
         """(min, max) of h' on [-pi, pi], sampled densely.
 
@@ -184,11 +218,19 @@ def build_piecewise_abs() -> PhaseFunction:
     """
 
     def wrap(t: Array) -> Array:
+        """t - 2 pi round(t / 2 pi), computed in one new array."""
         t = np.asarray(t, dtype=float)
-        return t - 2.0 * np.pi * np.round(t / (2.0 * np.pi))
+        w = np.divide(t, 2.0 * np.pi, out=np.empty_like(t))
+        np.round(w, out=w)
+        w *= 2.0 * np.pi
+        return np.subtract(t, w, out=w)
+
+    def h(t: Array) -> Array:
+        w = wrap(t)
+        return np.abs(w, out=w)
 
     return PhaseFunction(
-        h=lambda t: np.abs(wrap(t)),
+        h=h,
         d1=lambda t: np.sign(wrap(t)),
         d2=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         label="abs",
@@ -387,9 +429,13 @@ def validate(phase: PhaseFunction) -> ValidationReport:
 
 
 def require_valid(phase: PhaseFunction) -> PhaseFunction:
-    """Normalize and validate, raising DomainError with the report on failure."""
+    """Normalize and validate, raising DomainError with the report on failure.
+
+    The normalization and its validation are each made once per phase
+    object, so a repeated call on one phase costs a few dictionary reads.
+    """
     norm = phase.normalized()
-    report = validate(norm)
+    report = _validation(norm)
     if not report.passed:
         raise DomainError(
             f"phase {phase.label!r} fails validation: " + "; ".join(report.messages)
@@ -397,6 +443,13 @@ def require_valid(phase: PhaseFunction) -> PhaseFunction:
     return norm
 
 
+@_once
+def _validation(norm: PhaseFunction) -> ValidationReport:
+    """:func:`validate` of a normalized phase, for :func:`require_valid`."""
+    return validate(norm)
+
+
+@_once
 def _curvature_sign_changes(phase: PhaseFunction) -> tuple[Array, bool] | None:
     """Where h'' changes sign around the circle: (brackets, seam), or None.
 
@@ -420,7 +473,6 @@ def _curvature_sign_changes(phase: PhaseFunction) -> tuple[Array, bool] | None:
 
 _SLOPE_TABLE_SIZE = 16385  # uniform samples of g' and g'' that bracket and seed each target
 _SLOPE_MAX_STEPS = 64  # cap on the safeguarded Newton steps per target
-_SLOPE_BLOCK = 32768  # targets per vectorized pass: 256 KB temporaries beat N-sized ones
 
 
 def _invert_increasing_slope(norm: PhaseFunction, targets: np.ndarray) -> np.ndarray:
@@ -441,7 +493,7 @@ def _invert_increasing_slope(norm: PhaseFunction, targets: np.ndarray) -> np.nda
     its bracket has collapsed; only unfinished targets are evaluated
     again.  noise is the larger of 8 spacing(max|g'|) and the error in
     g' measured on the table (see ``_slope_table``).  Targets go through
-    each step in blocks of ``_SLOPE_BLOCK``.  Each result depends on its
+    each step in blocks of ``_quad._BLOCK``.  Each result depends on its
     own target only.  Targets must lie in [g'(0), g'(pi)], up to a
     relative fuzz absorbed by clipping.
     """
@@ -456,8 +508,8 @@ def _invert_increasing_slope(norm: PhaseFunction, targets: np.ndarray) -> np.nda
 
     grid, table, cubic, noise = _slope_table(norm)
     t, lo, hi = np.empty_like(targets), np.empty_like(targets), np.empty_like(targets)
-    for b in range(0, targets.size, _SLOPE_BLOCK):
-        s = slice(b, b + _SLOPE_BLOCK)
+    for b in range(0, targets.size, _BLOCK):
+        s = slice(b, b + _BLOCK)
         t[s], lo[s], hi[s] = _slope_seed(grid, table, cubic, targets[s])
 
     out = np.empty_like(targets)
@@ -465,8 +517,8 @@ def _invert_increasing_slope(norm: PhaseFunction, targets: np.ndarray) -> np.nda
     u = targets
     for _ in range(_SLOPE_MAX_STEPS):
         done = np.empty(todo.size, dtype=bool)
-        for b in range(0, todo.size, _SLOPE_BLOCK):
-            s = slice(b, b + _SLOPE_BLOCK)
+        for b in range(0, todo.size, _BLOCK):
+            s = slice(b, b + _BLOCK)
             t[s], lo[s], hi[s], done[s] = _newton_step(norm, noise, u[s], t[s], lo[s], hi[s])
         out[todo] = t  # targets still open at the step cap keep their last iterate
         keep = ~done
@@ -476,8 +528,10 @@ def _invert_increasing_slope(norm: PhaseFunction, targets: np.ndarray) -> np.nda
     return out
 
 
+@_once
 def _slope_table(norm: PhaseFunction) -> tuple[Array, Array, Array, float]:
-    """(grid, table, cubic, noise): what every inverse-slope target reads.
+    """(grid, table, cubic, noise): what every inverse-slope target reads,
+    built once per phase object.
 
     grid holds ``_SLOPE_TABLE_SIZE`` uniform points of [0, pi] and table
     the running maximum of g' on it.  cubic holds, per table interval,
@@ -613,33 +667,50 @@ def modulus_of_continuity(phase: PhaseFunction, delta: float) -> float:
             f"delta {delta:.3e} is below 4 spacings ({4 * spacing:.3e}) of the "
             f"{_CURVATURE_GRID}-point curvature grid"
         )
-    return _Curvature(phase, _CURVATURE_GRID).omega(delta)
+    return _curvature(phase).omega(delta)
+
+
+@_once
+def _curvature_profile(phase: PhaseFunction) -> tuple[Array, dict[int, float]]:
+    """h'' on ``_CURVATURE_GRID`` points of [0, pi], and the window ranges
+    :class:`_Curvature` has read from those samples so far."""
+    return phase.d2(np.linspace(0.0, np.pi, _CURVATURE_GRID)), {}
+
+
+def _curvature(phase: PhaseFunction) -> _Curvature:
+    """The curvature profile of a phase, sampled and read once per phase object."""
+    return _Curvature(*_curvature_profile(phase), phase.label)
 
 
 class _Curvature:
-    """h'' sampled once on ``grid_size`` points of [0, pi], and omega read from it.
+    """h'' sampled on uniform points of [0, pi], ends included, and omega read from it.
 
-    Level k of ``peaks`` (``troughs``) holds the max (min) of h'' over
-    every run of 2^k consecutive samples, built once.  A window of any
-    length is two overlapping reads of one level, so each integer window
-    width costs one pass, and ``widths`` keeps that pass for as long as
-    this object lives, which is one :func:`choose_phi` call or one
-    partition.
+    ``widths`` holds the window range of each integer width read so far;
+    :func:`_curvature` passes the one dict of a phase, so the calls of a
+    study share it.  Level k of ``peaks`` (``troughs``) holds the max
+    (min) of h'' over every run of 2^k consecutive samples; the levels
+    are built on the first range not yet read and live only as long as
+    this object, one :func:`choose_phi` call or one partition.  A window
+    of any length is two overlapping reads of one level, so each integer
+    window width costs one pass.
     """
 
-    def __init__(self, phase: PhaseFunction, grid_size: int) -> None:
-        self.label = phase.label
-        self.spacing = np.pi / (grid_size - 1)
-        samples = phase.d2(np.linspace(0.0, np.pi, grid_size))
+    def __init__(self, samples: Array, widths: dict[int, float], label: str) -> None:
+        self.samples, self.widths, self.label = samples, widths, label
         self.size = samples.size
-        self.peaks, self.troughs = [samples], [samples]
+        self.spacing = np.pi / (self.size - 1)
+
+    @functools.cached_property
+    def levels(self) -> tuple[list[Array], list[Array]]:
+        """(peaks, troughs): the doubling tables of window maxima and minima."""
+        peaks, troughs = [self.samples], [self.samples]
         run = 1
         while 2 * run <= self.size:
-            hi, lo = self.peaks[-1], self.troughs[-1]
-            self.peaks.append(np.maximum(hi[:-run], hi[run:]))
-            self.troughs.append(np.minimum(lo[:-run], lo[run:]))
+            hi, lo = peaks[-1], troughs[-1]
+            peaks.append(np.maximum(hi[:-run], hi[run:]))
+            troughs.append(np.minimum(lo[:-run], lo[run:]))
             run *= 2
-        self.widths: dict[int, float] = {}
+        return peaks, troughs
 
     def window_range(self, width: int) -> float:
         """max over i of (max - min) of the samples i .. i + width."""
@@ -647,7 +718,7 @@ class _Curvature:
             length = min(width, self.size - 1) + 1
             level = length.bit_length() - 1
             shift = length - (1 << level)
-            peaks, troughs = self.peaks[level], self.troughs[level]
+            peaks, troughs = (table[level] for table in self.levels)
             stop = peaks.size - shift
             top = np.maximum(peaks[:stop], peaks[shift:])
             bottom = np.minimum(troughs[:stop], troughs[shift:])
@@ -683,11 +754,12 @@ def choose_phi(phase: PhaseFunction, n: float) -> float:
     A product that reaches 1 at a Phi_floor above 1 means the root lies
     below the grid's resolution, which raises DomainError.
     Bisection runs until its bracket ends are neighbouring floats, 49 to
-    58 midpoints.  h'' is sampled once into a doubling table of window
-    extremes, and each integer window width is read from it once, so
-    those steps cost about 20 passes rather than two per midpoint.
+    58 midpoints.  h'' is sampled once per phase object, and each integer
+    window width is read once per phase object, from a doubling table of
+    window extremes, so those steps cost about 20 passes rather than two
+    per midpoint, and fewer on every later call or scale.
     """
-    return _solve_phi(_Curvature(phase, _CURVATURE_GRID), n)
+    return _solve_phi(_curvature(phase), n)
 
 
 def _solve_phi(curvature: _Curvature, n: float) -> float:
@@ -832,10 +904,10 @@ def partition_terms(phase: PhaseFunction, n: float) -> TermPartition:
 def _partition(norm: PhaseFunction, n: float) -> TermPartition:
     """:func:`partition_terms` for a phase already normalized and validated.
 
-    h'' is sampled once: the bisection for Phi and omega(delta) read the
-    same curvature profile and share its window ranges.
+    The bisection for Phi and omega(delta) read the phase's one
+    curvature profile and share its window ranges.
     """
-    curvature = _Curvature(norm, _CURVATURE_GRID)
+    curvature = _curvature(norm)
     phi = _solve_phi(curvature, n)
     delta = min(phi / math.sqrt(n), math.pi / 8.0)
     omega = curvature.omega(max(delta, 4.0 * curvature.spacing))

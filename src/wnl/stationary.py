@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._quad import _BLOCK
 from ._table import Table
 from .errors import DomainError, MisalignedError
 from .phase import (
@@ -54,13 +55,17 @@ def _stationary_points(
     norm: PhaseFunction, part: TermPartition
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """nu, t* = psi(nu/x), g''(t*) and rho over the partition's central
-    range, from one slope inversion."""
+    range, from one slope inversion.  g'' and rho are computed in blocks
+    of ``_quad._BLOCK`` indices, so no temporary spans the whole range."""
     x = part.n
     rng = part.central_range()
     nus = np.arange(rng.start, rng.stop)
     t_star = _invert_increasing_slope(norm, nus / x)
-    g2 = norm.d2(t_star)
-    rho = x * norm.h(t_star) - nus * t_star
+    g2, rho = np.empty_like(t_star), np.empty_like(t_star)
+    for b in range(0, nus.size, _BLOCK):
+        s = slice(b, b + _BLOCK)
+        g2[s] = norm.d2(t_star[s])
+        rho[s] = x * norm.h(t_star[s]) - nus[s] * t_star[s]
     return nus, t_star, g2, rho
 
 

@@ -1,8 +1,10 @@
 """Limit integrals, convergence studies, and the closing Riemann-sum pieces."""
 
 import dataclasses
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from wnl.asymptotics import (
 )
 from wnl.errors import DomainError, QuadratureBudgetError, WnlError
 from wnl.phase import (
+    PhaseFunction,
     build_blaschke,
     build_blaschke_general,
     build_from_callable,
@@ -448,3 +451,81 @@ def test_final_step_report_eps_too_small():
 def test_final_step_report_refuses_bad_arguments(n, eps, match):
     with pytest.raises(DomainError, match=match):
         final_step_report(build_sine(), n, eps=eps)
+
+
+# ---------------------------------------------------------------------------
+# Phase facts are derived once per phase object
+# ---------------------------------------------------------------------------
+
+SINE_LADDER = [float(2**k) for k in range(7, 17)] + [float(2**18)]
+
+
+def _counting_phase(phase: PhaseFunction) -> tuple[PhaseFunction, list[int]]:
+    """A new phase with the callables of phase, recording the size of every
+    h'' evaluation."""
+    sizes = []
+
+    def d2(t):
+        sizes.append(np.size(t))
+        return phase.d2(t)
+
+    return PhaseFunction(phase.h, phase.d1, d2, phase.label), sizes
+
+
+def test_study_samples_each_curvature_table_once():
+    """Over the 11 scales of the sine ladder, the 16384-point curvature grid
+    behind Phi and omega and the 4097-point sign scan behind the tail
+    bounds and L are each sampled once.  The phase is -sin, whose
+    normalization is itself, so the limit and the spectra scan one object."""
+    phase, sizes = _counting_phase(require_valid(build_sine()))
+    assert phase.normalized() is phase
+    convergence_study(phase, SINE_LADDER)
+    assert sizes.count(16384) == 1
+    assert sizes.count(4097) == 1
+
+
+def test_two_comparisons_build_one_slope_table():
+    """sine normalizes to a new phase, built once, so both comparisons at
+    x = 1000 read one inverse-slope table of 16385 points."""
+    phase, sizes = _counting_phase(build_sine())
+    first = stationary_comparison(phase, 1000.0)
+    second = stationary_comparison(phase, 1000.0)
+    assert sizes.count(16385) == 1
+    assert first.rho.tobytes() == second.rho.tobytes()
+
+
+def _rows(report):
+    return [tuple(float(v).hex() for v in dataclasses.astuple(r)) for r in report.rows]
+
+
+@pytest.mark.parametrize("build", [build_sine, lambda: build_blaschke([0.3, 0.7])])
+def test_cached_study_equals_a_fresh_one(build):
+    """A study run twice on one phase object reads its kept facts the second
+    time; both equal, bit for bit, a study on a fresh copy of the phase."""
+    phase = build()
+    ladder = [128.0, 512.0, 4096.0, 65536.0]
+    first = convergence_study(phase, ladder)
+    again = convergence_study(phase, ladder)
+    fresh = convergence_study(dataclasses.replace(phase), ladder)
+    for report in (again, fresh):
+        assert report.limit.hex() == first.limit.hex()
+        assert _rows(report) == _rows(first)
+
+
+@pytest.mark.parametrize("build", [build_sine, lambda: build_blaschke([0.3, 0.7])])
+def test_studied_phase_is_freed_by_reference_counting(build):
+    """A phase keeps its derived facts, but none of them holds the phase:
+    with the garbage collector off, dropping the last reference frees it.
+    Blaschke [0.3, 0.7] has sign +1, so it is its own normalization; sine's
+    normalization closes over sine's callables, not over sine."""
+    phase = build()
+    gc.collect()
+    gc.disable()
+    try:
+        convergence_study(phase, [128.0, 256.0])
+        stationary_comparison(phase, 1000.0)
+        ref = weakref.ref(phase)
+        del phase
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -16,6 +16,7 @@ from wnl.phase import (
     PhaseFunction,
     TermPartition,
     _Curvature,
+    _curvature,
     _curvature_sign_changes,
     _invert_increasing_slope,
     _partition,
@@ -96,6 +97,26 @@ def test_many_zero_blaschke_memory_grows_with_n_only(which, size):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 8 * size
+
+
+def test_abs_phase_wraps_in_one_array():
+    """abs's h is |t - 2 pi round(t / 2 pi)| bit for bit, 0-d reads and the
+    seams at odd multiples of pi included, computed in one new array: the
+    peak besides its argument is one N-array, where the plain expression's
+    temporaries reach two."""
+    phase = build_piecewise_abs()
+    seams = [np.pi, -np.pi, 3.0 * np.pi, 0.0, -0.0, 2.0 * np.pi]
+    t = np.concatenate([np.linspace(-7.0 * np.pi, 7.0 * np.pi, 1 << 16), seams])
+    plain = np.abs(t - 2.0 * np.pi * np.round(t / (2.0 * np.pi)))
+    assert phase.h(t).tobytes() == plain.tobytes()
+    assert [float(phase.h(np.asarray(v))) for v in seams] == plain[-len(seams):].tolist()
+    tracemalloc.start()
+    try:
+        phase.h(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * t.nbytes
 
 
 def test_sine_values():
@@ -663,8 +684,7 @@ def _block_scan_omega(samples, spacing, delta):
 def test_doubling_table_range_matches_block_scan(size):
     """Every window width, 2^k +- 1 and widths of n - 1 and above included."""
     samples = np.random.default_rng(size).standard_normal(size)
-    profile = dataclasses.replace(build_sine(), d2=lambda t: samples)
-    curvature = _Curvature(profile, size)
+    curvature = _Curvature(samples, {}, "profile")
     for width in range(1, size + 6):
         assert curvature.window_range(width) == _block_scan_range(samples, width)
 
@@ -708,7 +728,7 @@ def test_phi_bisection_stops_at_neighbouring_floats(phase, bisected):
     A fixed 80 midpoints, the reference here, gives the same Phi bit for
     bit: past that point a midpoint is one of the ends, so neither moves.
     Checked at every n of the ladder whose root lies inside [1, n^(1/4)]."""
-    curvature = _Curvature(require_valid(phase), wnl.phase._CURVATURE_GRID)
+    curvature = _curvature(require_valid(phase))
     count = 0
     for n in np.geomspace(2.0, 1.6e6, 60).tolist():
         sqrt_n = math.sqrt(n)

@@ -173,6 +173,6 @@ def test_blocked_sum_is_the_one_call_sum(f, order):
     """Several blocks of the integrand give the one-call sum bit for bit,
     also when the last block is partial."""
     bp = np.linspace(0.0, np.pi, 5001)
-    assert (bp.size - 1) * order > 2 * _quad._BLOCK_NODES
+    assert (bp.size - 1) * order > 2 * _quad._BLOCK
     nodes, weights = _rule(bp, order)
     assert integrate_panels(f, bp, order) == complex(np.sum(weights * f(nodes)))

@@ -85,6 +85,31 @@ class _OddRoute(PhaseFunction):
 
 
 @pytest.mark.parametrize(
+    "route, sampled",
+    [(_FullRoute, lambda n: n), (_OddRoute, lambda n: n // 2 + 1)],
+    ids=["full", "odd"],
+)
+def test_route_subclasses_force_their_routes(route, sampled):
+    """A phase keeps its parity once read, but a subclass's class
+    attributes still decide the route: the spectrum samples h on all N
+    grid points for _FullRoute and on N/2 + 1 for _OddRoute, also after
+    the plain phase with the same callables has been read."""
+    sine, sizes = build_sine(), []
+
+    def h(t):
+        sizes.append(np.size(t))
+        return np.sin(t)
+
+    assert PhaseFunction(h, sine.d1, sine.d2, sine.label).odd
+    phase = route(h, sine.d1, sine.d2, sine.label)
+    for _ in range(2):
+        sizes.clear()
+        grid = compute_spectrum(phase, 64.0).grid_size
+        assert max(sizes) == sampled(grid)
+    assert (phase.odd, phase.even) == (route.odd, route.even)
+
+
+@pytest.mark.parametrize(
     "phase, xs",
     [
         (build_sine(), (10.5, 20.0, 1000.0, 8192.0)),

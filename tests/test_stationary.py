@@ -264,3 +264,15 @@ def test_lemma1_dominates_actual_coefficient(nu):
     bound = lemma1_var_bound(phase, x, nu) / (2.0 * math.pi)
     actual = abs(coefficient_quadrature(phase, x, int(nu), tol=1e-12))
     assert actual <= bound + 1e-12
+
+
+def test_stationary_columns_in_blocks_equal_one_call(monkeypatch):
+    """g''(t*) and rho, computed in blocks that do not divide the central
+    range, equal one call on the whole range bit for bit."""
+    norm = require_valid(build_blaschke([0.3, 0.7]))
+    part = partition_terms(norm, 4096.0)
+    monkeypatch.setattr(stationary, "_BLOCK", 777)
+    nus, t_star, g2, rho = stationary._stationary_points(norm, part)
+    assert nus.size > 10 * 777 and nus.size % 777
+    assert g2.tobytes() == norm.d2(t_star).tobytes()
+    assert rho.tobytes() == (4096.0 * norm.h(t_star) - nus * t_star).tobytes()
