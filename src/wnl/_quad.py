@@ -23,9 +23,9 @@ _BLOCK = 32768  # points per vectorized call, package-wide: 256 KB temporaries b
 
 
 def require_tolerance(tol: float) -> None:
-    """A nan or non-positive tolerance can never be met; refuse it up front."""
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    """Refuse up front a tol that is nan, non-positive (never met) or infinite (met unchecked)."""
+    if not 0.0 < tol < np.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
 
 
 @lru_cache(maxsize=16)

@@ -27,7 +27,7 @@ from .phase import (
     PhaseFunction,
     _curvature_sign_changes,
     _invert_increasing_slope,
-    _partition,
+    partition_terms,
     require_valid,
 )
 from .spectrum import check_periodicity, compute_spectrum, partition_sums, scaled_norm
@@ -257,7 +257,7 @@ def convergence_study(phase: PhaseFunction, params: Sequence[float]) -> Converge
 
     def one(n: float) -> StudyRow:
         spec = compute_spectrum(norm, n)
-        part = _partition(norm, n)
+        part = partition_terms(norm, n)
         sums = partition_sums(spec, part)
         return StudyRow(
             param=n,
@@ -285,13 +285,13 @@ def truncated_riemann(
 
     The j = 0, 1 nodes are dropped, which is what makes the sum usable
     for integrands blowing up at the left endpoint.  An n that is not an
-    integer >= 2 (an integral float is taken), or a non-finite value of
-    f, raises DomainError.
+    integer >= 2 (an integral float is taken), an interval that is not
+    finite with a < b, or a non-finite value of f, raises DomainError.
     """
     if not (2 <= n < math.inf and n == int(n)):
         raise DomainError(f"n must be an integer >= 2, got {n!r}")
-    if not b > a:
-        raise DomainError(f"need b > a, got [{a!r}, {b!r}]")
+    if not -math.inf < a < b < math.inf:
+        raise DomainError(f"need finite a < b, got [{a!r}, {b!r}]")
     j = np.arange(2, n + 1)
     vals = np.asarray(f(a + j * (b - a) / n), dtype=float)
     if not np.all(np.isfinite(vals)):
@@ -341,7 +341,7 @@ def final_step_report(phase: PhaseFunction, n: int, eps: float = 0.1) -> FinalSt
         raise DomainError(f"n must be at least 2, got {n!r}")
     if not (0.0 < eps < math.pi / 2.0):
         raise DomainError(f"eps must lie in (0, pi/2), got {eps!r}")
-    part = _partition(norm, float(n))
+    part = partition_terms(norm, float(n))
     alpha_n, beta_n = part.alpha_n, part.beta_n
     u_lo = float(norm.d1(np.asarray(eps)))
     u_hi = float(norm.d1(np.asarray(math.pi - eps)))

@@ -37,6 +37,7 @@ from .asymptotics import (
 from .errors import DomainError, WnlError
 from .phase import (
     PhaseFunction,
+    _curvature_sign_changes,
     build_blaschke,
     build_blaschke_general,
     build_linear,
@@ -243,6 +244,13 @@ def cmd_explore_blaschke(args: argparse.Namespace) -> int:
     phase = parse_phase(args.phase_spec, allow_complex=True)
     exploratory = not validate(phase).passed
     reference = full_circle_reference(phase)
+    scan = _curvature_sign_changes(phase)
+    changes = len(scan[0]) + scan[1] if scan else 0
+    kind = "conjectured reference" if exploratory else "reference limit"
+    caveat = ""
+    if changes > 2:  # some slopes then have over two stationary points, whose terms partly cancel
+        kind = "full-circle value"
+        caveat = f" is not a limit: h'' changes sign {changes} times on the circle"
     rows = []
     for p in args.params:
         s = scaled_norm(compute_spectrum(phase, p))
@@ -250,10 +258,11 @@ def cmd_explore_blaschke(args: argparse.Namespace) -> int:
     header = f"phase_label={phase.label} reference={reference!r}"
     if exploratory:
         header += " exploratory: no theorem applies"
+    if caveat:
+        header += f"; the {kind}{caveat}"
     fields = {"phase_label": phase.label, "reference": reference, "exploratory": exploratory}
     _emit(args, Table(header, fields, ("param", "scaled_norm", "abs_gap_to_reference"), rows))
-    kind = "conjectured reference" if exploratory else "reference limit"
-    print(f"{kind} (2/pi)^(3/2) integral of sqrt(|h''|) = {reference!r}")
+    print(f"{kind} (2/pi)^(3/2) integral of sqrt(|h''|) = {reference!r}{caveat}")
     if phase.label.startswith("blaschke[") and "," not in phase.label:
         alpha = float(phase.label[len("blaschke[") : -1])
         print(f"girard closed form at alpha={alpha!r}: {girard_value(alpha).value!r}")

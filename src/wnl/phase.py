@@ -42,6 +42,7 @@ _SYMMETRY_TOL = 1e-8  # largest |h(-t) -+ h(t)| of a phase taken as odd or even
 _DOUBLING_LIMIT = 64.0  # largest accepted |h''(2s)| / |h''(s)| near an endpoint
 _DOUBLING_CORNER = math.pi / 8.0  # the largest s of the dyadic ladder
 _CURVATURE_GRID = 16384  # samples of h'' on [0, pi] behind Phi and omega
+_DELTA_FLOOR = 4.0 * math.pi / (_CURVATURE_GRID - 1)  # least delta omega reads: 4 grid spacings
 _SIGN_SCAN_GRID = 4097  # samples of h'' on [0, 2 pi] behind its sign changes
 
 
@@ -656,15 +657,14 @@ def modulus_of_continuity(phase: PhaseFunction, delta: float) -> float:
     interpolation between the two bracketing integer window widths so
     the result is continuous in delta (a plain floor produces staircase
     artifacts that poison root finding in :func:`choose_phi`).  The
-    grid is the partition's ``_CURVATURE_GRID``, so this is its omega at
-    delta.
+    grid is the ``_CURVATURE_GRID`` that :func:`choose_phi` reads, and
+    delta must be at least ``_DELTA_FLOOR``, four spacings of it.
     """
     if not (0.0 < delta <= np.pi):
         raise DomainError(f"delta must lie in (0, pi], got {delta!r}")
-    spacing = np.pi / (_CURVATURE_GRID - 1)
-    if delta < 4.0 * spacing:
+    if delta < _DELTA_FLOOR:
         raise DomainError(
-            f"delta {delta:.3e} is below 4 spacings ({4 * spacing:.3e}) of the "
+            f"delta {delta:.3e} is below 4 spacings ({_DELTA_FLOOR:.3e}) of the "
             f"{_CURVATURE_GRID}-point curvature grid"
         )
     return _curvature(phase).omega(delta)
@@ -679,24 +679,24 @@ def _curvature_profile(phase: PhaseFunction) -> tuple[Array, dict[int, float]]:
 
 def _curvature(phase: PhaseFunction) -> _Curvature:
     """The curvature profile of a phase, sampled and read once per phase object."""
-    return _Curvature(*_curvature_profile(phase), phase.label)
+    return _Curvature(*_curvature_profile(phase))
 
 
 class _Curvature:
     """h'' sampled on uniform points of [0, pi], ends included, and omega read from it.
 
     ``widths`` holds the window range of each integer width read so far;
-    :func:`_curvature` passes the one dict of a phase, so the calls of a
-    study share it.  Level k of ``peaks`` (``troughs``) holds the max
+    :func:`_curvature` passes the one dict of a phase, so every
+    :func:`choose_phi` and :func:`modulus_of_continuity` call on it
+    shares the dict.  Level k of ``peaks`` (``troughs``) holds the max
     (min) of h'' over every run of 2^k consecutive samples; the levels
     are built on the first range not yet read and live only as long as
-    this object, one :func:`choose_phi` call or one partition.  A window
-    of any length is two overlapping reads of one level, so each integer
-    window width costs one pass.
+    this object, one call.  A window of any length is two overlapping
+    reads of one level, so each integer window width costs one pass.
     """
 
-    def __init__(self, samples: Array, widths: dict[int, float], label: str) -> None:
-        self.samples, self.widths, self.label = samples, widths, label
+    def __init__(self, samples: Array, widths: dict[int, float]) -> None:
+        self.samples, self.widths = samples, widths
         self.size = samples.size
         self.spacing = np.pi / (self.size - 1)
 
@@ -743,9 +743,9 @@ def choose_phi(phase: PhaseFunction, n: float) -> float:
 
     omega is the modulus of continuity of h'' on [0, pi]; the product is
     nondecreasing in Phi, so bisection on [Phi_floor, n^(1/4)] finds the
-    root.  Phi_floor = max(1, 4 spacing sqrt(n)) keeps delta = Phi /
-    sqrt(n) at four or more spacings of the curvature grid; it is 1 for
-    n <= 1.70e6 on the ``_CURVATURE_GRID`` of 16384 points.
+    root.  Phi_floor = max(1, ``_DELTA_FLOOR`` sqrt(n)) keeps delta =
+    Phi / sqrt(n) at four or more spacings of the curvature grid; it is
+    1 for n <= 1.70e6 on the ``_CURVATURE_GRID`` of 16384 points.
     The scale n may be any real >= 2 (the construction is continuous in
     n, and real scales are first-class downstream).  Degenerate cases
     clamp: if omega never lifts the product to 1 the upper end is
@@ -759,19 +759,14 @@ def choose_phi(phase: PhaseFunction, n: float) -> float:
     window extremes, so those steps cost about 20 passes rather than two
     per midpoint, and fewer on every later call or scale.
     """
-    return _solve_phi(_curvature(phase), n)
-
-
-def _solve_phi(curvature: _Curvature, n: float) -> float:
-    """:func:`choose_phi` on a sampled curvature profile, which
-    :func:`_partition` shares with its own omega(delta)."""
     if not (n >= 2):
         raise DomainError(f"n must be at least 2, got {n!r}")
     if not math.isfinite(n):
         raise DomainError(f"n must be finite, got {n!r}")
+    curvature = _curvature(phase)
     sqrt_n = math.sqrt(n)
     upper = n**0.25
-    floor = max(1.0, 4.0 * curvature.spacing * sqrt_n)
+    floor = max(1.0, _DELTA_FLOOR * sqrt_n)
 
     def product(p: float) -> float:
         return curvature.omega(p / sqrt_n) * p**4
@@ -779,17 +774,16 @@ def _solve_phi(curvature: _Curvature, n: float) -> float:
     if product(upper) <= 1.0:
         warnings.warn(
             "omega(h'') too small to reach the cutoff equation for "
-            f"{curvature.label!r}; clamping Phi to n^(1/4) = {upper:.6g}",
-            stacklevel=3,
+            f"{phase.label!r}; clamping Phi to n^(1/4) = {upper:.6g}",
+            stacklevel=2,
         )
         return upper
     if product(floor) >= 1.0:
         if floor > 1.0:
             raise DomainError(
-                f"n = {n} puts the cutoff root for {curvature.label!r} below the delta "
-                f"resolution {4 * curvature.spacing:.3e}; the {curvature.size}-point "
-                f"curvature grid resolves n <= {(4.0 * curvature.spacing) ** -2:.2e} "
-                "for every phase"
+                f"n = {n} puts the cutoff root for {phase.label!r} below the delta "
+                f"resolution {_DELTA_FLOOR:.3e}; the {_CURVATURE_GRID}-point "
+                f"curvature grid resolves n <= {_DELTA_FLOOR**-2:.2e} for every phase"
             )
         return 1.0
     lo, hi = floor, upper
@@ -895,22 +889,14 @@ class TermPartition:
 def partition_terms(phase: PhaseFunction, n: float) -> TermPartition:
     """Build the four-way index partition at scale n (real n >= 2).
 
-    Works on the normalized phase; validation must pass.  delta is
-    clamped to pi/8 so the slope probes at 2*delta stay inside (0, pi/2).
+    Works on the normalized phase; validation must pass.  Phi and omega
+    are :func:`choose_phi` and :func:`modulus_of_continuity` of it; delta
+    is clamped to pi/8 so the slope probes at 2*delta stay inside (0, pi/2).
     """
-    return _partition(require_valid(phase), n)
-
-
-def _partition(norm: PhaseFunction, n: float) -> TermPartition:
-    """:func:`partition_terms` for a phase already normalized and validated.
-
-    The bisection for Phi and omega(delta) read the phase's one
-    curvature profile and share its window ranges.
-    """
-    curvature = _curvature(norm)
-    phi = _solve_phi(curvature, n)
+    norm = require_valid(phase)
+    phi = choose_phi(norm, n)
     delta = min(phi / math.sqrt(n), math.pi / 8.0)
-    omega = curvature.omega(max(delta, 4.0 * curvature.spacing))
+    omega = modulus_of_continuity(norm, max(delta, _DELTA_FLOOR))
     alpha = float(norm.d1(np.asarray(0.0)))
     beta = float(norm.d1(np.asarray(np.pi)))
     alpha_n = max(float(norm.d1(np.asarray(2.0 * delta))), alpha + 1.0 / n)

@@ -42,7 +42,7 @@ from .phase import (
     PhaseFunction,
     TermPartition,
     _invert_increasing_slope,
-    _partition,
+    partition_terms,
     require_valid,
 )
 from .spectrum import compute_spectrum
@@ -182,7 +182,7 @@ def stationary_comparison(
     if not (0.0 <= calib_c < math.inf):
         raise DomainError(f"calib_c must be finite and non-negative, got {calib_c!r}")
     norm = require_valid(phase)
-    part = _partition(norm, x)
+    part = partition_terms(norm, x)
     spec = compute_spectrum(norm, x)
     rng = part.central_range()
     if len(rng) and not (spec.nu_min <= rng.start and rng[-1] <= spec.nu_max):

@@ -420,7 +420,7 @@ def test_final_step_strips_cover_the_central_range(monkeypatch, phase, n, eps):
     monkeypatch.setattr(wnl.stationary, "_invert_increasing_slope", recording)
     report = final_step_report(phase, n, eps=eps)
     norm = require_valid(phase)
-    central = wnl.asymptotics._partition(norm, float(n)).central_range()
+    central = wnl.partition_terms(norm, float(n)).central_range()
     ks = np.arange(central.start, central.stop)
     assert np.array_equal(np.concatenate([c[0] for c in calls]), ks / n)
 

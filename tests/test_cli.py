@@ -5,8 +5,10 @@ import json
 import pytest
 
 from wnl._table import Table
+from wnl.asymptotics import full_circle_reference
 from wnl.cli import build_parser, main, parse_phase
 from wnl.errors import DomainError
+from wnl.phase import build_blaschke_general
 from wnl.specfun import girard_value
 from wnl.stationary import fitted_calibration, stationary_comparison
 
@@ -310,6 +312,35 @@ def test_explore_blaschke_conjugate_zeros_stay_exploratory(tmp_path):
         )
     assert code == 0
     assert "exploratory: no theorem applies" in out.read_text().splitlines()[0]
+
+
+@pytest.mark.parametrize(
+    "zeros, note, line",
+    [
+        (
+            [0.4 + 0.3j, -0.6, 0.2 - 0.5j],
+            "; the full-circle value is not a limit: h'' changes sign 6 times on the circle",
+            "full-circle value {} is not a limit: h'' changes sign 6 times on the circle",
+        ),
+        ([0.4 + 0.3j], "", "conjectured reference {}"),
+    ],
+    ids=["six-sign-changes", "two-sign-changes"],
+)
+def test_explore_blaschke_calls_no_limit_past_two_sign_changes(zeros, note, line, tmp_path, capsys):
+    """With more than two sign changes of h'' on the circle the full-circle
+    integral is printed as a value that is not a limit; with two (one
+    complex zero, a rotated odd phase) it stays the conjectured reference.
+    The number and the CSV columns are the same either way."""
+    out = tmp_path / "explore.csv"
+    spec = "blaschke:" + ",".join(str(z).strip("()") for z in zeros)
+    with pytest.warns(UserWarning):
+        assert main(["explore-blaschke", "--phase", spec, "--params", "20", "--out", str(out)]) == 0
+    reference = full_circle_reference(build_blaschke_general(zeros))
+    header, columns = out.read_text().splitlines()[:2]
+    assert header.endswith(f" reference={reference!r} exploratory: no theorem applies{note}")
+    assert columns == "param,scaled_norm,abs_gap_to_reference"
+    value = f"(2/pi)^(3/2) integral of sqrt(|h''|) = {reference!r}"
+    assert line.format(value) in capsys.readouterr().out.splitlines()
 
 
 def test_explore_blaschke_rejects_other_phases():

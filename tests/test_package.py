@@ -1,7 +1,9 @@
 """The package as a whole: its public names and its frozen reference constants."""
 
 import argparse
+import ast
 import dataclasses
+import functools
 import inspect
 import math
 import runpy
@@ -134,7 +136,42 @@ def test_cli_flags_are_pinned():
     assert found == CLI_FLAGS
 
 
+# Each underscore name one wnl module imports from another, keyed by the importer.
+PRIVATE_IMPORTS = {
+    "asymptotics": (
+        "phase._curvature_sign_changes",
+        "phase._invert_increasing_slope",
+        "stationary._stationary_points",
+    ),
+    "cli": ("phase._curvature_sign_changes",),
+    "phase": ("_quad._BLOCK",),
+    "spectrum": ("phase._curvature_sign_changes",),
+    "stationary": ("_quad._BLOCK", "phase._invert_increasing_slope"),
+}
+
+
+def test_private_imports_are_pinned():
+    """A private name shared between modules is a deliberate change, so a
+    private fork of a public path shows here before it spreads."""
+    found = {}
+    for path in sorted(Path(wnl.__file__).parent.glob("*.py")):
+        names = sorted(
+            f"{node.module}.{alias.name}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+            if alias.name.startswith("_")
+        )
+        if names:
+            found[path.stem] = tuple(names)
+    assert found == PRIVATE_IMPORTS
+
+
 NAN = float("nan")
+INF = math.inf
+NONFINITE = (NAN, INF, -INF)
+SINE = wnl.build_sine()
+BLASCHKE = wnl.build_blaschke([0.5])  # winding -1, h' in [-3, -1/3]
 
 
 def _nan_at_pi(t):
@@ -142,51 +179,280 @@ def _nan_at_pi(t):
     return np.where(np.abs(t) == np.pi, NAN, np.sin(t))
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: wnl.psi(wnl.build_sine(), NAN),
-        lambda: wnl.legendre(wnl.build_sine(), NAN),
-        lambda: wnl.lemma1_var_bound(wnl.build_blaschke([0.5]), NAN, 3.0),
-        lambda: wnl.lemma1_monotone_bound(NAN, 1.0),
-        lambda: wnl.van_der_corput_bound(NAN, 1.0, 1.0),
-        lambda: wnl.build_blaschke([NAN]),
-        lambda: wnl.build_blaschke_general([NAN]),
-        lambda: wnl.corollary2_integral([NAN]),
-        lambda: wnl.weyl_sum(np.array([0.1, NAN]), 1),
-        lambda: wnl.coefficient_quadrature(wnl.build_sine().normalized(), 100.0, 3, tol=NAN),
-        lambda: wnl.asymptotic_limit(wnl.build_sine(), tol=NAN),
-        lambda: wnl.truncated_riemann(np.sqrt, 0.0, 1.0, NAN),
-        lambda: wnl.fractional_array(np.sqrt, NAN),
-        lambda: wnl.fractional_array(np.sqrt, math.inf),
-        lambda: wnl.weyl_study(np.sqrt, 1, (0.0, 1.0), [10, NAN]),
-        lambda: wnl.weyl_sum(np.array([0.1, 0.2]), NAN),
-        lambda: wnl.coefficient_quadrature(wnl.build_sine().normalized(), 10.0, NAN),
-        lambda: wnl.bessel_j(NAN, 1.0),
-        lambda: wnl.bessel_j_sequence(NAN, 3.0),
-        lambda: wnl.build_linear(NAN),
-        lambda: wnl.build_linear(math.inf),
-        lambda: wnl.hyp2f1(NAN, 0.75, 1.5, 0.3),
-        lambda: wnl.hyp2f1(0.5, 0.75, NAN, 0.3),
-        lambda: wnl.hyp2f1(math.inf, 0.75, 1.5, 0.3),
-        lambda: wnl.compute_spectrum(wnl.build_from_callable(_nan_at_pi), 10.0),
-        lambda: wnl.check_periodicity(wnl.build_from_callable(_nan_at_pi), 10.0),
-        lambda: wnl.compute_spectrum(wnl.build_sine(), 10.0, grid_pow=NAN),
-        lambda: wnl.compute_spectrum(wnl.build_sine(), 10.0, grid_pow=NAN, window="full"),
-    ],
-    ids=[
-        "psi", "legendre", "lemma1_var_bound", "lemma1_monotone_bound", "van_der_corput",
-        "build_blaschke", "build_blaschke_general", "corollary2_integral", "weyl_sum",
-        "coefficient_quadrature", "asymptotic_limit", "truncated_riemann", "fractional_array",
-        "fractional_array_inf", "weyl_study", "weyl_sum_j", "coefficient_quadrature_nu",
-        "bessel_j", "bessel_j_sequence", "build_linear", "build_linear_inf",
-        "hyp2f1_a", "hyp2f1_c", "hyp2f1_a_inf", "build_from_callable_winding",
-        "phase_winding",
-        "compute_spectrum_grid_pow", "compute_spectrum_grid_pow_full",
-    ],
-)
+def _each(argument, call, values, ids=()):
+    """{case id: call(v)} for each bad value v of one argument.  The first
+    values take the names in ids, the rest are named argument=v."""
+    names = [*ids, *(f"{argument}={v!r}" for v in values[len(ids) :])]
+    return {name: functools.partial(call, v) for name, v in zip(names, values)}
+
+
+# Each public function's bad arguments: case id -> a call that must raise
+# DomainError.  Every float argument is tried at nan, +-inf and values outside
+# its domain; {} marks a function that takes no float argument.
+BAD_ARGUMENTS = {
+    "asymptotic_limit": _each(
+        "tol", lambda v: wnl.asymptotic_limit(SINE, tol=v), (*NONFINITE, 0.0), ["asymptotic_limit"]
+    ),
+    "asymptotic_limit_slope_route": {},
+    "bessel_j": {
+        **_each("bessel_j.nu", lambda v: wnl.bessel_j(v, 1.0), (*NONFINITE, 1.5), ["bessel_j"]),
+        **_each("bessel_j.x", lambda v: wnl.bessel_j(3, v), (*NONFINITE, -1.0)),
+    },
+    "bessel_j_sequence": {
+        **_each(
+            "bessel_j_sequence.nmax",
+            lambda v: wnl.bessel_j_sequence(v, 3.0),
+            (*NONFINITE, -1, 2.5),
+            ["bessel_j_sequence"],
+        ),
+        **_each("bessel_j_sequence.x", lambda v: wnl.bessel_j_sequence(3, v), (*NONFINITE, -1.0)),
+    },
+    "build_blaschke": _each(
+        "build_blaschke.alphas",
+        lambda v: wnl.build_blaschke([v]),
+        (*NONFINITE, 0.0, 1.0),
+        ["build_blaschke"],
+    ),
+    "build_blaschke_general": _each(
+        "build_blaschke_general.zeros",
+        lambda v: wnl.build_blaschke_general([v]),
+        (*NONFINITE, complex(0.3, NAN), 0.0, 1j),
+        ["build_blaschke_general"],
+    ),
+    "build_from_callable": {},
+    "build_linear": _each(
+        "build_linear.k",
+        wnl.build_linear,
+        (NAN, INF, -INF, 1.5),
+        ["build_linear", "build_linear_inf"],
+    ),
+    "build_piecewise_abs": {},
+    "build_sine": {},
+    "check_periodicity": {
+        "phase_winding": lambda: wnl.check_periodicity(wnl.build_from_callable(_nan_at_pi), 10.0),
+        **_each(
+            "check_periodicity.x",
+            lambda v: wnl.check_periodicity(BLASCHKE, v),
+            (*NONFINITE, 0.5),
+        ),
+    },
+    "choose_phi": _each("choose_phi.n", lambda v: wnl.choose_phi(SINE, v), (*NONFINITE, 1.5)),
+    "coefficient_quadrature": {
+        **_each(
+            "coefficient_quadrature.x", lambda v: wnl.coefficient_quadrature(SINE, v, 3), NONFINITE
+        ),
+        **_each(
+            "coefficient_quadrature.nu",
+            lambda v: wnl.coefficient_quadrature(SINE, 10.0, v),
+            (*NONFINITE, 1.5),
+            ["coefficient_quadrature_nu"],
+        ),
+        **_each(
+            "coefficient_quadrature.tol",
+            lambda v: wnl.coefficient_quadrature(SINE, 100.0, 3, tol=v),
+            (*NONFINITE, 0.0),
+            ["coefficient_quadrature"],
+        ),
+    },
+    "compute_spectrum": {
+        "build_from_callable_winding": lambda: wnl.compute_spectrum(
+            wnl.build_from_callable(_nan_at_pi), 10.0
+        ),
+        "compute_spectrum_grid_pow": lambda: wnl.compute_spectrum(SINE, 10.0, grid_pow=NAN),
+        **_each("compute_spectrum.x", lambda v: wnl.compute_spectrum(SINE, v), (*NONFINITE, 0.0)),
+        **_each(
+            "compute_spectrum.grid_pow",
+            lambda v: wnl.compute_spectrum(SINE, 10.0, grid_pow=v, window="full"),
+            (*NONFINITE, -1, 2.5),
+            ["compute_spectrum_grid_pow_full"],
+        ),
+    },
+    "convergence_study": _each(
+        "convergence_study.params",
+        lambda v: wnl.convergence_study(SINE, [10.0, v]),
+        (*NONFINITE, 1.0),
+    ),
+    "corollary2_integral": _each(
+        "corollary2_integral.alphas",
+        lambda v: wnl.corollary2_integral([v]),
+        (*NONFINITE, 0.0, 1.0),
+        ["corollary2_integral"],
+    ),
+    "final_step_report": {
+        **_each("final_step_report.n", lambda v: wnl.final_step_report(SINE, v), (*NONFINITE, 1)),
+        **_each(
+            "final_step_report.eps",
+            lambda v: wnl.final_step_report(SINE, 1000, eps=v),
+            (*NONFINITE, 0.0, math.pi / 2.0),
+        ),
+    },
+    "fitted_calibration": {},
+    "fractional_array": {
+        **_each(
+            "fractional_array.n",
+            lambda v: wnl.fractional_array(np.sqrt, v),
+            (NAN, INF, -INF, 0, 2.5),
+            ["fractional_array", "fractional_array_inf"],
+        ),
+        **_each(
+            "fractional_array.j0",
+            lambda v: wnl.fractional_array(np.sqrt, 10, j0=(0.0, v)),
+            (*NONFINITE, 0.0, 2.0),
+        ),
+    },
+    "full_circle_reference": {},
+    "gamma_fn": _each("gamma_fn.x", wnl.gamma_fn, (*NONFINITE, 0.0, -1.0, 200.0)),
+    "girard_value": _each("girard_value.alpha", wnl.girard_value, (*NONFINITE, 0.0, 1.0)),
+    "hyp2f1": {
+        **_each(
+            "hyp2f1.a",
+            lambda v: wnl.hyp2f1(v, 0.75, 1.5, 0.3),
+            (NAN, INF, -INF),
+            ["hyp2f1_a", "hyp2f1_a_inf"],
+        ),
+        **_each("hyp2f1.b", lambda v: wnl.hyp2f1(0.5, v, 1.5, 0.3), NONFINITE),
+        **_each(
+            "hyp2f1.c",
+            lambda v: wnl.hyp2f1(0.5, 0.75, v, 0.3),
+            (*NONFINITE, 0.0, -2.0),
+            ["hyp2f1_c"],
+        ),
+        **_each("hyp2f1.z", lambda v: wnl.hyp2f1(0.5, 0.75, 1.5, v), (*NONFINITE, 1.0, -0.5)),
+    },
+    "legendre": _each(
+        "legendre.x", lambda v: wnl.legendre(SINE, v), (*NONFINITE, 1.0, 2.0), ["legendre"]
+    ),
+    "lemma1_monotone_bound": {
+        **_each(
+            "lemma1_monotone_bound.phimin_a",
+            lambda v: wnl.lemma1_monotone_bound(v, 1.0),
+            (*NONFINITE, 0.0),
+            ["lemma1_monotone_bound"],
+        ),
+        **_each(
+            "lemma1_monotone_bound.phimin_b",
+            lambda v: wnl.lemma1_monotone_bound(1.0, v),
+            (*NONFINITE, 0.0),
+        ),
+    },
+    "lemma1_var_bound": {
+        **_each(
+            "lemma1_var_bound.x",
+            lambda v: wnl.lemma1_var_bound(BLASCHKE, v, 3.0),
+            NONFINITE,
+            ["lemma1_var_bound"],
+        ),
+        # nu = -10 puts a stationary point at x = 10
+        **_each(
+            "lemma1_var_bound.nu",
+            lambda v: wnl.lemma1_var_bound(BLASCHKE, 10.0, v),
+            (*NONFINITE, -10.0),
+        ),
+    },
+    "lngamma_fn": _each("lngamma_fn.x", wnl.lngamma_fn, (*NONFINITE, 0.0, -1.0)),
+    "modulus_of_continuity": _each(
+        "modulus_of_continuity.delta",
+        lambda v: wnl.modulus_of_continuity(SINE, v),
+        (*NONFINITE, 0.0, 1e-6, 4.0),
+    ),
+    "partition_sums": {},
+    "partition_terms": _each(
+        "partition_terms.n", lambda v: wnl.partition_terms(SINE, v), (*NONFINITE, 1.5)
+    ),
+    "psi": _each("psi.x", lambda v: wnl.psi(SINE, v), (*NONFINITE, 1.0, 2.0), ["psi"]),
+    "require_valid": {},
+    "scaled_norm": {},
+    "stationary_comparison": {
+        **_each(
+            "stationary_comparison.x",
+            lambda v: wnl.stationary_comparison(SINE, v),
+            (*NONFINITE, 1.5),
+        ),
+        **_each(
+            "stationary_comparison.calib_c",
+            lambda v: wnl.stationary_comparison(SINE, 100.0, calib_c=v),
+            (*NONFINITE, -1.0),
+        ),
+    },
+    "truncated_riemann": {
+        **_each(
+            "truncated_riemann.a",
+            lambda v: wnl.truncated_riemann(np.sqrt, v, 1.0, 10),
+            (*NONFINITE, 2.0),
+        ),
+        **_each(
+            "truncated_riemann.b",
+            lambda v: wnl.truncated_riemann(np.sqrt, 0.0, v, 10),
+            (*NONFINITE, 0.0),
+        ),
+        **_each(
+            "truncated_riemann.n",
+            lambda v: wnl.truncated_riemann(np.sqrt, 0.0, 1.0, v),
+            (*NONFINITE, 1, 2.5),
+            ["truncated_riemann"],
+        ),
+    },
+    "validate": {},
+    "van_der_corput_bound": {
+        **_each(
+            "van_der_corput_bound.df_a",
+            lambda v: wnl.van_der_corput_bound(v, 1.0, 1.0),
+            NONFINITE,
+            ["van_der_corput"],
+        ),
+        **_each(
+            "van_der_corput_bound.df_b", lambda v: wnl.van_der_corput_bound(1.0, v, 1.0), NONFINITE
+        ),
+        **_each(
+            "van_der_corput_bound.mu",
+            lambda v: wnl.van_der_corput_bound(1.0, 2.0, v),
+            (*NONFINITE, 0.0),
+        ),
+    },
+    "weyl_study": {
+        **_each(
+            "weyl_study.j",
+            lambda v: wnl.weyl_study(np.sqrt, v, (0.0, 1.0), [10, 20]),
+            (*NONFINITE, 0, 1.5),
+        ),
+        **_each(
+            "weyl_study.interval",
+            lambda v: wnl.weyl_study(np.sqrt, 1, v, [10, 20]),
+            ((NAN, 1.0), (0.0, INF), (-INF, 1.0), (1.0, 0.0)),
+        ),
+        **_each(
+            "weyl_study.n_values",
+            lambda v: wnl.weyl_study(np.sqrt, 1, (0.0, 1.0), [10, v]),
+            (*NONFINITE, 0, 2.5),
+            ["weyl_study"],
+        ),
+    },
+    "weyl_sum": {
+        **_each(
+            "weyl_sum.svals", lambda v: wnl.weyl_sum(np.array([0.1, v]), 1), NONFINITE, ["weyl_sum"]
+        ),
+        **_each(
+            "weyl_sum.j",
+            lambda v: wnl.weyl_sum(np.array([0.1, 0.2]), v),
+            (*NONFINITE, 0, 1.5),
+            ["weyl_sum_j"],
+        ),
+    },
+}
+BAD_CALLS = {case: call for cases in BAD_ARGUMENTS.values() for case, call in cases.items()}
+
+
+def test_every_public_function_declares_its_bad_arguments():
+    """A new public function must say how it meets nan, inf and
+    out-of-domain arguments, as it must declare its options."""
+    functions = [name for name in wnl.__all__ if inspect.isfunction(getattr(wnl, name))]
+    assert sorted(BAD_ARGUMENTS) == sorted(functions)
+
+
+@pytest.mark.parametrize("call", list(BAD_CALLS.values()), ids=list(BAD_CALLS))
 def test_nan_argument_is_a_domain_error(call):
-    """A nan argument raises DomainError rather than coming back as nan."""
+    """A nan, infinite or out-of-domain argument raises DomainError rather
+    than coming back as nan or as an answer to another question."""
     with pytest.raises(wnl.DomainError):
         call()
 

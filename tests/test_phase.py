@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import wnl.phase
-from wnl.asymptotics import asymptotic_limit
+from wnl.asymptotics import asymptotic_limit, convergence_study, final_step_report
 from wnl.errors import DomainError, WnlError
 from wnl.phase import (
     _SLOPE_TABLE_SIZE,
@@ -19,9 +19,7 @@ from wnl.phase import (
     _curvature,
     _curvature_sign_changes,
     _invert_increasing_slope,
-    _partition,
     _slope_table,
-    _solve_phi,
     build_blaschke,
     build_blaschke_general,
     build_from_callable,
@@ -37,6 +35,7 @@ from wnl.phase import (
     validate,
 )
 from wnl.spectrum import compute_spectrum, scaled_norm
+from wnl.stationary import stationary_comparison
 
 # Cutoff scale for the sine phase at n = 1e6, against the n^(1/10)
 # model it should track (same machinery, frozen output).
@@ -455,7 +454,7 @@ def test_inverse_slope_evaluation_count():
     """
     norm = require_valid(build_blaschke([0.3, 0.7]))
     n = 65536
-    part = _partition(norm, float(n))
+    part = partition_terms(norm, float(n))
     ks = np.arange(math.ceil(part.alpha_n * n), math.floor(part.beta_n * n) + 1)
     points = []
 
@@ -527,7 +526,7 @@ def test_inverse_slope_settles_early_on_final_step_targets(phase):
     inverts them, costs at most 3.5 points of d1 and d2 each."""
     norm = require_valid(phase)
     n = 65536
-    central = _partition(norm, float(n)).central_range()
+    central = partition_terms(norm, float(n)).central_range()
     ks = np.arange(central.start, central.stop)
     assert _points_beyond_table(norm, ks / n) <= 3.5
 
@@ -550,7 +549,7 @@ def test_inverse_slope_ends_a_newton_2_cycle(monkeypatch, phase, n, calls):
     in the first pass; 79 with the cycles) and 5 at n = 1000 (64 with
     them).  Every root stays within 4 noise of its target in g'."""
     norm = require_valid(phase)
-    central = _partition(norm, float(n)).central_range()
+    central = partition_terms(norm, float(n)).central_range()
     u = np.arange(central.start, central.stop) / n
     steps = []
     newton_step = wnl.phase._newton_step
@@ -684,7 +683,7 @@ def _block_scan_omega(samples, spacing, delta):
 def test_doubling_table_range_matches_block_scan(size):
     """Every window width, 2^k +- 1 and widths of n - 1 and above included."""
     samples = np.random.default_rng(size).standard_normal(size)
-    curvature = _Curvature(samples, {}, "profile")
+    curvature = _Curvature(samples, {})
     for width in range(1, size + 6):
         assert curvature.window_range(width) == _block_scan_range(samples, width)
 
@@ -724,11 +723,12 @@ def test_choose_phi_memo_is_bit_identical(phase, n):
     ids=lambda v: getattr(v, "label", str(v)),
 )
 def test_phi_bisection_stops_at_neighbouring_floats(phase, bisected):
-    """_solve_phi bisects until its bracket ends are neighbouring floats.
+    """choose_phi bisects until its bracket ends are neighbouring floats.
     A fixed 80 midpoints, the reference here, gives the same Phi bit for
     bit: past that point a midpoint is one of the ends, so neither moves.
     Checked at every n of the ladder whose root lies inside [1, n^(1/4)]."""
-    curvature = _curvature(require_valid(phase))
+    norm = require_valid(phase)
+    curvature = _curvature(norm)
     count = 0
     for n in np.geomspace(2.0, 1.6e6, 60).tolist():
         sqrt_n = math.sqrt(n)
@@ -745,12 +745,14 @@ def test_phi_bisection_stops_at_neighbouring_floats(phase, bisected):
                 lo = mid
             else:
                 hi = mid
-        assert _solve_phi(curvature, n) == 0.5 * (lo + hi)
+        assert choose_phi(norm, n) == 0.5 * (lo + hi)
         count += 1
     assert count == bisected
 
 
 def test_partition_samples_curvature_once():
+    """Past validation, which samples h'' on grids of its own, a partition
+    samples h'' once: the curvature profile that Phi and omega share."""
     norm = require_valid(build_sine())
     sizes = []
 
@@ -758,14 +760,44 @@ def test_partition_samples_curvature_once():
         sizes.append(np.size(t))
         return norm.d2(t)
 
-    _partition(dataclasses.replace(norm, d2=d2), 1000.0)
+    counting = dataclasses.replace(norm, d2=d2)
+    require_valid(counting)
+    sizes.clear()
+    partition_terms(counting, 1000.0)
     assert sizes == [16384]
 
 
+@pytest.mark.parametrize(
+    "run, partitions",
+    [
+        (lambda: convergence_study(build_sine(), [128, 256, 512]), 3),
+        (lambda: stationary_comparison(build_sine(), 300.0), 1),
+        (lambda: final_step_report(build_blaschke([0.3, 0.7]), 1000), 1),
+    ],
+    ids=["convergence_study", "stationary_comparison", "final_step_report"],
+)
+def test_callers_reach_phi_and_omega_through_the_public_functions(monkeypatch, run, partitions):
+    """Each partition a study, a comparison or a final-step split builds
+    takes Phi from wnl.phase.choose_phi and omega from
+    modulus_of_continuity, one call each."""
+    calls = []
+    for name in ("choose_phi", "modulus_of_continuity"):
+
+        def counted(*args, name=name, f=getattr(wnl.phase, name)):
+            calls.append(name)
+            return f(*args)
+
+        monkeypatch.setattr(wnl.phase, name, counted)
+    run()
+    assert sorted(calls) == ["choose_phi"] * partitions + ["modulus_of_continuity"] * partitions
+
+
 def test_choose_phi_clamps_for_flat_curvature():
-    with pytest.warns(UserWarning, match="clamping Phi"):
+    """The clamp's warning points at the line that called choose_phi."""
+    with pytest.warns(UserWarning, match="clamping Phi") as record:
         phi = choose_phi(build_linear(1), 256.0)
     assert phi == pytest.approx(256.0**0.25)
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_choose_phi_rejects_tiny_n():
