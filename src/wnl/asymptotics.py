@@ -25,7 +25,7 @@ from ._table import Table
 from .errors import DomainError
 from .phase import (
     PhaseFunction,
-    _curvature_sign_changes,
+    _curvature_zeros,
     _invert_increasing_slope,
     partition_terms,
     require_valid,
@@ -87,26 +87,18 @@ def _root_curvature_integral(
 ) -> float:
     """scale times the integral of sqrt(|h''|) over [lo, hi], split at the zeros of h''.
 
-    The brackets of :func:`wnl.phase._curvature_sign_changes` that start
-    before hi, bisected all at once until their ends are neighbouring
-    floats, give the zeros; one more than 1e-9 past the edge before it
-    and short of hi is an edge.  Each piece [a, b], 0 <= a < b, refines
-    toward both ends, where sqrt(|h''|) typically vanishes like a power,
-    but no deeper than the level whose end panels span 8 float spacings
-    at b: a narrow piece at 2 pi would otherwise run out of distinct edges.
+    A zero of :func:`wnl.phase._curvature_zeros` more than 1e-9 past the
+    edge before it and short of hi is an edge.  Each piece [a, b],
+    0 <= a < b, refines toward both ends, where sqrt(|h''|) typically
+    vanishes like a power, but no deeper than the level whose end panels
+    span 8 float spacings at b: a narrow piece at 2 pi would otherwise run
+    out of distinct edges.
     """
     edges = [lo]
-    scan = _curvature_sign_changes(phase)
-    brackets = np.empty((0, 2)) if scan is None else scan[0]
-    a, b = brackets[brackets[:, 0] < hi].T
-    if a.size:
-        left_neg = phase.d2(a) < 0.0
-        while np.any(((m := 0.5 * (a + b)) != a) & (m != b)):
-            stays = (phase.d2(m) < 0.0) == left_neg
-            a, b = np.where(stays, m, a), np.where(stays, b, m)
-        for kink in m.tolist():
-            if kink - edges[-1] > 1e-9 and hi - kink > 1e-9:
-                edges.append(kink)
+    zeros = _curvature_zeros(phase)
+    for kink in [] if zeros is None else zeros.tolist():
+        if kink - edges[-1] > 1e-9 and hi - kink > 1e-9:
+            edges.append(kink)
     edges.append(hi)
     caps = [int(math.log2((b - a) / (8.0 * np.spacing(b)))) for a, b in zip(edges, edges[1:])]
 
@@ -129,6 +121,8 @@ def asymptotic_limit(phase: PhaseFunction, tol: float = 1e-10) -> float:
     needs |h''| on (0, pi), which lets the quadrature be self-tested on
     synthetic curvature profiles that are not phases at all.  A zero of
     h'' inside (0, pi), which no admissible phase has, is a panel edge.
+    The zeros are found around the whole circle, so a profile that is not
+    finite on (pi, 2 pi) is refused with DomainError too.
     """
     require_tolerance(tol)
     return _root_curvature_integral(phase, 0.0, math.pi, tol, _LIMIT_PREFACTOR, "limit integral")

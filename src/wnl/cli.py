@@ -37,7 +37,7 @@ from .asymptotics import (
 from .errors import DomainError, WnlError
 from .phase import (
     PhaseFunction,
-    _curvature_sign_changes,
+    _curvature_zeros,
     build_blaschke,
     build_blaschke_general,
     build_linear,
@@ -244,8 +244,8 @@ def cmd_explore_blaschke(args: argparse.Namespace) -> int:
     phase = parse_phase(args.phase_spec, allow_complex=True)
     exploratory = not validate(phase).passed
     reference = full_circle_reference(phase)
-    scan = _curvature_sign_changes(phase)
-    changes = len(scan[0]) + scan[1] if scan else 0
+    zeros = _curvature_zeros(phase)
+    changes = 0 if zeros is None else zeros.size
     kind = "conjectured reference" if exploratory else "reference limit"
     caveat = ""
     if changes > 2:  # some slopes then have over two stationary points, whose terms partly cancel

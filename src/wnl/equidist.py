@@ -55,7 +55,8 @@ def weyl_sum(svals: np.ndarray, j: int) -> float:
     if svals.size == 0:
         warnings.warn("weyl_sum of an empty sample is 0 by convention", stacklevel=2)
         return 0.0
-    value = float(np.abs(np.mean(np.exp(2j * np.pi * int(j) * svals))))
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite sample is refused below
+        value = float(np.abs(np.mean(np.exp(2j * np.pi * int(j) * svals))))
     if math.isnan(value):  # one scalar test instead of a pass over the samples
         raise DomainError(f"weyl_sum of a sample holding a non-finite value (j = {j})")
     return value

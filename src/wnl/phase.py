@@ -35,7 +35,6 @@ PhaseCallable = Callable[[Array], Array]
 _T = TypeVar("_T")
 
 _INTERIOR_MARGIN = 1e-9  # keep evaluation strictly inside (0, pi)
-_SLOPE_RANGE_GRID = 4097  # samples of h' in PhaseFunction.slope_range
 _FD_STEP = 1e-5  # central-difference step of build_from_callable
 _VALIDATE_GRID = 256  # samples per structural check in validate
 _SYMMETRY_TOL = 1e-8  # largest |h(-t) -+ h(t)| of a phase taken as odd or even
@@ -43,7 +42,7 @@ _DOUBLING_LIMIT = 64.0  # largest accepted |h''(2s)| / |h''(s)| near an endpoint
 _DOUBLING_CORNER = math.pi / 8.0  # the largest s of the dyadic ladder
 _CURVATURE_GRID = 16384  # samples of h'' on [0, pi] behind Phi and omega
 _DELTA_FLOOR = 4.0 * math.pi / (_CURVATURE_GRID - 1)  # least delta omega reads: 4 grid spacings
-_SIGN_SCAN_GRID = 4097  # samples of h'' on [0, 2 pi] behind its sign changes
+_SIGN_SCAN_GRID = 4097  # samples of h'' on [0, 2 pi] that bracket its zeros
 
 
 def _once(f: Callable[[PhaseFunction], _T]) -> Callable[[PhaseFunction], _T]:
@@ -77,7 +76,7 @@ class PhaseFunction:
     winding number and orientation (``winding_k``, ``sign``) and the
     parities ``odd`` and ``even``, on either of which the spectrum takes
     a half route.  These, the slope range, the normalization, its
-    validation, the curvature profile, the sign scan of h'' and the
+    validation, the curvature profile, the zeros of h'' and the
     inverse-slope table are each derived once per phase object.
     """
 
@@ -134,17 +133,19 @@ class PhaseFunction:
 
     @_once
     def slope_range(self) -> tuple[float, float]:
-        """(min, max) of h' on [-pi, pi], sampled densely.
+        """(min, max) of h' around the circle: at the zeros of h'', where
+        its extremes are, and on the scan grid that brackets them.
 
-        An odd grid size keeps -pi, 0, pi on the grid, where monotone
-        curvature puts the extremes.  A non-finite sample raises
-        DomainError.
+        Exact wherever :func:`_curvature_zeros` finds the zeros, rotated
+        phases included; with none (h'' mostly zero) the grid alone.  A
+        non-finite h'' or h' raises DomainError.
         """
-        t = np.linspace(-np.pi, np.pi, _SLOPE_RANGE_GRID)
-        v = self.d1(t)
+        t = np.linspace(0.0, 2.0 * np.pi, _SIGN_SCAN_GRID)
+        zeros = _curvature_zeros(self)
+        v = self.d1(t if zeros is None else np.concatenate([t, zeros]))
         lo, hi = float(np.min(v)), float(np.max(v))
         if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise DomainError(f"h' of {self.label!r} is not finite on [-pi, pi]")
+            raise DomainError(f"h' of {self.label!r} is not finite on the circle")
         return lo, hi
 
 
@@ -451,20 +452,28 @@ def _validation(norm: PhaseFunction) -> ValidationReport:
 
 
 @_once
-def _curvature_sign_changes(phase: PhaseFunction) -> tuple[Array, bool] | None:
-    """Where h'' changes sign around the circle: (brackets, seam), or None.
+def _curvature_zeros(phase: PhaseFunction) -> Array | None:
+    """The zeros of h'' around the circle, ascending in [0, 2 pi), or None.
 
-    Rows of brackets are neighbouring samples, of ``_SIGN_SCAN_GRID`` on
-    [0, 2 pi], whose sign bits differ; seam is whether the two ends (one
-    point of the circle) do.  None when fewer than half the samples are
-    nonzero: h'' then mostly vanishes and its signs say nothing.
+    Neighbouring samples of ``_SIGN_SCAN_GRID`` on [0, 2 pi] whose sign
+    bits differ are bisected, all at once, to neighbouring floats; a flip
+    between the two ends (one point of the circle) is a zero at 0.  None
+    when fewer than half the samples are nonzero: h'' then mostly
+    vanishes and its signs say nothing.  A non-finite sample raises
+    DomainError, so every reader of the zeros refuses such a phase.
     """
     t = np.linspace(0.0, 2.0 * np.pi, _SIGN_SCAN_GRID)
-    neg = np.signbit(vals := phase.d2(t))
+    if not np.all(np.isfinite(vals := phase.d2(t))):
+        raise DomainError(f"h'' of {phase.label!r} is not finite on the circle")
     if 2 * np.count_nonzero(vals) < vals.size:
         return None
+    neg = np.signbit(vals)
     flips = np.flatnonzero(neg[:-1] != neg[1:])
-    return np.stack([t[flips], t[flips + 1]], axis=1), bool(neg[0] != neg[-1])
+    a, b = t[flips], t[flips + 1]
+    while np.any(((m := 0.5 * (a + b)) != a) & (m != b)):
+        stays = np.signbit(phase.d2(m)) == neg[flips]
+        a, b = np.where(stays, m, a), np.where(stays, b, m)
+    return np.concatenate([[0.0], m] if neg[0] != neg[-1] else [m])
 
 
 # ---------------------------------------------------------------------------

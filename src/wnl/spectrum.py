@@ -32,7 +32,7 @@ from .errors import (
     MisalignedError,
     PeriodicityError,
 )
-from .phase import PhaseFunction, TermPartition, _curvature_sign_changes
+from .phase import PhaseFunction, TermPartition, _curvature_zeros
 
 _PARSEVAL_GATE = 1e-6  # a window missing this much square mass is rejected
 _QUAD_MAX_DOUBLINGS = 10  # panel doublings coefficient_quadrature may spend
@@ -123,17 +123,17 @@ def _tail_bound(
     per monotone piece of h' the variation of 1/phi' is at most
     B / (d (d + B)) with B the band width and d the distance to the
     band.  Summing the resulting coefficient bound over the excluded
-    indices gives a log, scaled by pieces/2: the sign changes of h'' (at
-    least 2) that :func:`wnl.phase._curvature_sign_changes` counts, or
+    indices gives a log, scaled by pieces/2: the zeros of h'' on the
+    circle (at least 2) that :func:`wnl.phase._curvature_zeros` finds, or
     inf when it gives None.  Exact for the degenerate single-spike case.
     """
     band = x * (m2 - m1)
     if band == 0.0:
         return 0.0  # single spike at nu = x * slope; nothing outside
-    scan = _curvature_sign_changes(phase)
-    if scan is None:
+    zeros = _curvature_zeros(phase)
+    if zeros is None:
         return math.inf
-    pieces = max(len(scan[0]) + scan[1], 2)
+    pieces = max(zeros.size, 2)
     dl = x * m1 - lo
     dr = hi - x * m2
     if dl <= 1.0 or dr <= 1.0:
@@ -192,8 +192,9 @@ def compute_spectrum(
     """All Fourier coefficients of e^{i x h(t)} in one FFT, windowed.
 
     The automatic window is [x m1 - W, x m2 + W] with (m1, m2) the slope
-    range of h and W = max(64, 4 sqrt(x)); outside it the coefficients
-    of a curvature-definite phase are negligible, and the Parseval gate
+    range of h, read off h' at the zeros of h'' (``slope_range``), and
+    W = max(64, 4 sqrt(x)); outside it the coefficients of a
+    curvature-definite phase are negligible, and the Parseval gate
     verifies that rather than assuming it.  Its grid has N points, the
     smallest even 2^a 3^b 5^c with N >= w + 4W, w = hi - lo + 1: every
     alias nu +- N of a kept index then lies at least 4W beyond the
@@ -230,8 +231,8 @@ def compute_spectrum(
     sampling.  A Parseval defect above 1e-6 that widening cannot mend
     raises GridResolutionError.  A grid above 2^24 points raises
     DomainError before any sample is allocated (a pinned one before
-    2**grid_pow is computed), and so does a phase whose h' or e^{i x h}
-    is not finite on the grid.
+    2**grid_pow is computed), and so does a phase whose h' or h'' is not
+    finite on the circle, or whose e^{i x h} is not finite on the grid.
     """
     if x <= 0.0:
         raise DomainError(f"x must be positive, got {x!r}")

@@ -1,5 +1,7 @@
 """Fractional parts, exponential sums, and the decay studies built on them."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,6 +68,15 @@ def test_weyl_sum_guards_and_empty():
         weyl_sum(np.array([0.1]), 0)
     with pytest.warns(UserWarning, match="empty"):
         assert weyl_sum(np.array([]), 1) == 0.0
+
+
+def test_weyl_sum_refuses_inf_without_numpy_warnings():
+    """An infinite sample is refused with DomainError alone: the exp it
+    spoils runs with numpy's invalid and overflow warnings silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="non-finite"):
+            weyl_sum(np.array([0.1, np.inf]), 1)
 
 
 def test_van_der_corput_bound_values():

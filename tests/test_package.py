@@ -139,13 +139,13 @@ def test_cli_flags_are_pinned():
 # Each underscore name one wnl module imports from another, keyed by the importer.
 PRIVATE_IMPORTS = {
     "asymptotics": (
-        "phase._curvature_sign_changes",
+        "phase._curvature_zeros",
         "phase._invert_increasing_slope",
         "stationary._stationary_points",
     ),
-    "cli": ("phase._curvature_sign_changes",),
+    "cli": ("phase._curvature_zeros",),
     "phase": ("_quad._BLOCK",),
-    "spectrum": ("phase._curvature_sign_changes",),
+    "spectrum": ("phase._curvature_zeros",),
     "stationary": ("_quad._BLOCK", "phase._invert_increasing_slope"),
 }
 

@@ -17,7 +17,7 @@ from wnl.phase import (
     TermPartition,
     _Curvature,
     _curvature,
-    _curvature_sign_changes,
+    _curvature_zeros,
     _invert_increasing_slope,
     _slope_table,
     build_blaschke,
@@ -301,19 +301,36 @@ def test_require_valid_raises_with_reasons():
     ids=lambda v: getattr(v, "label", v),
 )
 def test_curvature_sign_changes_are_counted(phase, changes):
-    """h'' changes sign len(brackets) + seam times around the circle, and
-    each bracket is two neighbouring samples whose sign bits differ."""
-    brackets, seam = _curvature_sign_changes(phase)
-    assert len(brackets) + seam == changes
-    a, b = brackets.T
-    assert np.allclose(b - a, 2.0 * np.pi / 4096)
-    assert np.all(np.signbit(phase.d2(a)) != np.signbit(phase.d2(b)))
+    """h'' vanishes zeros.size times around the circle, at zeros ascending
+    in [0, 2 pi), and its sign bit flips across each zero's neighbouring
+    floats; on the circle the float below 0 is the one below 2 pi."""
+    zeros = _curvature_zeros(phase)
+    assert zeros.size == changes
+    assert np.all(np.diff(zeros) > 0.0)
+    assert zeros[0] >= 0.0 and zeros[-1] < 2.0 * np.pi
+    below = np.signbit(phase.d2(np.nextafter(np.where(zeros == 0.0, 2.0 * np.pi, zeros), 0.0)))
+    at = np.signbit(phase.d2(zeros))
+    above = np.signbit(phase.d2(np.nextafter(zeros, np.inf)))
+    assert np.all((below != at) | (at != above))
 
 
 @pytest.mark.parametrize("phase", [build_piecewise_abs(), build_linear(2)], ids=lambda p: p.label)
 def test_curvature_sign_changes_need_curvature(phase):
     """h'' vanishes on the whole circle: its signs say nothing."""
-    assert _curvature_sign_changes(phase) is None
+    assert _curvature_zeros(phase) is None
+
+
+@pytest.mark.parametrize(
+    "phase",
+    [build_sine()]
+    + [build_blaschke(a) for a in ([0.3, 0.7], [0.5], [0.9], [0.99], [0.3, 0.5, 0.7])],
+    ids=lambda p: p.label,
+)
+def test_odd_slope_range_is_the_slope_at_zero_and_pi(phase):
+    """h'' > 0 on (0, pi) and odd puts the extremes of h' at 0 and pi,
+    where h'' vanishes; the slope range is h' there, to the bit."""
+    norm = phase.normalized()
+    assert norm.slope_range() == tuple(float(norm.d1(np.asarray(t))) for t in (0.0, np.pi))
 
 
 def test_psi_is_arccos_for_sine():

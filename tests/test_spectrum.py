@@ -134,21 +134,33 @@ def test_half_route_matches_full_route(phase, xs):
         assert np.max(np.abs(full.coeffs.imag)) <= 1e-9
 
 
-@pytest.mark.parametrize("x", [1000.0, 4096.0])
+@pytest.mark.parametrize(
+    "alphas, x",
+    [
+        ([0.3, 0.7], 1000.0),
+        ([0.3, 0.7], 4096.0),
+        ([0.3, 0.95], 300.0),
+        ([0.3, 0.95], 1000.0),
+        ([0.3, 0.95], 3000.0),
+    ],
+    ids=["1000.0", "4096.0", "0.3,0.95-300.0", "0.3,0.95-1000.0", "0.3,0.95-3000.0"],
+)
 @pytest.mark.parametrize("theta", [0.7, math.pi / 2.0, 2.0])
-def test_rotated_zeros_keep_every_magnitude(theta, x):
+def test_rotated_zeros_keep_every_magnitude(theta, alphas, x):
     """Rotating every zero by theta shifts h along the circle, t -> t -
     theta, plus a constant, which leaves each |a_nu| alone.  The rotated
     zeros are complex, so their spectrum takes the full complex FFT,
-    while build_blaschke([0.3, 0.7]) takes the odd Hermitian route: the
+    while build_blaschke(alphas) takes the odd Hermitian route: the
     two routes must give the same window and the same magnitudes.  The
-    samples of x h carry rounding of about x |h| eps ~ 1e-11 (|h| <= 13
-    here), which averages over the N = 2^16 samples of a coefficient to
-    about 1e-11 / sqrt(N) ~ 4e-14, the largest gap measured; 1e-12
-    allows 20 times that."""
-    odd = compute_spectrum(build_blaschke([0.3, 0.7]), x)
+    window is cut from h' at the zeros of h'', which rotate with the
+    phase; a slope range sampled on a grid misses the rotated extremes of
+    [0.3, 0.95].  The samples of x h carry rounding of about x |h| eps ~
+    1e-11 (|h| <= 13 here), which averages over the N = 2^16 samples of a
+    coefficient to about 1e-11 / sqrt(N) ~ 4e-14, the largest gap
+    measured; 1e-12 allows 20 times that."""
+    odd = compute_spectrum(build_blaschke(alphas), x)
     rotated = compute_spectrum(
-        build_blaschke_general([0.3 * np.exp(1j * theta), 0.7 * np.exp(1j * theta)]), x
+        build_blaschke_general([a * np.exp(1j * theta) for a in alphas]), x
     )
     assert (rotated.nu_min, rotated.nu_max) == (odd.nu_min, odd.nu_max)
     assert np.max(np.abs(np.abs(rotated.coeffs) - np.abs(odd.coeffs))) <= 1e-12
@@ -549,7 +561,9 @@ def test_non_finite_x_rejected(route, x):
 
 def test_nan_phase_is_a_domain_error(monkeypatch):
     """h = nan near t = 1: with h' finite the Parseval defect is nan, with h'
-    nan too the slope range is.  Either is named before any window widens."""
+    and h'' nan too the zeros of h'' are sought on a nan.  Either is named
+    before any window widens.  h'' = nan on (4, 2 pi) alone is named before
+    any sampling: the zeros of h'' set the slope range and the tail bound."""
 
     def h(t):
         t = np.asarray(t, dtype=float)
@@ -568,6 +582,11 @@ def test_nan_phase_is_a_domain_error(monkeypatch):
     assert len(calls) == 1
     with pytest.raises(DomainError, match="'custom' is not finite"):
         compute_spectrum(build_from_callable(h), 100.0)
+    assert len(calls) == 1
+    sine = build_sine()
+    phase = dataclasses.replace(sine, d2=lambda t: np.where(t > 4.0, np.nan, sine.d2(t)))
+    with pytest.raises(DomainError, match="h'' of 'sine' is not finite"):
+        compute_spectrum(phase, 64.0)
     assert len(calls) == 1
 
 
