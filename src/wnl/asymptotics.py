@@ -326,15 +326,22 @@ def final_step_report(phase: PhaseFunction, n: int, eps: float = 0.1) -> FinalSt
     floor(n u_lo) and floor(n u_hi), with u_lo = g'(eps) and u_hi =
     g'(pi - eps): index k is in the left strip when k/n <= u_lo, in the
     middle when u_lo < k/n <= u_hi and in the right strip otherwise, so
-    each central index counts exactly once.  The indices, g''(t*) and
-    rho are the columns :func:`wnl.stationary.stationary_comparison`
-    reads, from one slope inversion over the whole range.
+    each central index counts exactly once.  t* and g''(t*) come from
+    the blocks :func:`wnl.stationary.stationary_comparison` reads, and
+    rho is evaluated only on the middle strip, the one place it is read.
+    The split keeps one weight column over the central range and no
+    other array of its length.  e^{i n h} must be periodic
+    (:func:`wnl.spectrum.check_periodicity`): otherwise its
+    coefficients, which the sums stand for, do not exist.
     """
     norm = require_valid(phase)
+    if not math.isfinite(n):
+        raise DomainError(f"n must be finite, got {n!r}")
     if n < 2:
         raise DomainError(f"n must be at least 2, got {n!r}")
     if not (0.0 < eps < math.pi / 2.0):
         raise DomainError(f"eps must lie in (0, pi/2), got {eps!r}")
+    check_periodicity(norm, n)
     part = partition_terms(norm, float(n))
     alpha_n, beta_n = part.alpha_n, part.beta_n
     u_lo = float(norm.d1(np.asarray(eps)))
@@ -346,16 +353,20 @@ def final_step_report(phase: PhaseFunction, n: int, eps: float = 0.1) -> FinalSt
             "or a larger n"
         )
 
-    ks, _, g2, rho = _stationary_points(norm, part)
-    vals = 1.0 / np.sqrt(g2)
-    cut_lo, cut_hi = np.searchsorted(
-        ks, (math.floor(u_lo * n), math.floor(u_hi * n)), side="right"
-    )
-    mid = slice(cut_lo, cut_hi)
-    vals[mid] *= np.abs(np.cos(rho[mid] + math.pi / 4.0))
+    rng = part.central_range()
+    seams = (math.floor(u_lo * n) + 1, math.floor(u_hi * n) + 1)  # first middle, first right index
+    cut_lo, cut_hi = (min(max(k - rng.start, 0), len(rng)) for k in seams)
+    vals = np.empty(len(rng))  # each term's weight, the one column the three sums read
+    for ks, t, g2 in _stationary_points(norm, part):
+        first = int(ks[0])
+        w = vals[first - rng.start :][: ks.size]
+        w[:] = 1.0 / np.sqrt(g2)
+        mid = slice(*(min(max(k - first, 0), ks.size) for k in seams))  # the block's middle share
+        rho = part.n * norm.h(t[mid]) - ks[mid] * t[mid]
+        w[mid] *= np.abs(np.cos(rho + math.pi / 4.0))
     pref = math.sqrt(2.0 / math.pi)
     edge_left = float(pref * np.sum(vals[:cut_lo]) / n)
-    middle = float(pref * np.sum(vals[mid]) / n)
+    middle = float(pref * np.sum(vals[cut_lo:cut_hi]) / n)
     edge_right = float(pref * np.sum(vals[cut_hi:]) / n)
     limit_piece = _root_curvature_integral(
         norm, eps, math.pi - eps, _REFERENCE_TOL, _LIMIT_PREFACTOR, "final-step limit piece"

@@ -544,14 +544,14 @@ def _slope_table(norm: PhaseFunction) -> tuple[Array, Array, Array, float]:
     built once per phase object.
 
     grid holds ``_SLOPE_TABLE_SIZE`` uniform points of [0, pi] and table
-    the running maximum of g' on it.  cubic holds, per table interval,
-    the rows 1/(u_hi - u_lo) and the coefficients c1, c2, c3 of
-    ``_slope_seed``.  noise is the larger of 8 spacing(max|g'|) and
-    max|D^6 g'| / 2^6 over the table, D^6 the sixth difference.  The
-    smooth part of D^6 g' is d^6 g^(7), negligible at this spacing d,
-    while errors of at most E in each tabulated g' give |D^6| <= 2^6 E;
-    so the second term is a lower estimate of the rounding, or finite
-    differencing, error E in g'.
+    the running maximum of g' on it.  cubic holds one row per table
+    interval, 1/(u_hi - u_lo) and the coefficients c1, c2, c3 of
+    ``_slope_seed``, so each target gathers four adjacent values.  noise
+    is the larger of 8 spacing(max|g'|) and max|D^6 g'| / 2^6 over the
+    table, D^6 the sixth difference.  The smooth part of D^6 g' is
+    d^6 g^(7), negligible at this spacing d, while errors of at most E in
+    each tabulated g' give |D^6| <= 2^6 E; so the second term is a lower
+    estimate of the rounding, or finite differencing, error E in g'.
     """
     grid = np.linspace(0.0, np.pi, _SLOPE_TABLE_SIZE)
     d = grid[1]
@@ -566,7 +566,7 @@ def _slope_table(norm: PhaseFunction) -> tuple[Array, Array, Array, float]:
     inv_rise = np.divide(1.0, rise, out=np.zeros_like(rise), where=rise > 0.0)
     a = np.divide(rise, d * curv[:-1], out=np.ones_like(rise), where=curved)
     b = np.divide(rise, d * curv[1:], out=np.ones_like(rise), where=curved)
-    cubic = np.stack([inv_rise, a, 3.0 - 2.0 * a - b, a + b - 2.0])
+    cubic = np.stack([inv_rise, a, 3.0 - 2.0 * a - b, a + b - 2.0], axis=1)
     return grid, table, cubic, float(noise)
 
 
@@ -586,7 +586,7 @@ def _slope_seed(
     """
     i = np.clip(np.searchsorted(table, targets) - 1, 0, table.size - 2)
     lo, hi = grid[i], grid[i + 1]
-    inv_rise, c1, c2, c3 = cubic[:, i]
+    inv_rise, c1, c2, c3 = cubic[i].T
     q = np.clip((targets - table[i]) * inv_rise, 0.0, 1.0)
     p = q * (c1 + q * (c2 + q * c3))
     p = np.where((0.0 <= p) & (p <= 1.0), p, q)

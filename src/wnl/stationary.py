@@ -16,10 +16,12 @@ from the index partition at scale x, which computes them once.
 
 ``stationary_comparison`` returns the central window as one table of
 numpy columns (index, t*, rho, g''(t*), approximation, FFT coefficient,
-bound); the first four come from ``_stationary_points``, which
-``asymptotics.final_step_report`` reads too.  The error statistics and
-the written table are column expressions, and
-``fitted_calibration`` reads the stored g'' column.
+bound).  ``_stationary_points`` yields nu, t* and g''(t*) one block
+of indices at a time, and the comparison fills its columns, rho
+included, from those blocks; ``asymptotics.final_step_report`` reads
+the same blocks and keeps none of them.  The error statistics and the
+written table are column expressions, and ``fitted_calibration`` reads
+the stored g'' column.
 
 Away from the central window the coefficient integral has no
 stationary point; Lemma 1's first-derivative bounds cover that case.
@@ -31,7 +33,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -53,20 +55,16 @@ _VAR_BOUND_GRID = 8192  # samples of phi' in lemma1_var_bound
 
 def _stationary_points(
     norm: PhaseFunction, part: TermPartition
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """nu, t* = psi(nu/x), g''(t*) and rho over the partition's central
-    range, from one slope inversion.  g'' and rho are computed in blocks
-    of ``_quad._BLOCK`` indices, so no temporary spans the whole range."""
-    x = part.n
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield nu, t* = psi(nu/x) and g''(t*) over the partition's central
+    range, one block of ``_quad._BLOCK`` indices at a time, so no array
+    spans the whole range.  Each root depends on its own target only,
+    so the blocks equal one slope inversion over the range bit for bit."""
     rng = part.central_range()
-    nus = np.arange(rng.start, rng.stop)
-    t_star = _invert_increasing_slope(norm, nus / x)
-    g2, rho = np.empty_like(t_star), np.empty_like(t_star)
-    for b in range(0, nus.size, _BLOCK):
-        s = slice(b, b + _BLOCK)
-        g2[s] = norm.d2(t_star[s])
-        rho[s] = x * norm.h(t_star[s]) - nus[s] * t_star[s]
-    return nus, t_star, g2, rho
+    for start in range(rng.start, rng.stop, _BLOCK):
+        nus = np.arange(start, min(start + _BLOCK, rng.stop))
+        t_star = _invert_increasing_slope(norm, nus / part.n)
+        yield nus, t_star, norm.d2(t_star)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +174,10 @@ def stationary_comparison(
     """Approximate every central coefficient and fetch its exact value.
 
     The exact side is the FFT spectrum of the normalized phase at the
-    same x, so the two columns share nothing but the phase itself.
-    calib_c must be finite and non-negative.
+    same x, so the two columns share nothing but the phase itself.  The
+    columns t*, g''(t*) and rho are allocated once, after the first
+    block's slope inversion, and filled from the blocks of
+    ``_stationary_points``.  calib_c must be finite and non-negative.
     """
     if not (0.0 <= calib_c < math.inf):
         raise DomainError(f"calib_c must be finite and non-negative, got {calib_c!r}")
@@ -190,7 +190,14 @@ def stationary_comparison(
             f"central indices [{rng.start}, {rng[-1]}] outside the computed "
             f"window [{spec.nu_min}, {spec.nu_max}]"
         )
-    nus, t_star, g2, rho = _stationary_points(norm, part)
+    t_star = g2 = rho = np.empty(0)
+    for ks, t, d2 in _stationary_points(norm, part):
+        if t_star.size == 0:  # allocated past the first inversion and its temporaries
+            t_star, g2, rho = np.empty(len(rng)), np.empty(len(rng)), np.empty(len(rng))
+        s = slice(ks[0] - rng.start, ks[-1] + 1 - rng.start)
+        t_star[s], g2[s] = t, d2
+        rho[s] = x * norm.h(t) - ks * t
+    nus = np.arange(rng.start, rng.stop)
     approx = _SQRT_2_OVER_PI / np.sqrt(x * g2) * np.cos(rho + math.pi / 4.0)
     bounds = calib_c / (x * g2 * part.delta) + x * part.omega * part.delta**3
     first = rng.start - spec.nu_min

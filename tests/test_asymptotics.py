@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -18,9 +19,10 @@ from wnl.asymptotics import (
     full_circle_reference,
     truncated_riemann,
 )
-from wnl.errors import DomainError, QuadratureBudgetError, WnlError
+from wnl.errors import DomainError, PeriodicityError, QuadratureBudgetError, WnlError
 from wnl.phase import (
     PhaseFunction,
+    _invert_increasing_slope,
     build_blaschke,
     build_blaschke_general,
     build_from_callable,
@@ -433,6 +435,72 @@ def test_final_step_strips_cover_the_central_range(monkeypatch, phase, n, eps):
     assert report.edge_left == pytest.approx(np.sum(vals[left]), rel=1e-13)
     assert report.middle == pytest.approx(np.sum((vals * weight)[middle]), rel=1e-13)
     assert report.edge_right == pytest.approx(np.sum(vals[right]), rel=1e-13)
+
+@pytest.mark.parametrize(
+    "phase, n",
+    [(build_sine(), 6400), (build_blaschke([0.3, 0.7]), 4096)],
+    ids=["sine-6400", "blaschke[0.3,0.7]-4096"],
+)
+def test_final_step_blocks_equal_whole_range_expressions(monkeypatch, phase, n):
+    """In blocks of 777 indices, which divide neither the central range nor
+    its strips, the four floats equal bit for bit the split computed over
+    whole arrays: one slope inversion, g'' and rho over the whole range,
+    and strips cut by a search over the index column."""
+    monkeypatch.setattr(wnl.stationary, "_BLOCK", 777)
+    eps = 0.2
+    report = final_step_report(phase, n, eps=eps)
+
+    norm = require_valid(phase)
+    central = wnl.partition_terms(norm, float(n)).central_range()
+    ks = np.arange(central.start, central.stop)
+    t = _invert_increasing_slope(norm, ks / float(n))
+    rho = float(n) * norm.h(t) - ks * t
+    vals = 1.0 / np.sqrt(norm.d2(t))
+    seams = [math.floor(float(norm.d1(np.asarray(e))) * n) for e in (eps, math.pi - eps)]
+    cut_lo, cut_hi = np.searchsorted(ks, seams, side="right")
+    assert all(c % 777 for c in (cut_lo, cut_hi, ks.size))
+    mid = slice(cut_lo, cut_hi)
+    vals[mid] *= np.abs(np.cos(rho[mid] + math.pi / 4.0))
+    pref = math.sqrt(2.0 / math.pi)
+    limit_piece = wnl.asymptotics._root_curvature_integral(
+        norm, eps, math.pi - eps, 1e-10, (2.0 / math.pi) ** 1.5, "final-step limit piece"
+    )
+    expect = (
+        float(pref * np.sum(vals[:cut_lo]) / n),
+        float(pref * np.sum(vals[mid]) / n),
+        float(pref * np.sum(vals[cut_hi:]) / n),
+        limit_piece,
+    )
+    assert (report.edge_left, report.middle, report.edge_right, report.limit_piece) == expect
+
+
+def test_final_step_memory_is_one_column():
+    """The split keeps one 8-byte weight per central index and at most
+    8 MB besides: no column of t*, g'' or rho, and no array of the slope
+    inversion, spans the central range (892,137 indices here)."""
+    phase = build_blaschke([0.3, 0.7])
+    n = 2**17
+    tracemalloc.start()
+    try:
+        final_step_report(phase, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    central = wnl.partition_terms(phase, float(n)).central_range()
+    assert peak <= 8 * len(central) + 8_000_000
+
+
+def test_final_step_report_needs_a_periodic_phase():
+    """The split stands for the coefficients of e^{i n h}, which exist only
+    where that is periodic: n * winding_k an integer, as for the spectrum."""
+    blaschke = build_blaschke([0.5])  # winding -1
+    with pytest.raises(PeriodicityError):
+        final_step_report(blaschke, 1000.5, eps=0.2)
+    with pytest.raises(PeriodicityError):
+        stationary_comparison(blaschke, 1000.5)
+    assert final_step_report(blaschke, 1000, eps=0.2).middle > 0.0
+    assert final_step_report(build_sine(), 1000.5, eps=0.2).middle > 0.0  # winding 0
+
 
 def test_final_step_report_eps_too_small():
     with pytest.raises(DomainError, match="eps"):

@@ -285,6 +285,8 @@ BAD_ARGUMENTS = {
             lambda v: wnl.final_step_report(SINE, 1000, eps=v),
             (*NONFINITE, 0.0, math.pi / 2.0),
         ),
+        # e^{i n h} is not periodic there, so the coefficients the split sums do not exist
+        "final_step_report.n=1000.5": lambda: wnl.final_step_report(BLASCHKE, 1000.5, eps=0.2),
     },
     "fitted_calibration": {},
     "fractional_array": {

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from wnl import stationary
 from wnl.errors import DomainError, MisalignedError
 from wnl.phase import (
+    _invert_increasing_slope,
     build_blaschke,
     build_sine,
     legendre,
@@ -267,12 +268,25 @@ def test_lemma1_dominates_actual_coefficient(nu):
 
 
 def test_stationary_columns_in_blocks_equal_one_call(monkeypatch):
-    """g''(t*) and rho, computed in blocks that do not divide the central
-    range, equal one call on the whole range bit for bit."""
-    norm = require_valid(build_blaschke([0.3, 0.7]))
+    """The blocks of _stationary_points, which do not divide the central
+    range, concatenate to one slope inversion and one g'' over the whole
+    range bit for bit, and the comparison's rho column, filled from the
+    same blocks, is the whole-range expression."""
+    phase = build_blaschke([0.3, 0.7])
+    norm = require_valid(phase)
     part = partition_terms(norm, 4096.0)
+    central = part.central_range()
     monkeypatch.setattr(stationary, "_BLOCK", 777)
-    nus, t_star, g2, rho = stationary._stationary_points(norm, part)
-    assert nus.size > 10 * 777 and nus.size % 777
-    assert g2.tobytes() == norm.d2(t_star).tobytes()
-    assert rho.tobytes() == (4096.0 * norm.h(t_star) - nus * t_star).tobytes()
+    blocks = list(stationary._stationary_points(norm, part))
+    assert len(blocks) > 10 and len(central) % 777
+    assert all(ks.size == 777 for ks, _, _ in blocks[:-1])
+    nus, t_star, g2 = (np.concatenate(column) for column in zip(*blocks))
+    assert np.array_equal(nus, np.arange(central.start, central.stop))
+    whole = _invert_increasing_slope(norm, nus / 4096.0)
+    assert t_star.tobytes() == whole.tobytes()
+    assert g2.tobytes() == norm.d2(whole).tobytes()
+    table = stationary_comparison(phase, 4096.0)
+    assert table.nu.tobytes() == nus.tobytes()
+    assert table.t_star.tobytes() == whole.tobytes()
+    assert table.g2.tobytes() == g2.tobytes()
+    assert table.rho.tobytes() == (4096.0 * norm.h(whole) - nus * whole).tobytes()
