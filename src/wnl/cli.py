@@ -151,8 +151,7 @@ def _converge_log_growth(args: argparse.Namespace, phase: PhaseFunction) -> int:
         raise DomainError("log-growth mode needs params >= 3 so that log n > 1")
     rows = []
     for p in args.params:
-        spec = compute_spectrum(phase, p, window="full")
-        norm = spec.abs_sum()
+        norm = compute_spectrum(phase, p, window="full").abs_sum()  # one spectrum alive at a time
         ratio = norm / math.log(p)
         rows.append((p, norm, ratio, abs(ratio - limit_per_log)))
     header = (

@@ -65,7 +65,11 @@ def _index(nu: int) -> int:
 
 @dataclass(frozen=True)
 class CoefficientSpectrum:
-    """Windowed Fourier coefficients of e^{i x h(t)} with certificates."""
+    """Windowed Fourier coefficients of e^{i x h(t)} with certificates.
+
+    ``coeffs`` is float64 for an odd phase, whose coefficients are real,
+    and complex otherwise; ``coeff`` returns a ``complex`` either way.
+    """
 
     x: float
     nu_min: int
@@ -165,7 +169,9 @@ def _grid_coefficients(phase: PhaseFunction, x: float, n_grid: int) -> np.ndarra
     """All N coefficients of e^{i x h(t)} on the N-point grid, from one FFT.
 
     An odd or even phase (read once, even only if not odd) is sampled on
-    [0, pi] only, N/2 + 1 points.
+    [0, pi] only, N/2 + 1 points.  An odd phase samples the conjugate
+    e^{-i x h}, whose ``irfft`` (scaled by 1/N) is the N real coefficients:
+    ``hfft(e^{i x h}, norm="forward")`` without its conjugated copy.
     """
     odd = phase.odd
     even = not odd and phase.even
@@ -173,11 +179,11 @@ def _grid_coefficients(phase: PhaseFunction, x: float, n_grid: int) -> np.ndarra
     hv = phase.h(2.0 * np.pi * np.arange(m) / n_grid)  # before z: h's own peak comes first
     z = np.empty(n_grid if even else m, dtype=complex)
     head = z[:m]
-    np.multiply(1j * x, hv, out=head)
+    np.multiply(-1j * x if odd else 1j * x, hv, out=head)
     del hv
     np.exp(head, out=head)
     if odd:
-        return np.fft.hfft(z, n_grid, norm="forward")
+        return np.fft.irfft(z, n_grid)
     if even:
         z[m:] = z[m - 2 : 0 : -1]  # the sample at t_{N-j} is the one at t_j
     return np.fft.fft(z, norm="forward", out=z)
@@ -213,13 +219,14 @@ def compute_spectrum(
 
     For an odd phase e^{i x h(-t)} is the conjugate of e^{i x h(t)}, so
     every coefficient is real: h is sampled on [0, pi] only, N/2 + 1
-    points, and one Hermitian FFT (``np.fft.hfft``) yields the N
-    coefficients.  For an even phase e^{i x h(-t)} equals e^{i x h(t)}:
-    h and exp run on the same N/2 + 1 points, whose values are mirrored
-    into the rest of the buffer before the complex FFT.  Other phases
-    are sampled at all N points.  One complex buffer holds the samples,
-    is exponentiated in place and, for the complex FFT, receives the
-    transform, with ``norm="forward"`` scaling by 1/N; a
+    points, and one Hermitian FFT (the inverse real FFT of the conjugate
+    samples, ``np.fft.irfft``) yields the N coefficients as float64, and
+    the window stays float64.  For an even phase e^{i x h(-t)} equals
+    e^{i x h(t)}: h and exp run on the same N/2 + 1 points, whose values
+    are mirrored into the rest of the buffer before the complex FFT.
+    Other phases are sampled at all N points.  One complex buffer holds
+    the samples, is exponentiated in place and, for the complex FFT,
+    receives the transform, with ``norm="forward"`` scaling by 1/N; a
     full-window spectrum thus holds at most two complex N-arrays
     (buffer and kept window) besides the FFT's own scratch.
     ``numpy.fft`` is used rather than ``scipy.fft``, whose import alone
@@ -283,7 +290,7 @@ def compute_spectrum(
         start = lo % n_grid
         stop = start + hi - lo + 1
         wrapped = max(stop - n_grid, 0)
-        coeffs = np.concatenate([fcoef[start:stop], fcoef[:wrapped]], dtype=complex)
+        coeffs = np.concatenate([fcoef[start:stop], fcoef[:wrapped]])
         if window == "full":
             del fcoef  # each N-array is dropped once read: they set peak memory
         sq = np.abs(coeffs)

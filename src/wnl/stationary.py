@@ -16,10 +16,12 @@ from the index partition at scale x, which computes them once.
 
 ``stationary_comparison`` returns the central window as one table of
 numpy columns (index, t*, rho, g''(t*), approximation, FFT coefficient,
-bound).  ``_stationary_points`` yields nu, t* and g''(t*) one block
-of indices at a time, and the comparison fills its columns, rho
-included, from those blocks; ``asymptotics.final_step_report`` reads
-the same blocks and keeps none of them.  The error statistics and the
+bound).  The phase is odd, so its FFT coefficients are real: float64
+from one Hermitian FFT.  ``_stationary_points`` yields nu, t* and
+g''(t*) one block of indices at a time, and the comparison fills its
+columns, rho included, from those blocks;
+``asymptotics.final_step_report`` reads the same blocks and keeps none
+of them.  The error statistics and the
 written table are column expressions, and ``fitted_calibration`` reads
 the stored g'' column.
 
@@ -79,7 +81,7 @@ class ComparisonRow(NamedTuple):
     t_star: float
     rho: float
     approx: float
-    exact: complex
+    exact: float
     remainder_bound: float
 
     @property
@@ -98,12 +100,13 @@ class ComparisonTable:
 
     A table of numpy columns, one entry per central index: ``nu``,
     ``t_star``, ``rho``, ``g2`` = g''(t*), ``approx``, ``exact``
-    (complex) and ``remainder_bound``.  The error columns ``abs_err``
-    and ``rel_err`` are derived once, on first use.  delta and omega
-    are those of the partition the table was built from, so the
-    remainder budget can be re-derived from the table.  ``rows`` gives
-    the same entries as :class:`ComparisonRow` tuples, built on first
-    use; nothing in the package reads it.
+    (float64: the phase is odd, so its coefficients are real; the error
+    columns also take a complex one) and ``remainder_bound``.  The error
+    columns ``abs_err`` and ``rel_err`` are derived once, on first use.
+    delta and omega are those of the partition the table was built from,
+    so the remainder budget can be re-derived from the table.  ``rows``
+    gives the same entries as :class:`ComparisonRow` tuples, built on
+    first use; nothing in the package reads it.
     """
 
     x: float
@@ -155,8 +158,9 @@ class ComparisonTable:
         """Five data columns; exact is the real part of the coefficient.
 
         For odd phases the spectrum comes from a Hermitian FFT, so
-        the coefficients are exactly real; the CSV header records the
-        largest imaginary magnitude dropped so the file never hides one.
+        the coefficients are float64 and max_im is 0.0; the CSV header
+        records the largest imaginary magnitude dropped so the file never
+        hides one.
         """
         max_im = float(np.max(np.abs(self.exact.imag), initial=0.0))
         header = f"x={self.x!r} label={self.label} calib_c={self.calib_c!r} max_im={max_im!r}"

@@ -1,6 +1,7 @@
 """Command-line behavior: parsing, exit codes, deterministic output files."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -205,6 +206,25 @@ def test_converge_abs_routes_to_log_growth(tmp_path, capsys):
     assert lines[1] == "param,norm,norm_over_log,abs_err"
     assert "2/pi" in capsys.readouterr().out
 
+
+
+def test_log_growth_keeps_one_spectrum_alive(tmp_path, capsys):
+    """Each scale's norm is read off its spectrum, which is then dropped:
+    the 2^18-point spectrum of n = 16384 peaks near two complex N-arrays
+    (one buffer, then the kept window), and the 2^17-point window of
+    n = 8192, 0.5 of the unit, must not sit beneath it.  Units of
+    16 * 2^18 bytes; the first run warms the FFT plan caches."""
+    args = ["converge", "--phase", "abs", "--params", "4096,8192,16384"]
+    args += ["--out", str(tmp_path / "abs.csv")]
+    assert main(args) == 0
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= 2.2 * 16 * 2**18
 
 def test_converge_rejects_fractional_blaschke_ladder(capsys):
     assert main(["converge", "--phase", "blaschke:0.5", "--params", "50.5,60"]) == 1

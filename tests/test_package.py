@@ -459,6 +459,37 @@ def test_nan_argument_is_a_domain_error(call):
         call()
 
 
+
+SPECTRUM_REFUSALS = {
+    **{case: (wnl.DomainError, call) for case, call in BAD_ARGUMENTS["compute_spectrum"].items()},
+    "over_budget_auto": (wnl.DomainError, lambda: wnl.compute_spectrum(SINE, 2.0**23)),
+    "over_budget_full": (
+        wnl.DomainError,
+        lambda: wnl.compute_spectrum(SINE, 2.0**21, window="full"),
+    ),
+    "pinned_below_floor": (
+        wnl.GridResolutionError,
+        lambda: wnl.compute_spectrum(SINE, 1000.0, grid_pow=12, window="full"),
+    ),
+}
+
+
+@pytest.mark.parametrize("error, call", list(SPECTRUM_REFUSALS.values()), ids=list(SPECTRUM_REFUSALS))
+def test_spectrum_refusals_cost_no_sampling(monkeypatch, error, call):
+    """compute_spectrum refuses a bad argument, an over-budget grid and a
+    pinned grid below the 8x floor before it samples e^{i x h} at all."""
+    grid_coefficients = wnl.spectrum._grid_coefficients
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return grid_coefficients(*args)
+
+    monkeypatch.setattr(wnl.spectrum, "_grid_coefficients", counted)
+    with pytest.raises(error):
+        call()
+    assert calls == []
+
 QUADRATURES = {
     "coefficient_quadrature": lambda tol: wnl.coefficient_quadrature(
         wnl.build_sine().normalized(), 100.0, 3, tol=tol

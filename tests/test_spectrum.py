@@ -26,6 +26,7 @@ from wnl.phase import (
     build_piecewise_abs,
     build_sine,
     partition_terms,
+    require_valid,
 )
 from wnl.spectrum import (
     CoefficientSpectrum,
@@ -118,9 +119,10 @@ def test_route_subclasses_force_their_routes(route, sampled):
     ids=["sine", "blaschke[0.3,0.7]"],
 )
 def test_half_route_matches_full_route(phase, xs):
-    """Odd phases take the Hermitian FFT on half the samples; forcing the
-    full complex FFT must give the same coefficients, and its imaginary
-    parts stay at rounding level, so the reality check still sees an FFT."""
+    """Odd phases take the Hermitian FFT on half the samples and keep
+    their real coefficients as float64; forcing the full complex FFT must
+    give the same coefficients, and its imaginary parts stay at rounding
+    level, so the reality check still sees an FFT."""
     for x in xs:
         half = compute_spectrum(phase, x)
         full = compute_spectrum(_FullRoute(phase.h, phase.d1, phase.d2, phase.label), x)
@@ -129,9 +131,33 @@ def test_half_route_matches_full_route(phase, xs):
             full.nu_max,
             full.grid_size,
         )
-        assert half.coeffs.dtype == complex
+        assert half.coeffs.dtype == np.float64
         assert np.max(np.abs(half.coeffs - full.coeffs)) <= 1e-12
         assert np.max(np.abs(full.coeffs.imag)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "phase, x",
+    [(build_sine(), 1000.0), (build_sine(), 351.5), (build_blaschke([0.3, 0.7]), 4096.0)],
+    ids=["sine-1000", "sine-351.5", "blaschke[0.3,0.7]-4096"],
+)
+def test_odd_spectrum_is_real_end_to_end(phase, x):
+    """An odd phase's coefficients stay float64 from the FFT to every sum:
+    abs of a real value is fabs, which equals hypot(a, 0), so the Parseval
+    defect, abs_sum, the partition sums and the written table equal those
+    of the same coefficients widened to complex, byte for byte."""
+    norm = require_valid(phase)
+    spec = compute_spectrum(norm, x)
+    assert spec.coeffs.dtype == np.float64
+    assert type(spec.coeff(spec.nu_min)) is complex
+    wide = dataclasses.replace(spec, coeffs=spec.coeffs.astype(complex))
+    sq = np.abs(wide.coeffs)
+    sq *= sq
+    assert spec.parseval_defect == abs(float(np.sum(sq)) - 1.0)
+    assert spec.abs_sum() == wide.abs_sum()
+    part = partition_terms(norm, x)
+    assert partition_sums(spec, part) == partition_sums(wide, part)
+    assert spec.table().csv_text() == wide.table().csv_text()
 
 
 @pytest.mark.parametrize(
@@ -206,7 +232,10 @@ def test_even_half_route_matches_full_route():
 def test_buffer_route_is_the_reference_expression(phase, x, window):
     """compute_spectrum exponentiates in place and lets the FFT scale by
     1/N; that is the plain expression times 1 / N, byte for byte, on the
-    5-smooth auto grids as on the power-of-two full one."""
+    5-smooth auto grids as on the power-of-two full one.  For an odd
+    phase the plain expression is the Hermitian FFT of e^{i x h}, where
+    the spectrum takes the inverse real FFT of its conjugate: both give
+    float64, and the window keeps that dtype."""
     spec = compute_spectrum(phase, x, window=window)
     n = spec.grid_size
     if phase.odd:
@@ -219,7 +248,7 @@ def test_buffer_route_is_the_reference_expression(phase, x, window):
     else:
         t = 2.0 * np.pi * np.arange(n) / n
         fcoef = np.fft.fft(np.exp(1j * x * phase.h(t))) * (1.0 / n)
-    expected = fcoef[spec.nu_values() % n].astype(complex)
+    expected = fcoef[spec.nu_values() % n]
     assert spec.coeffs.tobytes() == expected.tobytes()
 
 
@@ -227,19 +256,19 @@ def test_buffer_route_is_the_reference_expression(phase, x, window):
     "phase, x, window, grid, bound",
     [
         (build_piecewise_abs(), 4096.0, "full", 2**16, 2.25),
-        (build_sine().normalized(), 16384.0, "auto", 36000, 2.25),
+        (build_sine().normalized(), 16384.0, "auto", 36000, 1.6),
     ],
     ids=["abs-full", "sine"],
 )
 def test_spectrum_peak_memory(phase, x, window, grid, bound):
     """The full window on 2^16 points peaks near two complex N-arrays
     (samples and FFT in one buffer, plus the kept copy).  The odd sine
-    keeps 33793 of its N = 36000 coefficients: the N real FFT outputs,
-    the kept complex window and its squared magnitudes come to 0.5 +
-    1.5 * 33793 / 36000 = 1.91 of the unit, and the tail bound's circle
-    scan runs beside them.  Bounds in units of 16 N bytes; in bytes the
-    sine bound, 2.25 * 16 * 36000, is below the 1.6 * 16 * 2^16 it had
-    on the power-of-two grid."""
+    keeps 33793 of its N = 36000 coefficients, all real: the N float64
+    FFT outputs, the kept float64 window and its squared magnitudes come
+    to 0.5 + (0.5 + 0.5) * 33793 / 36000 = 1.44 of the unit, and the tail
+    bound's circle scan runs beside them.  A complex window would add
+    0.5 * 33793 / 36000 = 0.47 to that, 1.91, above the sine bound.
+    Bounds in units of 16 N bytes."""
     compute_spectrum(phase, x, window=window)  # warm-up: FFT plan caches
     tracemalloc.start()
     try:

@@ -66,9 +66,14 @@ def test_central_approximation_accuracy():
 
 
 def test_exact_column_is_bessel_oracle():
+    """The exact column is a window of an odd phase's spectrum: real,
+    float64, each row's exact a float, and the header's max_im 0."""
     table = stationary_comparison(build_sine(), 400.0)
+    assert table.exact.dtype == np.float64
+    assert " max_im=0.0" in table.table().csv_text().splitlines()[0]
     row0 = next(r for r in table.rows if r.nu == 0)
-    assert row0.exact.real == pytest.approx(J0_400, abs=1e-12)
+    assert type(row0.exact) is float
+    assert row0.exact == pytest.approx(J0_400, abs=1e-12)
 
 
 def test_fitted_calibration_dominates():
