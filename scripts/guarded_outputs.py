@@ -16,8 +16,9 @@ checkouts.
 The library writers follow: coefficient spectra, Weyl-sum reports,
 a convergence report in JSON, coefficients from the quadrature
 route on its odd half-circle and its full-circle branch, the limit
-L(h) on each of its quadrature routes and the Gauss-Jacobi twin, and
-the partition sums of four partitions.
+L(h) on each of its quadrature routes and the Gauss-Jacobi twin, psi
+and the Legendre transform at five slopes of two phases, and the
+partition sums of four partitions.
 """
 
 from __future__ import annotations
@@ -145,6 +146,21 @@ def limits_table() -> Table:
     return Table("limit routes", {}, columns, rows)
 
 
+def psi_table() -> Table:
+    """psi, the inverse of h' on [0, pi], and the Legendre transform at five
+    slopes of sine (sign -1, so h' decreases) and of [0.3, 0.7] (sign +1)."""
+    cases = [
+        (wnl.build_sine(), (-0.95, -0.5, 0.0, 0.3, 0.9)),
+        (wnl.build_blaschke([0.3, 0.7]), (-7.0, -5.0, -3.0, -1.5, -0.75)),
+    ]
+    rows = [
+        (phase.label, u, wnl.psi(phase, u), wnl.legendre(phase, u))
+        for phase, slopes in cases
+        for u in slopes
+    ]
+    return Table("psi and legendre", {}, ("phase", "slope", "psi", "legendre"), rows)
+
+
 def partition_table() -> Table:
     """partition_sums at four partitions: an empty central window with a split
     periphery, crossed external seams (every index external), a tiny integer
@@ -181,6 +197,7 @@ def write_library_tables() -> None:
     tables = {name: report.table() for name, report in reports.items()}
     tables["quadrature.csv"] = quadrature_table()
     tables["limits.csv"] = limits_table()
+    tables["psi.csv"] = psi_table()
     tables["partition_sums.csv"] = partition_table()
     for name, table in tables.items():
         Path(name).write_text(table.json_text() if name.endswith(".json") else table.csv_text())

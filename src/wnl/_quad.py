@@ -8,6 +8,11 @@ its three routes and the final step's share of it, the single Fourier
 coefficient, the Gauss-Jacobi rule pair, the Miller sweeps of Bessel J)
 and stops at the first level within its tolerance of the one before.
 Node/weight tables come from numpy and are cached per order.
+
+``_BLOCK`` is the package's block size.  Long arrays are cut into blocks
+of it in two places, ``integrate_panels`` (its integrand's nodes) and
+``stationary._stationary_points`` (the central indices); what they call,
+the slope inverse included, takes the one block it is handed.
 """
 
 from __future__ import annotations

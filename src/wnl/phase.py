@@ -27,7 +27,6 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from ._quad import _BLOCK
 from .errors import DomainError
 
 Array = np.ndarray
@@ -390,7 +389,7 @@ def validate(phase: PhaseFunction) -> ValidationReport:
     curv = phase.sign * phase.d2(ti)
     sign_ok = bool(np.all(curv > 0.0))
     if not sign_ok:
-        bad = int(np.sum(curv <= 0.0))
+        bad = int(np.sum(~(curv > 0.0)))
         msgs.append(
             f"sign*h'' fails to stay positive on (0, pi) at {bad}/{curv.size} samples"
         )
@@ -502,9 +501,10 @@ def _invert_increasing_slope(norm: PhaseFunction, targets: np.ndarray) -> np.nda
     2 spacing(t) + noise / g''(t), what rounding in g' can move t by, or
     its bracket has collapsed; only unfinished targets are evaluated
     again.  noise is the larger of 8 spacing(max|g'|) and the error in
-    g' measured on the table (see ``_slope_table``).  Targets go through
-    each step in blocks of ``_quad._BLOCK``.  Each result depends on its
-    own target only.  Targets must lie in [g'(0), g'(pi)], up to a
+    g' measured on the table (see ``_slope_table``).  All targets go
+    through each step at once, so callers do the blocking: no library
+    call hands in more than one ``_quad._BLOCK`` of targets.  Each result
+    depends on its own target only.  Targets must lie in [g'(0), g'(pi)], up to a
     relative fuzz absorbed by clipping.
     """
     lo_val = float(norm.d1(np.asarray(0.0)))
@@ -517,19 +517,12 @@ def _invert_increasing_slope(norm: PhaseFunction, targets: np.ndarray) -> np.nda
     targets = np.clip(targets, lo_val, hi_val)
 
     grid, table, cubic, noise = _slope_table(norm)
-    t, lo, hi = np.empty_like(targets), np.empty_like(targets), np.empty_like(targets)
-    for b in range(0, targets.size, _BLOCK):
-        s = slice(b, b + _BLOCK)
-        t[s], lo[s], hi[s] = _slope_seed(grid, table, cubic, targets[s])
-
+    t, lo, hi = _slope_seed(grid, table, cubic, targets)
     out = np.empty_like(targets)
     todo = np.arange(targets.size)
     u = targets
     for _ in range(_SLOPE_MAX_STEPS):
-        done = np.empty(todo.size, dtype=bool)
-        for b in range(0, todo.size, _BLOCK):
-            s = slice(b, b + _BLOCK)
-            t[s], lo[s], hi[s], done[s] = _newton_step(norm, noise, u[s], t[s], lo[s], hi[s])
+        t, lo, hi, done = _newton_step(norm, noise, u, t, lo, hi)
         out[todo] = t  # targets still open at the step cap keep their last iterate
         keep = ~done
         todo, u, t, lo, hi = todo[keep], u[keep], t[keep], lo[keep], hi[keep]
@@ -552,11 +545,15 @@ def _slope_table(norm: PhaseFunction) -> tuple[Array, Array, Array, float]:
     d^6 g^(7), negligible at this spacing d, while errors of at most E in
     each tabulated g' give |D^6| <= 2^6 E; so the second term is a lower
     estimate of the rounding, or finite differencing, error E in g'.
+    A g' or g'' that is not finite on the grid raises DomainError, since
+    no root read off such a table could be trusted.
     """
     grid = np.linspace(0.0, np.pi, _SLOPE_TABLE_SIZE)
     d = grid[1]
     slope = norm.d1(grid)
     curv = norm.d2(grid)
+    if not (np.all(np.isfinite(slope)) and np.all(np.isfinite(curv))):
+        raise DomainError(f"h' or h'' of {norm.label!r} is not finite on [0, pi]")
     table = np.maximum.accumulate(slope)
     rounding = 8.0 * np.spacing(np.max(np.abs(table)))
     noise = max(rounding, np.max(np.abs(np.diff(slope, 6))) / 64.0)

@@ -99,10 +99,10 @@ class ComparisonTable:
     """Central-window stationary approximations against FFT coefficients.
 
     A table of numpy columns, one entry per central index: ``nu``,
-    ``t_star``, ``rho``, ``g2`` = g''(t*), ``approx``, ``exact``
-    (float64: the phase is odd, so its coefficients are real; the error
-    columns also take a complex one) and ``remainder_bound``.  The error
-    columns ``abs_err`` and ``rel_err`` are derived once, on first use.
+    ``t_star``, ``rho``, ``g2`` = g''(t*), ``approx``, ``exact`` and
+    ``remainder_bound``, all float64 but ``nu``: the phase is odd, so its
+    coefficients are real.  The error columns
+    ``abs_err`` and ``rel_err`` are derived once, on first use.
     delta and omega are those of the partition the table was built from,
     so the remainder budget can be re-derived from the table.  ``rows``
     gives the same entries as :class:`ComparisonRow` tuples, built on
@@ -129,19 +129,15 @@ class ComparisonTable:
         # ComparisonRow._make without its length check, which costs a third of the build
         return tuple(map(tuple.__new__, repeat(ComparisonRow), entries))
 
-    # Python's abs of a complex is the C library's hypot of its parts, and so
-    # is np.hypot; numpy's complex abs has a loop of its own that may differ
-    # from both by an ulp.  So the error columns equal the rows' properties.
-
     @cached_property
     def abs_err(self) -> np.ndarray:
         """|approx - exact|, as ``ComparisonRow.abs_err`` computes it."""
-        return np.hypot(self.approx - self.exact.real, self.exact.imag)
+        return np.abs(self.approx - self.exact)
 
     @cached_property
     def rel_err(self) -> np.ndarray:
         """abs_err / |exact|, inf where the coefficient is 0, as ``ComparisonRow.rel_err``."""
-        mag = np.hypot(self.exact.real, self.exact.imag)
+        mag = np.abs(self.exact)
         return np.divide(self.abs_err, mag, out=np.full(mag.shape, math.inf), where=mag > 0.0)
 
     def max_abs_err(self) -> float:
@@ -155,17 +151,15 @@ class ComparisonTable:
         return int(np.count_nonzero(self.abs_err > self.remainder_bound))
 
     def table(self) -> Table:
-        """Five data columns; exact is the real part of the coefficient.
+        """Five data columns: nu, exact, approx, abs_err and remainder_bound.
 
-        For odd phases the spectrum comes from a Hermitian FFT, so
-        the coefficients are float64 and max_im is 0.0; the CSV header
-        records the largest imaginary magnitude dropped so the file never
-        hides one.
+        The coefficients of an odd phase are real, so the header's
+        max_im, the largest imaginary part dropped, is always 0.0; the
+        file format keeps the field.
         """
-        max_im = float(np.max(np.abs(self.exact.imag), initial=0.0))
-        header = f"x={self.x!r} label={self.label} calib_c={self.calib_c!r} max_im={max_im!r}"
+        header = f"x={self.x!r} label={self.label} calib_c={self.calib_c!r} max_im=0.0"
         fields = {"x": self.x, "label": self.label, "calib_c": self.calib_c}
-        columns = (self.nu, self.exact.real, self.approx, self.abs_err, self.remainder_bound)
+        columns = (self.nu, self.exact, self.approx, self.abs_err, self.remainder_bound)
         rows = list(zip(*(c.tolist() for c in columns)))
         return Table(header, fields, ("nu", "exact", "approx", "abs_err", "remainder_bound"), rows)
 

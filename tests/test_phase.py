@@ -8,8 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import wnl.asymptotics
 import wnl.phase
-from wnl.asymptotics import asymptotic_limit, convergence_study, final_step_report
+import wnl.stationary
+from wnl._quad import _BLOCK
+from wnl.asymptotics import (
+    asymptotic_limit,
+    asymptotic_limit_slope_route,
+    convergence_study,
+    final_step_report,
+)
 from wnl.errors import DomainError, WnlError
 from wnl.phase import (
     _SLOPE_TABLE_SIZE,
@@ -345,6 +353,50 @@ def test_psi_rejects_unattained_slopes(bad):
         psi(build_sine(), bad)
 
 
+def _sine_with_a_nan(derivative: str) -> PhaseFunction:
+    """sine, with its h' or its h'' (``derivative`` "d1" or "d2") nan on 1 < |t| < 1.2."""
+    sine = build_sine()
+    clean = getattr(sine, derivative)
+
+    def holed(t):
+        return np.where((1.0 < np.abs(t)) & (np.abs(t) < 1.2), np.nan, clean(t))
+
+    return dataclasses.replace(sine, label=f"sine-nan-{derivative}", **{derivative: holed})
+
+
+def test_slope_inverse_refuses_a_slope_that_is_not_finite():
+    """validate reads no h', so a sine whose h' is nan on 1 < |t| < 1.2
+    passes it.  The inverse slope table then refuses it, so psi no longer
+    gives 1.0 where arccos(0.3) is 1.2661 and the final step no longer a
+    middle of 1.14003 where sine's is 1.15903; the slope route no longer
+    runs its quadrature into QuadratureBudgetError.  A raise is not kept,
+    so the second call raises too."""
+    bad = _sine_with_a_nan("d1")
+    assert validate(bad).passed
+    match = r"h' or h'' of '-\(sine-nan-d1\)' is not finite on \[0, pi\]"
+    for call in (
+        lambda: psi(bad, 0.3),
+        lambda: psi(bad, 0.1),
+        lambda: final_step_report(bad, 1000, eps=0.2),
+        lambda: asymptotic_limit_slope_route(bad),
+    ):
+        with pytest.raises(DomainError, match=match):
+            call()
+    with pytest.raises(DomainError, match="not finite"):
+        stationary_comparison(bad, 1000.0)
+
+
+def test_validate_counts_curvature_that_is_not_finite():
+    """A nan h'' is not positive: a sine whose h'' is nan on 1 < |t| < 1.2
+    fails the sign check at the 16 samples there, where the count read
+    0/254."""
+    report = validate(_sine_with_a_nan("d2"))
+    assert not report.sign_ok and not report.passed
+    assert "sign*h'' fails to stay positive on (0, pi) at 16/254 samples" in report.messages
+    abs_report = validate(build_piecewise_abs())
+    assert "sign*h'' fails to stay positive on (0, pi) at 254/254 samples" in abs_report.messages
+
+
 @given(u=st.floats(-0.999, 0.999))
 @settings(max_examples=60)
 def test_psi_round_trip(u):
@@ -551,7 +603,7 @@ def test_inverse_slope_settles_early_on_final_step_targets(phase):
 @pytest.mark.parametrize(
     "phase, n, calls",
     [
-        (build_blaschke([0.3, 0.7]), 65536, 22),
+        (build_blaschke([0.3, 0.7]), 65536, 7),
         (build_blaschke([0.3, 0.7]), 1000, 5),
         (build_sine(), 9000, 2),
     ],
@@ -562,9 +614,9 @@ def test_inverse_slope_ends_a_newton_2_cycle(monkeypatch, phase, n, calls):
     from either end of their last bracket (1.5e-14 wide, f = +-1.4e-14)
     the Newton step lands exactly on the other end.  Such a target is done
     at the first landing instead of cycling to the 64-step cap: the
-    central targets take 22 calls of _newton_step at n = 65536 (14 blocks
-    in the first pass; 79 with the cycles) and 5 at n = 1000 (64 with
-    them).  Every root stays within 4 noise of its target in g'."""
+    central targets take 7 Newton steps at n = 65536 and 5 at n = 1000,
+    where cycling ran to the cap.  Every root stays within 4 noise of its
+    target in g'."""
     norm = require_valid(phase)
     central = partition_terms(norm, float(n)).central_range()
     u = np.arange(central.start, central.stop) / n
@@ -580,6 +632,37 @@ def test_inverse_slope_ends_a_newton_2_cycle(monkeypatch, phase, n, calls):
     assert len(steps) == calls
     noise = _slope_table(norm)[3]
     assert np.max(np.abs(norm.d1(t) - u)) <= 4.0 * noise
+
+
+def test_every_slope_inversion_gets_one_block(monkeypatch):
+    """The inverse runs all its targets through each step at once, so its
+    callers block: no library call hands it more than one _quad._BLOCK of
+    targets, so the final step's 892,137 central indices at 2^17 take
+    several calls."""
+    sizes = []
+    invert = wnl.phase._invert_increasing_slope
+
+    def recorded(norm, targets):
+        sizes.append(targets.size)
+        return invert(norm, targets)
+
+    for module in (wnl.phase, wnl.stationary, wnl.asymptotics):
+        monkeypatch.setattr(module, "_invert_increasing_slope", recorded)
+    blaschke = build_blaschke([0.3, 0.7])
+    runs = {
+        "final step": lambda: final_step_report(blaschke, 2**17),
+        "comparison": lambda: stationary_comparison(build_sine(), 9000.0),
+        "slope route": lambda: asymptotic_limit_slope_route(blaschke),
+        "psi": lambda: psi(blaschke, -3.0),
+    }
+    counts = {}
+    for name, run in runs.items():
+        sizes.clear()
+        run()
+        assert sizes and max(sizes) <= _BLOCK, name
+        counts[name] = len(sizes)
+    assert counts["final step"] >= 2
+    assert counts["psi"] == 1
 
 
 @pytest.mark.parametrize(
