@@ -80,6 +80,9 @@ ROWS = [
     ("girard(0.2)", lambda: girard_closed_form("0.2"), "0.772949394815895863"),
     ("girard(0.5)", lambda: girard_closed_form("0.5"), "1.25133889276404441"),
     ("girard(0.8)", lambda: girard_closed_form("0.8"), "1.68225813256560138"),
+    ("girard(0.98)", lambda: girard_closed_form("0.98"), "2.08375293201510031"),
+    ("girard(0.99)", lambda: girard_closed_form("0.99"), "2.13473373526428151"),
+    ("girard(0.999)", lambda: girard_closed_form("0.999"), "2.21825782758209951"),
     ("limit blaschke:0.3,0.7", lambda: blaschke_limit(["0.3", "0.7"]), "1.87867627073246121"),
     ("psi blaschke:0.3,0.7(-7)", lambda: blaschke_slope_root(["0.3", "0.7"], "-7"),
      "0.11276101886648128342"),

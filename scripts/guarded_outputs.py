@@ -17,8 +17,10 @@ The library writers follow: coefficient spectra, Weyl-sum reports,
 a convergence report in JSON, coefficients from the quadrature
 route on its odd half-circle and its full-circle branch, the limit
 L(h) on each of its quadrature routes and the Gauss-Jacobi twin, psi
-and the Legendre transform at five slopes of two phases, and the
-partition sums of four partitions.
+and the Legendre transform at five slopes of two phases, the partition
+sums of four partitions, and the facts each phase reads off its circle
+table of h' and h'': its slope range, the zeros of h'' and, for odd
+phases, Phi, delta, omega and the partition cuts at four scales.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from pathlib import Path
 import wnl
 from wnl._table import Table
 from wnl.cli import main as wnl_main
+from wnl.phase import _curvature_zeros
 
 # (output name, wnl arguments without --out and --format)
 CLI_RUNS = [
@@ -182,6 +185,31 @@ def partition_table() -> Table:
     return Table("partition_sums", {}, columns, rows)
 
 
+def phase_facts_table() -> Table:
+    """Per phase, the slope range and the zeros of h''; per odd phase and
+    scale n, Phi, delta, omega and the four partition cuts.  One fact per
+    row, with n None for the facts of the phase alone."""
+    phases = [
+        wnl.build_sine(),
+        wnl.build_blaschke([0.3, 0.7]),
+        wnl.build_blaschke([0.5]),
+        wnl.build_blaschke([0.9]),
+        wnl.build_blaschke_general([0.4 + 0.3j]),
+        wnl.build_blaschke_general([0.4 + 0.3j, -0.6, 0.2 - 0.5j]),
+    ]
+    rows = []
+    for phase in phases:
+        slopes = zip(("slope_min", "slope_max"), phase.slope_range())
+        rows += [(phase.label, f, None, v) for f, v in slopes]
+        rows += [(phase.label, "zero", None, z) for z in _curvature_zeros(phase).tolist()]
+        for n in (128.0, 1000.0, 65536.0, 1e6) if phase.odd else ():
+            part = wnl.partition_terms(phase, n)
+            facts = {"phi": part.phi, "delta": part.delta, "omega": part.omega}
+            facts.update(zip(("first", "lo", "hi", "last"), part.cuts))
+            rows += [(phase.label, f, n, v) for f, v in facts.items()]
+    return Table("phase facts", {}, ("phase", "fact", "n", "value"), rows)
+
+
 def write_library_tables() -> None:
     reports = {
         "spectrum_sine_300.csv": wnl.compute_spectrum(wnl.build_sine(), 300.0),
@@ -199,6 +227,7 @@ def write_library_tables() -> None:
     tables["limits.csv"] = limits_table()
     tables["psi.csv"] = psi_table()
     tables["partition_sums.csv"] = partition_table()
+    tables["phase_facts.csv"] = phase_facts_table()
     for name, table in tables.items():
         Path(name).write_text(table.json_text() if name.endswith(".json") else table.csv_text())
 

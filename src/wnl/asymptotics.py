@@ -26,6 +26,7 @@ from .errors import DomainError
 from .phase import (
     PhaseFunction,
     _curvature_zeros,
+    _end_slopes,
     _invert_increasing_slope,
     partition_terms,
     require_valid,
@@ -121,8 +122,9 @@ def asymptotic_limit(phase: PhaseFunction, tol: float = 1e-10) -> float:
     needs |h''| on (0, pi), which lets the quadrature be self-tested on
     synthetic curvature profiles that are not phases at all.  A zero of
     h'' inside (0, pi), which no admissible phase has, is a panel edge.
-    The zeros are found around the whole circle, so a profile that is not
-    finite on (pi, 2 pi) is refused with DomainError too.
+    The zeros are read off the circle table of h' and h'', so a profile
+    whose h' or h'' is not finite on (pi, 2 pi) is refused with
+    DomainError too.
     """
     require_tolerance(tol)
     return _root_curvature_integral(phase, 0.0, math.pi, tol, _LIMIT_PREFACTOR, "limit integral")
@@ -152,8 +154,7 @@ def asymptotic_limit_slope_route(phase: PhaseFunction) -> float:
     t-route but the phase itself, so agreement is a real check.
     """
     norm = require_valid(phase)
-    alpha = float(norm.d1(np.asarray(0.0)))
-    beta = float(norm.d1(np.asarray(np.pi)))
+    alpha, beta = _end_slopes(norm)
 
     def integrand(u: np.ndarray) -> np.ndarray:
         t = _invert_increasing_slope(norm, u)

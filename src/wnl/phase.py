@@ -39,9 +39,8 @@ _VALIDATE_GRID = 256  # samples per structural check in validate
 _SYMMETRY_TOL = 1e-8  # largest |h(-t) -+ h(t)| of a phase taken as odd or even
 _DOUBLING_LIMIT = 64.0  # largest accepted |h''(2s)| / |h''(s)| near an endpoint
 _DOUBLING_CORNER = math.pi / 8.0  # the largest s of the dyadic ladder
-_CURVATURE_GRID = 16384  # samples of h'' on [0, pi] behind Phi and omega
-_DELTA_FLOOR = 4.0 * math.pi / (_CURVATURE_GRID - 1)  # least delta omega reads: 4 grid spacings
-_SIGN_SCAN_GRID = 4097  # samples of h'' on [0, 2 pi] that bracket its zeros
+_CIRCLE_GRID = 32769  # uniform samples of h' and h'' on [0, 2 pi], ends included
+_DELTA_FLOOR = 4.0 * math.pi / (_CIRCLE_GRID // 2)  # least delta omega reads: 4 grid spacings
 
 
 def _once(f: Callable[[PhaseFunction], _T]) -> Callable[[PhaseFunction], _T]:
@@ -75,7 +74,7 @@ class PhaseFunction:
     winding number and orientation (``winding_k``, ``sign``) and the
     parities ``odd`` and ``even``, on either of which the spectrum takes
     a half route.  These, the slope range, the normalization, its
-    validation, the curvature profile, the zeros of h'' and the
+    validation, the circle table of h' and h'', the zeros of h'' and the
     inverse-slope table are each derived once per phase object.
     """
 
@@ -133,19 +132,16 @@ class PhaseFunction:
     @_once
     def slope_range(self) -> tuple[float, float]:
         """(min, max) of h' around the circle: at the zeros of h'', where
-        its extremes are, and on the scan grid that brackets them.
+        its extremes are, and on the circle table that brackets them.
 
         Exact wherever :func:`_curvature_zeros` finds the zeros, rotated
-        phases included; with none (h'' mostly zero) the grid alone.  A
-        non-finite h'' or h' raises DomainError.
+        phases included; with none (h'' mostly zero) the table alone.  A
+        phase whose table is not finite raises DomainError.
         """
-        t = np.linspace(0.0, 2.0 * np.pi, _SIGN_SCAN_GRID)
+        slope = _circle_table(self)[1]
         zeros = _curvature_zeros(self)
-        v = self.d1(t if zeros is None else np.concatenate([t, zeros]))
-        lo, hi = float(np.min(v)), float(np.max(v))
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise DomainError(f"h' of {self.label!r} is not finite on the circle")
-        return lo, hi
+        v = slope if zeros is None else np.concatenate([slope, self.d1(zeros)])
+        return float(np.min(v)), float(np.max(v))
 
 
 @dataclass
@@ -403,26 +399,20 @@ def validate(phase: PhaseFunction) -> ValidationReport:
         ratios = vals[:-1] / vals[1:]  # |h''(2s)| / |h''(s)|
         return float(np.max(ratios))
 
-    ratio0 = endpoint_ratio(True)
-    ratiopi = endpoint_ratio(False)
-    regularity_0_ok = ratio0 < _DOUBLING_LIMIT
-    regularity_pi_ok = ratiopi < _DOUBLING_LIMIT
-    if not regularity_0_ok:
-        msgs.append(
-            f"doubling ratio of h'' near 0 is {ratio0:.3g} (limit {_DOUBLING_LIMIT:g})"
-        )
-    if not regularity_pi_ok:
-        msgs.append(
-            f"doubling ratio of h'' near pi is {ratiopi:.3g} (limit {_DOUBLING_LIMIT:g})"
-        )
+    ratio0, ratiopi = endpoint_ratio(True), endpoint_ratio(False)
+    for end, ratio in (("0", ratio0), ("pi", ratiopi)):
+        if not ratio < _DOUBLING_LIMIT:
+            msgs.append(
+                f"doubling ratio of h'' near {end} is {ratio:.3g} (limit {_DOUBLING_LIMIT:g})"
+            )
 
     return ValidationReport(
         label=phase.label,
         periodicity_ok=periodicity_ok,
         symmetry_ok=symmetry_ok,
         sign_ok=sign_ok,
-        regularity_0_ok=regularity_0_ok,
-        regularity_pi_ok=regularity_pi_ok,
+        regularity_0_ok=ratio0 < _DOUBLING_LIMIT,
+        regularity_pi_ok=ratiopi < _DOUBLING_LIMIT,
         doubling_ratio_0=ratio0,
         doubling_ratio_pi=ratiopi,
         messages=msgs,
@@ -451,19 +441,56 @@ def _validation(norm: PhaseFunction) -> ValidationReport:
 
 
 @_once
+def _circle_table(phase: PhaseFunction) -> tuple[Array, Array, Array]:
+    """(t, h'(t), h''(t)) on ``_CIRCLE_GRID`` uniform points t of [0, 2 pi],
+    ends included: the one sampling of h' and h'' that Phi, omega, the
+    slope inverse, the zeros of h'', the slope range and Lemma 1's bound
+    all read.
+
+    t[t.size // 2] is pi, so the points up to it are the [0, pi] half of
+    :func:`_half_circle`.  Each derivative is evaluated on that half and
+    on (pi, 2 pi] in two calls, into arrays allocated once and kept: one
+    call over the circle, or a circle-length temporary freed after use,
+    raised the peak RSS of the ``blaschke_cli`` benchmark by 3 to 4 MB.
+    The second half is evaluated, not mirrored from the first, for odd
+    phases too: only its own values show an h'' that is not finite past
+    pi.  A value that is not finite raises DomainError, so every reader
+    refuses such a phase.
+    """
+    t = np.linspace(0.0, 2.0 * np.pi, _CIRCLE_GRID)
+    slope, curv = np.empty_like(t), np.empty_like(t)
+    for part in (slice(0, t.size // 2 + 1), slice(t.size // 2 + 1, None)):
+        slope[part], curv[part] = phase.d1(t[part]), phase.d2(t[part])
+    if not (np.all(np.isfinite(slope)) and np.all(np.isfinite(curv))):
+        raise DomainError(f"h' or h'' of {phase.label!r} is not finite on the circle")
+    return t, slope, curv
+
+
+def _half_circle(phase: PhaseFunction) -> tuple[Array, Array, Array]:
+    """(t, h'(t), h''(t)) of :func:`_circle_table` on its [0, pi] half,
+    16385 points by default, as views."""
+    return tuple(v[: v.size // 2 + 1] for v in _circle_table(phase))
+
+
+def _end_slopes(phase: PhaseFunction) -> tuple[float, float]:
+    """(h'(0), h'(pi)), read off the circle table."""
+    slope = _half_circle(phase)[1]
+    return float(slope[0]), float(slope[-1])
+
+
+@_once
 def _curvature_zeros(phase: PhaseFunction) -> Array | None:
     """The zeros of h'' around the circle, ascending in [0, 2 pi), or None.
 
-    Neighbouring samples of ``_SIGN_SCAN_GRID`` on [0, 2 pi] whose sign
-    bits differ are bisected, all at once, to neighbouring floats; a flip
-    between the two ends (one point of the circle) is a zero at 0.  None
+    Neighbouring points of :func:`_circle_table` whose h'' sign bits
+    differ are bisected, all at once, to neighbouring floats; a flip
+    between the two ends (one point of the circle) is a zero at 0.  Two
+    zeros inside one table interval, 2 pi / 32768 wide, go unseen.  None
     when fewer than half the samples are nonzero: h'' then mostly
-    vanishes and its signs say nothing.  A non-finite sample raises
-    DomainError, so every reader of the zeros refuses such a phase.
+    vanishes and its signs say nothing.  A table that is not finite
+    raises DomainError, so every reader of the zeros refuses such a phase.
     """
-    t = np.linspace(0.0, 2.0 * np.pi, _SIGN_SCAN_GRID)
-    if not np.all(np.isfinite(vals := phase.d2(t))):
-        raise DomainError(f"h'' of {phase.label!r} is not finite on the circle")
+    t, _, vals = _circle_table(phase)
     if 2 * np.count_nonzero(vals) < vals.size:
         return None
     neg = np.signbit(vals)
@@ -480,7 +507,6 @@ def _curvature_zeros(phase: PhaseFunction) -> Array | None:
 # ---------------------------------------------------------------------------
 
 
-_SLOPE_TABLE_SIZE = 16385  # uniform samples of g' and g'' that bracket and seed each target
 _SLOPE_MAX_STEPS = 64  # cap on the safeguarded Newton steps per target
 
 
@@ -488,14 +514,13 @@ def _invert_increasing_slope(norm: PhaseFunction, targets: np.ndarray) -> np.nda
     """Solve g'(t) = target on [0, pi] for a normalized phase (g'' > 0).
 
     Safeguarded Newton, as in Numerical Recipes' ``rtsafe``.  g' and g''
-    are tabulated once on a fixed uniform grid of ``_SLOPE_TABLE_SIZE``
-    points of [0, pi], whatever the targets (g' made monotone by a
-    running maximum).  The table interval holding a target is its
-    bracket, and the seed is the inverse cubic Hermite interpolant over
-    that interval (see ``_slope_seed``).  Each step evaluates g' and g''
-    at the current point, tightens the bracket by the sign of g'(t) -
-    target, and takes the Newton step, or the bracket midpoint when that
-    step leaves the bracket or g'' <= 0.
+    are read off the [0, pi] half of the circle table, whatever the
+    targets (g' made monotone by a running maximum).  The table interval
+    holding a target is its bracket, and the seed is the inverse cubic
+    Hermite interpolant over that interval (see ``_slope_seed``).  Each
+    step evaluates g' and g'' at the current point, tightens the bracket
+    by the sign of g'(t) - target, and takes the Newton step, or the
+    bracket midpoint when that step leaves the bracket or g'' <= 0.
 
     A target is done when its Newton step falls below the rounding floor
     2 spacing(t) + noise / g''(t), what rounding in g' can move t by, or
@@ -507,8 +532,7 @@ def _invert_increasing_slope(norm: PhaseFunction, targets: np.ndarray) -> np.nda
     depends on its own target only.  Targets must lie in [g'(0), g'(pi)], up to a
     relative fuzz absorbed by clipping.
     """
-    lo_val = float(norm.d1(np.asarray(0.0)))
-    hi_val = float(norm.d1(np.asarray(np.pi)))
+    lo_val, hi_val = _end_slopes(norm)
     fuzz = 1e-12 * max(1.0, abs(lo_val), abs(hi_val))
     if np.any(targets < lo_val - fuzz) or np.any(targets > hi_val + fuzz):
         raise DomainError(
@@ -536,24 +560,20 @@ def _slope_table(norm: PhaseFunction) -> tuple[Array, Array, Array, float]:
     """(grid, table, cubic, noise): what every inverse-slope target reads,
     built once per phase object.
 
-    grid holds ``_SLOPE_TABLE_SIZE`` uniform points of [0, pi] and table
-    the running maximum of g' on it.  cubic holds one row per table
-    interval, 1/(u_hi - u_lo) and the coefficients c1, c2, c3 of
-    ``_slope_seed``, so each target gathers four adjacent values.  noise
-    is the larger of 8 spacing(max|g'|) and max|D^6 g'| / 2^6 over the
+    grid is the [0, pi] half of :func:`_circle_table`, 16385 uniform
+    points, and table the running maximum of g' on it.  cubic holds one
+    row per table interval, 1/(u_hi - u_lo) and the coefficients c1, c2,
+    c3 of ``_slope_seed``, so each target gathers four adjacent values.
+    noise is the larger of 8 spacing(max|g'|) and max|D^6 g'| / 2^6 over the
     table, D^6 the sixth difference.  The smooth part of D^6 g' is
     d^6 g^(7), negligible at this spacing d, while errors of at most E in
     each tabulated g' give |D^6| <= 2^6 E; so the second term is a lower
     estimate of the rounding, or finite differencing, error E in g'.
-    A g' or g'' that is not finite on the grid raises DomainError, since
-    no root read off such a table could be trusted.
+    A circle table that is not finite raises DomainError, since no root
+    read off it could be trusted.
     """
-    grid = np.linspace(0.0, np.pi, _SLOPE_TABLE_SIZE)
+    grid, slope, curv = _half_circle(norm)
     d = grid[1]
-    slope = norm.d1(grid)
-    curv = norm.d2(grid)
-    if not (np.all(np.isfinite(slope)) and np.all(np.isfinite(curv))):
-        raise DomainError(f"h' or h'' of {norm.label!r} is not finite on [0, pi]")
     table = np.maximum.accumulate(slope)
     rounding = 8.0 * np.spacing(np.max(np.abs(table)))
     noise = max(rounding, np.max(np.abs(np.diff(slope, 6))) / 64.0)
@@ -628,14 +648,11 @@ def psi(phase: PhaseFunction, x: float) -> float:
     """
     norm = require_valid(phase)
     u = float(x) * phase.sign
-    lo_val = float(norm.d1(np.asarray(0.0)))
-    hi_val = float(norm.d1(np.asarray(np.pi)))
-    if not lo_val < u < hi_val:
-        a = float(phase.d1(np.asarray(0.0)))
-        b = float(phase.d1(np.asarray(np.pi)))
+    lo_val, hi_val = _end_slopes(norm)
+    if not lo_val < u < hi_val:  # the raw phase's h' is sign times the normalized one's
         raise DomainError(
-            f"slope target {x!r} not strictly between h'(0) = {a!r} and "
-            f"h'(pi) = {b!r} for {phase.label!r}"
+            f"slope target {x!r} not strictly between h'(0) = {phase.sign * lo_val!r} and "
+            f"h'(pi) = {phase.sign * hi_val!r} for {phase.label!r}"
         )
     return float(_invert_increasing_slope(norm, np.array([u]))[0])
 
@@ -663,24 +680,25 @@ def modulus_of_continuity(phase: PhaseFunction, delta: float) -> float:
     interpolation between the two bracketing integer window widths so
     the result is continuous in delta (a plain floor produces staircase
     artifacts that poison root finding in :func:`choose_phi`).  The
-    grid is the ``_CURVATURE_GRID`` that :func:`choose_phi` reads, and
-    delta must be at least ``_DELTA_FLOOR``, four spacings of it.
+    grid is the [0, pi] half of the circle table, 16385 points, which
+    :func:`choose_phi` reads too, and delta must be at least
+    ``_DELTA_FLOOR``, four spacings of it.
     """
     if not (0.0 < delta <= np.pi):
         raise DomainError(f"delta must lie in (0, pi], got {delta!r}")
     if delta < _DELTA_FLOOR:
         raise DomainError(
             f"delta {delta:.3e} is below 4 spacings ({_DELTA_FLOOR:.3e}) of the "
-            f"{_CURVATURE_GRID}-point curvature grid"
+            f"{_CIRCLE_GRID}-point circle grid"
         )
     return _curvature(phase).omega(delta)
 
 
 @_once
 def _curvature_profile(phase: PhaseFunction) -> tuple[Array, dict[int, float]]:
-    """h'' on ``_CURVATURE_GRID`` points of [0, pi], and the window ranges
-    :class:`_Curvature` has read from those samples so far."""
-    return phase.d2(np.linspace(0.0, np.pi, _CURVATURE_GRID)), {}
+    """h'' on the [0, pi] half of the circle table, 16385 points, and the
+    window ranges :class:`_Curvature` has read from those samples so far."""
+    return _half_circle(phase)[2], {}
 
 
 def _curvature(phase: PhaseFunction) -> _Curvature:
@@ -750,8 +768,9 @@ def choose_phi(phase: PhaseFunction, n: float) -> float:
     omega is the modulus of continuity of h'' on [0, pi]; the product is
     nondecreasing in Phi, so bisection on [Phi_floor, n^(1/4)] finds the
     root.  Phi_floor = max(1, ``_DELTA_FLOOR`` sqrt(n)) keeps delta =
-    Phi / sqrt(n) at four or more spacings of the curvature grid; it is
-    1 for n <= 1.70e6 on the ``_CURVATURE_GRID`` of 16384 points.
+    Phi / sqrt(n) at four or more spacings of the curvature grid, the
+    [0, pi] half of the circle table; it is 1 for n <= 1.70e6 on the
+    16385 points of that half.
     The scale n may be any real >= 2 (the construction is continuous in
     n, and real scales are first-class downstream).  Degenerate cases
     clamp: if omega never lifts the product to 1 the upper end is
@@ -760,7 +779,7 @@ def choose_phi(phase: PhaseFunction, n: float) -> float:
     A product that reaches 1 at a Phi_floor above 1 means the root lies
     below the grid's resolution, which raises DomainError.
     Bisection runs until its bracket ends are neighbouring floats, 49 to
-    58 midpoints.  h'' is sampled once per phase object, and each integer
+    58 midpoints.  h'' is read off the circle table, and each integer
     window width is read once per phase object, from a doubling table of
     window extremes, so those steps cost about 20 passes rather than two
     per midpoint, and fewer on every later call or scale.
@@ -788,8 +807,8 @@ def choose_phi(phase: PhaseFunction, n: float) -> float:
         if floor > 1.0:
             raise DomainError(
                 f"n = {n} puts the cutoff root for {phase.label!r} below the delta "
-                f"resolution {_DELTA_FLOOR:.3e}; the {_CURVATURE_GRID}-point "
-                f"curvature grid resolves n <= {_DELTA_FLOOR**-2:.2e} for every phase"
+                f"resolution {_DELTA_FLOOR:.3e}; the {_CIRCLE_GRID}-point "
+                f"circle grid resolves n <= {_DELTA_FLOOR**-2:.2e} for every phase"
             )
         return 1.0
     lo, hi = floor, upper
@@ -903,8 +922,7 @@ def partition_terms(phase: PhaseFunction, n: float) -> TermPartition:
     phi = choose_phi(norm, n)
     delta = min(phi / math.sqrt(n), math.pi / 8.0)
     omega = modulus_of_continuity(norm, max(delta, _DELTA_FLOOR))
-    alpha = float(norm.d1(np.asarray(0.0)))
-    beta = float(norm.d1(np.asarray(np.pi)))
+    alpha, beta = _end_slopes(norm)
     alpha_n = max(float(norm.d1(np.asarray(2.0 * delta))), alpha + 1.0 / n)
     beta_n = min(float(norm.d1(np.asarray(np.pi - 2.0 * delta))), beta - 1.0 / n)
     return TermPartition(

@@ -4,10 +4,11 @@ The limit constants live on a thin slice of special-function theory:
 Gamma at a handful of points, the Gauss hypergeometric series on
 0 <= z < 1, and integer-order Bessel J.  Each is implemented directly
 (Stirling with Bernoulli correction, the raw series plus an Euler
-transform, Miller's backward recurrence) so the numeric claims made
-elsewhere in the package do not silently rest on an external library's
-choices.  Tests cross-check against scipy, which is the only place that
-dependency direction appears.
+transform and, near z = 1, the connection to 1 - z, Miller's backward
+recurrence) so the numeric claims made elsewhere in the package do not
+silently rest on an external library's choices.  Tests cross-check
+against scipy, which is the only place that dependency direction
+appears.
 
 Gauss-Jacobi nodes for the endpoint-singular limit integral are the one
 piece of infrastructure borrowed from scipy here, since generating
@@ -93,6 +94,17 @@ def gamma_fn(x: float) -> float:
 _SERIES_CAP = 200_000
 
 
+def _gamma(x: float) -> float:
+    """Gamma(x) for real x: gamma_fn above 0, the reflection pi / (sin(pi x)
+    Gamma(1 - x)) below, and inf at the poles 0, -1, -2, ..., where
+    1 / Gamma(x) vanishes."""
+    if x > 0.0:
+        return gamma_fn(x)
+    if x == math.floor(x):
+        return math.inf
+    return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
+
+
 def _gauss_series(a: float, b: float, c: float, z: float) -> float:
     total = 1.0
     term = 1.0
@@ -113,7 +125,17 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     transform (1-z)^(c-a-b) 2F1(c-a, c-b; c; z) keeps the term count
     bounded (the raw series needs ~1/(1-z) terms and loses accuracy
     as z -> 1, the transformed one converges like the series of a
-    completed object).
+    completed object).  Past z = 0.9 even that series needs ~1/(1-z)
+    terms, 200,000 too few at z = 0.9999, so when s = c-a-b lies 0.1 or
+    more from every integer the connection formula DLMF 15.8.4 takes
+    2F1 from two series in w = 1-z:
+
+        Gamma(c) Gamma(s) / (Gamma(c-a) Gamma(c-b)) 2F1(a, b; 1-s; w)
+        + w^s Gamma(c) Gamma(-s) / (Gamma(a) Gamma(b)) 2F1(c-a, c-b; 1+s; w).
+
+    Nearer an integer the two terms grow like 1 / (s - round(s)) and
+    cancel, a digit lost per factor of ten (1e-8 relative at s = 1e-7),
+    so the Euler transform stays there, as far as its terms reach.
     """
     if not all(map(math.isfinite, (a, b, c))):
         raise DomainError(f"a, b and c must be finite, got ({a!r}, {b!r}, {c!r})")
@@ -123,7 +145,12 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
         raise DomainError(f"z must lie in [0, 1), got {z!r}")
     if z <= 0.5:
         return _gauss_series(a, b, c, z)
-    return (1.0 - z) ** (c - a - b) * _gauss_series(c - a, c - b, c, z)
+    s, w = c - a - b, 1.0 - z
+    if z <= 0.9 or abs(s - round(s)) < 0.1:
+        return w**s * _gauss_series(c - a, c - b, c, z)
+    g = _gamma
+    near = g(c) * g(s) / (g(c - a) * g(c - b)) * _gauss_series(a, b, 1.0 - s, w)
+    return near + w**s * g(c) * g(-s) / (g(a) * g(b)) * _gauss_series(c - a, c - b, 1.0 + s, w)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from .errors import DomainError, MisalignedError
 from .phase import (
     PhaseFunction,
     TermPartition,
+    _circle_table,
     _invert_increasing_slope,
     partition_terms,
     require_valid,
@@ -52,7 +53,6 @@ from .phase import (
 from .spectrum import compute_spectrum
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-_VAR_BOUND_GRID = 8192  # samples of phi' in lemma1_var_bound
 
 
 def _stationary_points(
@@ -240,21 +240,23 @@ def fitted_calibration(phase: PhaseFunction, table: ComparisonTable) -> float:
 
 
 def lemma1_var_bound(phase: PhaseFunction, x: float, nu: float) -> float:
-    """Variation of 1/phi' for phi(t) = x h(t) - nu t over [-pi, pi].
+    """Variation of 1/phi' for phi(t) = x h(t) - nu t over one period.
 
     This is the first-derivative-test bound on the coefficient integral
     (the periodic boundary terms cancel).  Requires phi' to stay away
     from zero; a sign change or near-zero sample raises DomainError.
-    The grid sum converges to the true variation from below and is
-    exact up to rounding when 1/phi' is piecewise monotone with turning
-    points on the grid.
+    phi' is read off the phase's circle table, h' on the 32769 points of
+    [0, 2 pi] (:func:`wnl.phase._circle_table`).  The grid sum converges
+    to the true variation from below and is exact up to rounding when
+    1/phi' is piecewise monotone with turning points on the grid, as at
+    0 and pi for an odd phase.
     """
     if not (math.isfinite(x) and math.isfinite(nu)):
         raise DomainError(f"x and nu must be finite, got ({x!r}, {nu!r})")
-    t = np.linspace(-np.pi, np.pi, _VAR_BOUND_GRID)
-    slope = x * phase.d1(t) - nu
+    d1 = _circle_table(phase)[1]
+    slope = x * d1 - nu
     smallest = float(np.min(np.abs(slope)))
-    scale = abs(x) * float(np.max(np.abs(phase.d1(t)))) + abs(nu) + 1.0
+    scale = abs(x) * float(np.max(np.abs(d1))) + abs(nu) + 1.0
     if smallest < 1e-12 * scale or (np.any(slope > 0.0) and np.any(slope < 0.0)):
         raise DomainError(
             f"phi' vanishes on [-pi, pi] (min |phi'| = {smallest:.3e}); "

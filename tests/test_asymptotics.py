@@ -541,24 +541,26 @@ def _counting_phase(phase: PhaseFunction) -> tuple[PhaseFunction, list[int]]:
 
 
 def test_study_samples_each_curvature_table_once():
-    """Over the 11 scales of the sine ladder, the 16384-point curvature grid
-    behind Phi and omega and the 4097-point sign scan behind the tail
-    bounds and L are each sampled once.  The phase is -sin, whose
-    normalization is itself, so the limit and the spectra scan one object."""
+    """Over the 11 scales of the sine ladder, the 32769-point circle table
+    behind Phi, omega, the tail bounds and L is sampled once, in its two
+    half calls of 16385 and 16384 points.  The phase is -sin, whose
+    normalization is itself, so the limit and the spectra read one object."""
     phase, sizes = _counting_phase(require_valid(build_sine()))
     assert phase.normalized() is phase
     convergence_study(phase, SINE_LADDER)
+    assert sizes.count(16385) == 1
     assert sizes.count(16384) == 1
-    assert sizes.count(4097) == 1
 
 
 def test_two_comparisons_build_one_slope_table():
     """sine normalizes to a new phase, built once, so both comparisons at
-    x = 1000 read one inverse-slope table of 16385 points."""
+    x = 1000 read one inverse-slope table, the [0, pi] half of one circle
+    table sampled in two half calls of 16385 and 16384 points."""
     phase, sizes = _counting_phase(build_sine())
     first = stationary_comparison(phase, 1000.0)
     second = stationary_comparison(phase, 1000.0)
     assert sizes.count(16385) == 1
+    assert sizes.count(16384) == 1
     assert first.rho.tobytes() == second.rho.tobytes()
 
 

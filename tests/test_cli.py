@@ -146,7 +146,7 @@ def test_unresolvable_scale_names_the_curvature_grid(capsys):
     partition runs before any FFT, so this scale fails cheaply."""
     assert main(["stationary-compare", "--phase", "sine", "--params", "1e12"]) == 1
     err = capsys.readouterr().err
-    assert "16384-point curvature grid resolves n <= 1.70e+06" in err
+    assert "32769-point circle grid resolves n <= 1.70e+06" in err
     assert "grid_size" not in err
 
 
@@ -308,6 +308,15 @@ def test_explore_blaschke_girard_reads_the_exact_zero(capsys):
     )
     want = girard_value(0.123456789).value
     assert line == f"girard closed form at alpha=0.123456789: {want!r}"
+
+
+def test_explore_blaschke_girard_near_the_circle(capsys):
+    """A zero at 0.99 puts 2F1 at z = 0.99990, which the closed form now
+    reaches, so the run prints its Girard line instead of an error."""
+    assert main(["explore-blaschke", "--phase", "blaschke:0.99", "--params", "128"]) == 0
+    assert f"girard closed form at alpha=0.99: {girard_value(0.99).value!r}" in (
+        capsys.readouterr().out
+    )
 
 
 def test_explore_blaschke_complex_zero(tmp_path):

@@ -140,12 +140,13 @@ def test_cli_flags_are_pinned():
 PRIVATE_IMPORTS = {
     "asymptotics": (
         "phase._curvature_zeros",
+        "phase._end_slopes",
         "phase._invert_increasing_slope",
         "stationary._stationary_points",
     ),
     "cli": ("phase._curvature_zeros",),
     "spectrum": ("phase._curvature_zeros",),
-    "stationary": ("_quad._BLOCK", "phase._invert_increasing_slope"),
+    "stationary": ("_quad._BLOCK", "phase._circle_table", "phase._invert_increasing_slope"),
 }
 
 
@@ -522,7 +523,7 @@ def test_frozen_constants_match_their_regeneration(monkeypatch, capsys):
 
 
 def test_guarded_library_tables_are_written(monkeypatch, tmp_path):
-    """The library step of scripts/guarded_outputs.py writes its eleven tables,
+    """The library step of scripts/guarded_outputs.py writes its twelve tables,
     so a renamed table writer fails here, not only in a byte-identity diff."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "guarded_outputs.py"
     write_library_tables = runpy.run_path(str(script))["write_library_tables"]
@@ -540,6 +541,7 @@ def test_guarded_library_tables_are_written(monkeypatch, tmp_path):
         "limits.csv",
         "psi.csv",
         "partition_sums.csv",
+        "phase_facts.csv",
     ]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
     assert all((tmp_path / f).stat().st_size > 0 for f in files)

@@ -20,7 +20,7 @@ from wnl.asymptotics import (
 )
 from wnl.errors import DomainError, WnlError
 from wnl.phase import (
-    _SLOPE_TABLE_SIZE,
+    _CIRCLE_GRID,
     PhaseFunction,
     TermPartition,
     _Curvature,
@@ -322,6 +322,18 @@ def test_curvature_sign_changes_are_counted(phase, changes):
     assert np.all((below != at) | (at != above))
 
 
+@pytest.mark.parametrize("a, b", [(0.9990, 0.9995), (2.5, 2.5003)])
+def test_curvature_zeros_apart_by_less_than_the_old_scan_spacing(a, b):
+    """h'' = (t - a)(t - b) vanishes twice within 1.5e-3 rad, the spacing of
+    the 4097-point scan that once found neither zero; the circle table,
+    2 pi / 32768 apart, brackets each zero, and bisection pins it to its
+    neighbouring floats."""
+    phase = PhaseFunction(np.sin, np.cos, lambda t: (t - a) * (t - b), "two-close-zeros")
+    zeros = _curvature_zeros(phase)
+    assert zeros.size == 2
+    assert np.all(np.abs(zeros - [a, b]) <= np.spacing([a, b]))
+
+
 @pytest.mark.parametrize("phase", [build_piecewise_abs(), build_linear(2)], ids=lambda p: p.label)
 def test_curvature_sign_changes_need_curvature(phase):
     """h'' vanishes on the whole circle: its signs say nothing."""
@@ -373,7 +385,7 @@ def test_slope_inverse_refuses_a_slope_that_is_not_finite():
     so the second call raises too."""
     bad = _sine_with_a_nan("d1")
     assert validate(bad).passed
-    match = r"h' or h'' of '-\(sine-nan-d1\)' is not finite on \[0, pi\]"
+    match = r"h' or h'' of '-\(sine-nan-d1\)' is not finite on the circle"
     for call in (
         lambda: psi(bad, 0.3),
         lambda: psi(bad, 0.1),
@@ -689,7 +701,7 @@ def test_inverse_slope_inside_the_end_intervals(phase):
     lo_val, hi_val = _slope_ends(norm)
     u = np.linspace(lo_val, hi_val, 50_002)[1:-1]
     bound = 2.0 * np.max(np.abs(norm.d1(_bisect_slope(norm, u)) - u))
-    d = np.pi / (_SLOPE_TABLE_SIZE - 1)
+    d = np.pi / (_CIRCLE_GRID // 2)
     for ts in (np.linspace(0.0, d, 13)[1:-1], np.linspace(np.pi - d, np.pi, 13)[1:-1]):
         u = norm.d1(ts)
         t = _invert_increasing_slope(norm, u)
@@ -720,24 +732,24 @@ def test_modulus_rejects_delta_outside_zero_pi(delta):
 
 
 def test_modulus_rejects_unresolvable_delta(monkeypatch):
-    monkeypatch.setattr(wnl.phase, "_CURVATURE_GRID", 128)
+    monkeypatch.setattr(wnl.phase, "_CIRCLE_GRID", 2 * 128 + 1)
     with pytest.raises(DomainError):
         modulus_of_continuity(build_sine(), 1e-6)
 
 
 def test_choose_phi_frozen_value(monkeypatch):
-    monkeypatch.setattr(wnl.phase, "_CURVATURE_GRID", 1 << 16)
+    monkeypatch.setattr(wnl.phase, "_CIRCLE_GRID", 2**17 + 1)
     phi = choose_phi(build_sine(), 1e6)
     assert phi == pytest.approx(PHI_SINE_1E6, abs=1e-6)
 
 
 def test_partition_reaches_past_the_unit_floor(monkeypatch):
     """Above n = 1.70e6 the bisection starts at four grid spacings of delta,
-    so sine at 4e6 partitions, with the Phi of a 65536-point grid."""
+    so sine at 4e6 partitions, with the Phi of a 65537-point half circle."""
     part = partition_terms(build_sine(), 4e6)
-    monkeypatch.setattr(wnl.phase, "_CURVATURE_GRID", 1 << 16)
+    monkeypatch.setattr(wnl.phase, "_CIRCLE_GRID", 2**17 + 1)
     assert part.phi == pytest.approx(choose_phi(build_sine(), 4e6), abs=1e-6)
-    assert part.delta >= 4.0 * math.pi / (16384 - 1)
+    assert part.delta >= 4.0 * math.pi / 16384
 
 
 def _window_extrema(f, length, maximum):
@@ -788,7 +800,7 @@ def test_doubling_table_range_matches_block_scan(size):
         assert curvature.window_range(width) == _block_scan_range(samples, width)
 
 
-def _plain_choose_phi(phase, n, grid_size=16384):
+def _plain_choose_phi(phase, n, grid_size=16385):
     """The 80-step bisection with every omega scanned afresh."""
     spacing = np.pi / (grid_size - 1)
     samples = phase.d2(np.linspace(0.0, np.pi, grid_size))
@@ -852,7 +864,8 @@ def test_phi_bisection_stops_at_neighbouring_floats(phase, bisected):
 
 def test_partition_samples_curvature_once():
     """Past validation, which samples h'' on grids of its own, a partition
-    samples h'' once: the curvature profile that Phi and omega share."""
+    samples h'' once: the circle table, in its two half calls, whose
+    [0, pi] half is the curvature profile that Phi and omega share."""
     norm = require_valid(build_sine())
     sizes = []
 
@@ -864,7 +877,7 @@ def test_partition_samples_curvature_once():
     require_valid(counting)
     sizes.clear()
     partition_terms(counting, 1000.0)
-    assert sizes == [16384]
+    assert sizes == [16385, 16384]
 
 
 @pytest.mark.parametrize(

@@ -43,6 +43,11 @@ GIRARD = {
     0.5: 1.25133889276404441,
     0.8: 1.68225813256560138,
 }
+GIRARD_NEAR_CIRCLE = {
+    0.98: 2.08375293201510031,
+    0.99: 2.13473373526428151,
+    0.999: 2.21825782758209951,
+}
 L_PAIR = 1.87867627073246121  # two zeros at 0.3, 0.7
 EQ_INT_HYPER = 2.46351243386823428  # both routes at alpha = 0.5
 
@@ -97,6 +102,30 @@ class TestHyp2f1:
         ours = np.array([hyp2f1(0.5, 0.75, 1.5, z) for z in zs])
         ref = sps.hyp2f1(0.5, 0.75, 1.5, zs)
         assert np.max(np.abs(ours / ref - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "a, b, c", [(0.5, 0.75, 1.5), (1.3, -0.4, 0.6), (-0.5, 0.75, 1.1), (2.5, 1.5, 1.2)]
+    )
+    def test_connection_near_one(self, a, b, c):
+        """Past z = 0.9 the series in 1 - z carry 2F1 to z = 0.999999, where
+        the Euler-transformed series needs ~1e6 terms; c - a = -0.7 and
+        c - b = -0.3 exercise Gamma below 0.  Against 30-digit mpmath."""
+        mp = pytest.importorskip("mpmath")
+        for z in (0.90001, 0.95, 0.99, 0.9999, 0.999999):
+            with mp.workdps(30):
+                ref = mp.hyp2f1(a, b, c, z)
+            assert abs(hyp2f1(a, b, c, z) / float(ref) - 1) < 2e-14
+
+    @pytest.mark.parametrize("c", [1.0000001, 1.05, 2.01])
+    def test_near_integer_exponent_keeps_the_euler_series(self, c):
+        """With s = c - 1 within 0.1 of an integer the connection formula's
+        two terms cancel (1e-8 relative at s = 1e-7), so past z = 0.9 the
+        Euler-transformed series still answers.  Against 30-digit mpmath."""
+        mp = pytest.importorskip("mpmath")
+        for z in (0.95, 0.99, 0.999):
+            with mp.workdps(30):
+                ref = mp.hyp2f1(0.5, 0.5, c, z)
+            assert abs(hyp2f1(0.5, 0.5, c, z) / float(ref) - 1) < 1e-13
 
     @pytest.mark.parametrize("bad", [1.0, -0.5, 2.0])
     def test_rejects_z_outside_unit_interval(self, bad):
@@ -194,6 +223,15 @@ class TestGirard:
     def test_frozen_values(self, alpha):
         gv = girard_value(alpha)
         assert gv.value == pytest.approx(GIRARD[alpha], rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "alpha, rel", [(0.98, 1e-13), (0.99, 1e-13), (0.999, 1e-11)], ids=str
+    )
+    def test_near_the_circle(self, alpha, rel):
+        """z = 4 alpha / (1 + alpha)^2 reaches 0.9999 at alpha = 0.98, where
+        the Euler-transformed series ran out of its 200,000 terms.  At 0.999
+        the rounding of z, 1e-16 against 1 - z = 2.5e-7, leaves 3e-12."""
+        assert girard_value(alpha).value == pytest.approx(GIRARD_NEAR_CIRCLE[alpha], rel=rel)
 
     @given(alpha=st.floats(0.05, 0.95))
     @settings(max_examples=60)
