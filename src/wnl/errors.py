@@ -43,7 +43,8 @@ class QuadratureBudgetError(WnlError):
 
 
 class ConvergenceError(WnlError):
-    """The hypergeometric series failed to converge within its term cap.
+    """The hypergeometric series failed to converge within its term cap,
+    or its sum passed the largest double.
 
     Refinements that run out of levels, the Miller sweeps of Bessel J
     among them, raise QuadratureBudgetError instead.

@@ -136,12 +136,15 @@ class PhaseFunction:
 
         Exact wherever :func:`_curvature_zeros` finds the zeros, rotated
         phases included; with none (h'' mostly zero) the table alone.  A
-        phase whose table is not finite raises DomainError.
+        phase whose table, or h' at a zero, is not finite raises DomainError.
         """
         slope = _circle_table(self)[1]
         zeros = _curvature_zeros(self)
         v = slope if zeros is None else np.concatenate([slope, self.d1(zeros)])
-        return float(np.min(v)), float(np.max(v))
+        lo, hi = float(np.min(v)), float(np.max(v))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError(f"h' of {self.label!r} is not finite at the zeros of h''")
+        return lo, hi
 
 
 @dataclass
@@ -399,20 +402,26 @@ def validate(phase: PhaseFunction) -> ValidationReport:
         ratios = vals[:-1] / vals[1:]  # |h''(2s)| / |h''(s)|
         return float(np.max(ratios))
 
-    ratio0, ratiopi = endpoint_ratio(True), endpoint_ratio(False)
-    for end, ratio in (("0", ratio0), ("pi", ratiopi)):
-        if not ratio < _DOUBLING_LIMIT:
-            msgs.append(
-                f"doubling ratio of h'' near {end} is {ratio:.3g} (limit {_DOUBLING_LIMIT:g})"
-            )
+    ratio0 = endpoint_ratio(True)
+    ratiopi = endpoint_ratio(False)
+    regularity_0_ok = ratio0 < _DOUBLING_LIMIT
+    regularity_pi_ok = ratiopi < _DOUBLING_LIMIT
+    if not regularity_0_ok:
+        msgs.append(
+            f"doubling ratio of h'' near 0 is {ratio0:.3g} (limit {_DOUBLING_LIMIT:g})"
+        )
+    if not regularity_pi_ok:
+        msgs.append(
+            f"doubling ratio of h'' near pi is {ratiopi:.3g} (limit {_DOUBLING_LIMIT:g})"
+        )
 
     return ValidationReport(
         label=phase.label,
         periodicity_ok=periodicity_ok,
         symmetry_ok=symmetry_ok,
         sign_ok=sign_ok,
-        regularity_0_ok=ratio0 < _DOUBLING_LIMIT,
-        regularity_pi_ok=ratiopi < _DOUBLING_LIMIT,
+        regularity_0_ok=regularity_0_ok,
+        regularity_pi_ok=regularity_pi_ok,
         doubling_ratio_0=ratio0,
         doubling_ratio_pi=ratiopi,
         messages=msgs,

@@ -17,6 +17,7 @@ orthogonal-polynomial rules is classical machinery, not substance.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -111,10 +112,12 @@ def _gauss_series(a: float, b: float, c: float, z: float) -> float:
     for k in range(_SERIES_CAP):
         term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * z
         total += term
+        if not math.isfinite(total):
+            break
         if abs(term) <= 1e-17 * abs(total):
             return total
     raise ConvergenceError(
-        f"hypergeometric series did not converge: a={a}, b={b}, c={c}, z={z}"
+        f"hypergeometric series did not converge to a double: a={a}, b={b}, c={c}, z={z}"
     )
 
 
@@ -135,7 +138,12 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
 
     Nearer an integer the two terms grow like 1 / (s - round(s)) and
     cancel, a digit lost per factor of ten (1e-8 relative at s = 1e-7),
-    so the Euler transform stays there, as far as its terms reach.
+    so the Euler transform stays there, as far as its terms reach.  It
+    answers too where a Gamma or w^s passes a double (the Gammas enter
+    as quotients, Gamma(c) / Gamma(c-a) and so on, which keeps c = 100.3
+    inside), or where the two terms cancel to less than an eighth of
+    their size.  A series whose sum passes a double raises
+    ConvergenceError rather than return inf or nan.
     """
     if not all(map(math.isfinite, (a, b, c))):
         raise DomainError(f"a, b and c must be finite, got ({a!r}, {b!r}, {c!r})")
@@ -145,12 +153,15 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
         raise DomainError(f"z must lie in [0, 1), got {z!r}")
     if z <= 0.5:
         return _gauss_series(a, b, c, z)
-    s, w = c - a - b, 1.0 - z
-    if z <= 0.9 or abs(s - round(s)) < 0.1:
-        return w**s * _gauss_series(c - a, c - b, c, z)
-    g = _gamma
-    near = g(c) * g(s) / (g(c - a) * g(c - b)) * _gauss_series(a, b, 1.0 - s, w)
-    return near + w**s * g(c) * g(-s) / (g(a) * g(b)) * _gauss_series(c - a, c - b, 1.0 + s, w)
+    s, w, g = c - a - b, 1.0 - z, _gamma
+    if z > 0.9 and abs(s - round(s)) >= 0.1:
+        with contextlib.suppress(ArithmeticError, DomainError):  # a Gamma or w^s past a double
+            near = g(c) / g(c - a) * (g(s) / g(c - b)) * _gauss_series(a, b, 1.0 - s, w)
+            far = w**s * g(c) / g(a) * (g(-s) / g(b)) * _gauss_series(c - a, c - b, 1.0 + s, w)
+            total = near + far
+            if math.isfinite(total) and abs(near) + abs(far) <= 8.0 * abs(total):
+                return total
+    return w**s * _gauss_series(c - a, c - b, c, z)
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,19 @@ def test_curvature_zeros_apart_by_less_than_the_old_scan_spacing(a, b):
     assert np.all(np.abs(zeros - [a, b]) <= np.spacing([a, b]))
 
 
+def test_slope_range_refuses_a_slope_that_is_not_finite_at_a_zero():
+    """h' is finite on every table point but nan at t = 1, a zero of h''
+    between two of them: the slope range reads h' there and refuses."""
+    phase = PhaseFunction(
+        np.sin,
+        lambda t: np.where(np.abs(t - 1.0) < 1e-9, np.nan, np.cos(t)),
+        lambda t: (t - 1.0) * (t - 2.0),
+        "nan-slope-at-a-zero",
+    )
+    with pytest.raises(DomainError, match="not finite at the zeros"):
+        phase.slope_range()
+
+
 @pytest.mark.parametrize("phase", [build_piecewise_abs(), build_linear(2)], ids=lambda p: p.label)
 def test_curvature_sign_changes_need_curvature(phase):
     """h'' vanishes on the whole circle: its signs say nothing."""

@@ -12,7 +12,7 @@ import scipy.special as sps
 from hypothesis import given, settings, strategies as st
 
 import wnl.specfun
-from wnl.errors import DomainError, QuadratureBudgetError
+from wnl.errors import ConvergenceError, DomainError, QuadratureBudgetError
 from wnl.specfun import (
     _ascending_series,
     bessel_j,
@@ -115,6 +115,23 @@ class TestHyp2f1:
             with mp.workdps(30):
                 ref = mp.hyp2f1(a, b, c, z)
             assert abs(hyp2f1(a, b, c, z) / float(ref) - 1) < 2e-14
+
+    @pytest.mark.parametrize("c, z", [(100.3, 0.95), (200.3, 0.95), (100.3, 0.9999)])
+    def test_large_c_near_one(self, c, z):
+        """Gamma(100.3) Gamma(99.3) and Gamma(99.8)^2 each overflow a double,
+        and Gamma(200.3) does alone, though their quotient is near 1: the
+        connection formula takes its Gammas in quotients, and past a double
+        it leaves z to the Euler series.  Against 30-digit mpmath."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            ref = mp.hyp2f1(0.5, 0.5, c, z)
+        assert abs(hyp2f1(0.5, 0.5, c, z) / float(ref) - 1) < 1e-13
+
+    def test_series_past_a_double_raises(self):
+        """At c = 200.3 and z = 0.9999 the Euler series' terms overflow and
+        the connection formula's Gamma(200.3) does too: an error, not nan."""
+        with pytest.raises(ConvergenceError, match="did not converge to a double"):
+            hyp2f1(0.5, 0.5, 200.3, 0.9999)
 
     @pytest.mark.parametrize("c", [1.0000001, 1.05, 2.01])
     def test_near_integer_exponent_keeps_the_euler_series(self, c):
